@@ -94,10 +94,16 @@ def _pick(flag, file_values: dict, key: str, default, cast):
 
 
 def _parse_qubit_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """A single width `n` or an inclusive range `a..b` with a <= b."""
+    lo, sep, hi = text.partition("..")
+    try:
+        first = int(lo)
+        last = int(hi) if sep else first
+    except ValueError:
+        raise click.UsageError(f"--qubits expects n or a..b with integers, got {text!r}") from None
+    if last < first:
+        raise click.UsageError(f"--qubits range {text!r} is empty")
+    return list(range(first, last + 1))
 
 
 def _parse_window(text: str) -> frozenset[int]:
@@ -280,7 +286,7 @@ def cmd_fidelity(qubits, half_range, dt, steps, trotter_steps, k0, potential, et
     cfg = _load_config_file(config_path)
     qubits = _pick(qubits, cfg, "qubits", "3..9", str)
     n_values = _parse_qubit_range(qubits)
-    template, params = _evolution_params(cfg, n_values[0] if n_values else 3, half_range, dt,
+    template, params = _evolution_params(cfg, n_values[0], half_range, dt,
                                          steps, trotter_steps, k0, potential, eta, positions,
                                          shots, seed, mode, mass)
     params["qubits"] = qubits

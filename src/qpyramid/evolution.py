@@ -20,6 +20,8 @@ linear phase ramps:
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,12 +74,15 @@ class EvolutionConfig:
             raise GridError("trotter_steps must be >= 1")
         if self.total_steps < 0:
             raise GridError("total_steps must be >= 0")
-        if self.dt < 0:
-            raise GridError("dt must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt >= 0):
+            raise GridError(f"dt must be finite and nonnegative, got {self.dt}")
         if self.shots < 1:
             raise GridError("shots must be positive")
-        if self.mass <= 0:
-            raise GridError("mass must be positive")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise GridError(f"mass must be finite and positive, got {self.mass}")
+        for q in self.potential.qubit_positions:
+            if not 0 <= q < self.grid.n_qubits:
+                raise GridError(f"potential qubit position {q} outside width {self.grid.n_qubits}")
 
 
 @dataclass
@@ -175,19 +180,29 @@ def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
     return states
 
 
+def _circuit_states(config: EvolutionConfig) -> Iterator[StateVector]:
+    """Circuit-evolved state at every reported step, initial packet first."""
+    step_circuit = trotter_step_circuit(config)
+    state = gaussian_packet(config.grid, config.packet)
+    yield state
+    for _ in range(config.total_steps):
+        for _ in range(config.trotter_steps):
+            state = run(step_circuit, state)
+        yield state
+
+
+def _final_circuit_state(config: EvolutionConfig) -> StateVector:
+    return deque(_circuit_states(config), maxlen=1)[0]
+
+
 def evolve_quantum(config: EvolutionConfig) -> EvolutionResult:
     """Run the circuit evolution, sampling and comparing against the reference
     at every reported step.  One seeded stream drives the histogram draw and
     the swap test, in that order, per step."""
-    step_circuit = trotter_step_circuit(config)
     oracle = evolve_classical_oracle(config)
     rng = RandomSource(config.seed)
     result = EvolutionResult(config)
-    state = gaussian_packet(config.grid, config.packet)
-    for step in range(config.total_steps + 1):
-        if step > 0:
-            for _ in range(config.trotter_steps):
-                state = run(step_circuit, state)
+    for step, state in enumerate(_circuit_states(config)):
         reference = StateVector(config.grid.n_qubits, oracle[step])
         result.states.append(state)
         result.oracle_states.append(reference)
@@ -215,14 +230,14 @@ def free_packet_reference(grid: Grid, packet: PacketSpec, time: float, mass: flo
     return StateVector.from_amplitudes(amps, normalize=True)
 
 
-def sweep_reference_state(config: EvolutionConfig, result: EvolutionResult) -> StateVector:
+def sweep_reference_state(config: EvolutionConfig) -> StateVector:
     """Final-state reference for a fidelity sweep: the continuum solution when
     there is no potential (so the curve exposes discretization error), else the
     split-step reference at the same resolution."""
     if config.potential.kind == "none":
         total_time = config.dt * config.total_steps
         return free_packet_reference(config.grid, config.packet, total_time, config.mass)
-    return result.oracle_states[-1]
+    return StateVector(config.grid.n_qubits, evolve_classical_oracle(config)[-1])
 
 
 def splitting_infidelity(config: EvolutionConfig, reference_multiplier: int = 16) -> float:
@@ -231,10 +246,7 @@ def splitting_infidelity(config: EvolutionConfig, reference_multiplier: int = 16
     sqrt(2 (1 - |<ref|psi>|)).  Halving the substep size divides this by ~4
     (second-order splitting); squared overlap converges at fourth order.
     """
-    state = gaussian_packet(config.grid, config.packet)
-    step_circuit = trotter_step_circuit(config)
-    for _ in range(config.total_steps * config.trotter_steps):
-        state = run(step_circuit, state)
+    state = _final_circuit_state(config)
     fine = replace(config, trotter_steps=reference_multiplier * config.trotter_steps)
     reference = evolve_classical_oracle(fine)[-1]
     overlap = abs(np.vdot(reference, state.amplitudes))
@@ -242,16 +254,16 @@ def splitting_infidelity(config: EvolutionConfig, reference_multiplier: int = 16
 
 
 def fidelity_sweep(template: EvolutionConfig, n_values) -> list[tuple[EvolutionConfig, FidelityReport]]:
-    """Run the evolution for each qubit count and swap-test the final state
-    against the sweep reference.  One seeded stream drives the sweep estimates
-    in qubit order, so identical templates reproduce identical reports."""
+    """Evolve the circuit to the final state for each qubit count and
+    swap-test it against the sweep reference; no per-step samples are drawn.
+    One seeded stream drives the sweep estimates in qubit order, so identical
+    templates reproduce identical reports."""
     rng = RandomSource(template.seed)
     points = []
     for n in n_values:
         config = replace(template, grid=Grid(template.grid.d, n))
-        result = evolve_quantum(config)
-        reference = sweep_reference_state(config, result)
-        report = swap_test_estimate(reference, result.states[-1], config.shots, rng)
+        reference = sweep_reference_state(config)
+        report = swap_test_estimate(reference, _final_circuit_state(config), config.shots, rng)
         points.append((config, report))
     return points
 

@@ -27,8 +27,8 @@ class Grid:
     n_qubits: int
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise GridError(f"half-range d must be positive, got {self.d}")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise GridError(f"half-range d must be finite and positive, got {self.d}")
         if self.n_qubits < 1:
             raise GridError(f"n_qubits must be positive, got {self.n_qubits}")
 

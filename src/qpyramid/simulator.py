@@ -108,6 +108,9 @@ class RandomSource:
     def multinomial(self, trials: int, probabilities: np.ndarray) -> np.ndarray:
         return self._generator.multinomial(trials, probabilities)
 
+    def binomial(self, trials: int, probability: float) -> int:
+        return int(self._generator.binomial(trials, probability))
+
 
 def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, n: int) -> None:
     """Mutate a tensor with qubit axes 0..n-1 (plus optional batch axes) in place."""

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpyramid.analysis import (
     ErrorBudgetParams,
@@ -73,6 +75,64 @@ def test_probability_formula_for_random_pairs():
         b = _random_state(3, rng)
         expected = 0.5 + 0.5 * fidelity_exact(a, b)
         assert swap_test_probability(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+# --- closed-form draw against the explicit circuit ---
+
+
+class _RecordingSource(RandomSource):
+    """Real PCG64 stream that also records each binomial success probability."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.probabilities = []
+
+    def binomial(self, trials, probability):
+        self.probabilities.append(probability)
+        return super().binomial(trials, probability)
+
+
+def _estimator_probability(a, b):
+    rng = _RecordingSource(0)
+    swap_test_estimate(a, b, 100, rng)
+    assert len(rng.probabilities) == 1
+    return rng.probabilities[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       angle=st.floats(0.0, math.pi / 2))
+def test_estimator_probability_matches_circuit(n, seed, angle):
+    # b = cos(angle) a + sin(angle) c spans overlaps from identical to random
+    rng = np.random.default_rng(seed)
+    a = _random_state(n, rng)
+    c = _random_state(n, rng)
+    b = StateVector.from_amplitudes(
+        math.cos(angle) * a.amplitudes + math.sin(angle) * c.amplitudes, normalize=True)
+    assert _estimator_probability(a, b) == pytest.approx(swap_test_probability(a, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_estimator_probability_endpoints_match_circuit(n):
+    rng = np.random.default_rng(n)
+    state = _random_state(n, rng)
+    assert _estimator_probability(state, state) == pytest.approx(
+        swap_test_probability(state, state), abs=1e-12)
+    assert _estimator_probability(state, state) <= 1.0
+    a = StateVector.basis_state(n, 0)
+    b = StateVector.basis_state(n, (1 << n) - 1)
+    assert _estimator_probability(a, b) == pytest.approx(swap_test_probability(a, b), abs=1e-12)
+    assert _estimator_probability(a, b) == 0.5
+
+
+def test_estimate_does_not_simulate_the_circuit(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("swap_test_estimate simulated the joint state")
+
+    monkeypatch.setattr("qpyramid.analysis.run", fail)
+    rng = np.random.default_rng(5)
+    report = swap_test_estimate(_random_state(4, rng), _random_state(4, rng), 1000, RandomSource(2))
+    assert 0.0 <= report.estimated <= 1.0
 
 
 # --- sampled estimator ---

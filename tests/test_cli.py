@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,32 @@ def test_evolve_rejects_single_qubit(runner, tmp_path):
     assert result.exit_code == 3
 
 
+_QUICK = ["--steps", "1", "--shots", "64"]
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--qubits", "4", "--d", "inf", *_QUICK],
+    ["evolve", "--qubits", "4", "--d", "nan", *_QUICK],
+    ["fidelity", "--qubits", "3..4", "--d", "inf", *_QUICK],
+    ["encode-ke", "--qubits", "4", "--d", "inf"],
+    ["evolve", "--qubits", "4", "--dt", "nan", *_QUICK],
+    ["evolve", "--qubits", "4", "--dt", "inf", *_QUICK],
+    ["evolve", "--qubits", "4", "--mass", "nan", *_QUICK],
+    ["evolve", "--qubits", "4", "--mass", "inf", *_QUICK],
+    ["evolve", "--qubits", "5", "--potential", "single", "--positions", "7", *_QUICK],
+    ["fidelity", "--qubits", "3..5", "--potential", "multi", "--positions", "0,3", *_QUICK],
+], ids=lambda args: " ".join(args[:6]))
+def test_invalid_input_exits_3_without_traceback(runner, tmp_path, args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "x")])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith("error: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_evolve_multi_step_positions(runner, tmp_path):
     out = tmp_path / "ev"
     result = runner.invoke(main, ["evolve", "--qubits", "4", "--steps", "1", "--shots", "64",
@@ -155,11 +182,13 @@ def test_metrics_single_n(runner, tmp_path):
     assert _read_csv_column(out / "metrics.csv", "baseline_total") == ["18"]
 
 
-def test_metrics_empty_range_headers_only(runner, tmp_path):
+@pytest.mark.parametrize("qubits", ["5..4", "9..3", "3..x", "x", "", "3.5"])
+def test_metrics_bad_range_is_usage_error(runner, tmp_path, qubits):
     out = tmp_path / "m"
-    result = runner.invoke(main, ["metrics", "--qubits", "5..4", "--out", str(out)])
-    assert result.exit_code == 0
-    assert len((out / "metrics.csv").read_text().splitlines()) == 1
+    result = runner.invoke(main, ["metrics", "--qubits", qubits, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--qubits" in result.output
+    assert not out.exists()
 
 
 # --- fidelity ---
@@ -174,6 +203,16 @@ def test_fidelity_sweep_columns(runner, tmp_path):
     assert lines[0] == "n,mode,Nt,exact,swap_estimate,std_error,reference,deviation_note"
     assert len(lines) == 3
     assert lines[1].startswith("3,centered,10,")
+
+
+@pytest.mark.parametrize("qubits", ["9..3", "3..x", "x..5"])
+def test_fidelity_bad_range_is_usage_error(runner, tmp_path, qubits):
+    out = tmp_path / "f"
+    result = runner.invoke(main, ["fidelity", "--qubits", qubits, "--steps", "1",
+                                  "--shots", "64", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--qubits" in result.output
+    assert not out.exists()
 
 
 # --- error budget ---

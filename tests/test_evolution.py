@@ -266,6 +266,45 @@ def test_fidelity_sweep_deterministic_and_sized():
     assert [rep.estimated for _, rep in first] == [rep.estimated for _, rep in second]
 
 
+def _old_sweep_exact(config):
+    """The sweep's exact fidelity computed through the full evolve_quantum run."""
+    result = evolve_quantum(config)
+    if config.potential.kind == "none":
+        total_time = config.dt * config.total_steps
+        reference = free_packet_reference(config.grid, config.packet, total_time, config.mass)
+    else:
+        reference = result.oracle_states[-1]
+    return fidelity_exact(reference, result.states[-1])
+
+
+@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+                         ids=["none", "single"])
+def test_fidelity_sweep_exact_matches_full_evolution(potential):
+    template = _config(n=3, total_steps=2, shots=256, potential=potential)
+    for config, report in fidelity_sweep(template, [3, 4, 5]):
+        assert report.exact == _old_sweep_exact(config)
+
+
+@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+                         ids=["none", "single"])
+def test_fidelity_sweep_draws_no_per_step_samples(monkeypatch, potential):
+    def fail(*args, **kwargs):
+        raise AssertionError("fidelity_sweep drew a per-step histogram")
+
+    monkeypatch.setattr("qpyramid.evolution.sample", fail)
+    oracle_calls = []
+    real_oracle = evolve_classical_oracle
+
+    def counting_oracle(config):
+        oracle_calls.append(config.grid.n_qubits)
+        return real_oracle(config)
+
+    monkeypatch.setattr("qpyramid.evolution.evolve_classical_oracle", counting_oracle)
+    points = fidelity_sweep(_config(n=3, total_steps=2, shots=256, potential=potential), [3, 4])
+    assert len(points) == 2
+    assert oracle_calls == ([] if potential.kind == "none" else [3, 4])
+
+
 # --- config serialization and export ---
 
 
@@ -302,6 +341,16 @@ def test_export_files_and_determinism(tmp_path):
 def test_config_validation():
     with pytest.raises(GridError):
         _config(mode="other")
+    for bad in (math.nan, math.inf, -0.1):
+        with pytest.raises(GridError):
+            _config(dt=bad)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(GridError):
+            _config(mass=bad)
+    with pytest.raises(GridError):
+        _config(n=5, potential=PotentialSpec.single_step(1.0, qubit=7))
+    with pytest.raises(GridError):
+        _config(n=3, potential=PotentialSpec.multi_step(1.0, (0, -1)))
     with pytest.raises(GridError):
         _config(trotter_steps=0)
     with pytest.raises(GridError):

@@ -29,6 +29,9 @@ def test_grid_rejects_bad_parameters():
         Grid(0.0, 5)
     with pytest.raises(GridError):
         Grid(10.0, 0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(GridError):
+            Grid(bad, 5)
 
 
 def test_position_endpoints():

@@ -197,6 +197,15 @@ def test_sample_rejects_zero_shots():
         sample(StateVector.zero_state(1), 0, RandomSource(0))
 
 
+def test_binomial_is_seeded_and_integral():
+    first = [RandomSource(5).binomial(1000, 0.3) for _ in range(2)]
+    assert first[0] == first[1]
+    assert isinstance(first[0], int)
+    assert 0 <= first[0] <= 1000
+    assert RandomSource(1).binomial(50, 1.0) == 50
+    assert RandomSource(1).binomial(50, 0.0) == 0
+
+
 def test_histogram_invariant():
     with pytest.raises(ValueError):
         Histogram(5, {0: 4})
