@@ -1,8 +1,10 @@
 """Swap-test fidelity estimation, closed-form error budget, report emission."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +129,9 @@ def swap_test_estimate(a: StateVector, b: StateVector, shots: int, rng: RandomSo
     return FidelityReport(exact, estimated, shots, std_error)
 
 
+TABLE_CHUNK_ROWS = 16384
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -135,12 +140,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_table(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+def write_table(path, header: list[str], columns) -> None:
+    """CSV table with one iterable per column: floats in shortest round-trip
+    repr, None as an empty cell.  Rows are formatted and written
+    TABLE_CHUNK_ROWS at a time, so no string of the whole table is built."""
+    rows = zip(*columns)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        while chunk := list(itertools.islice(rows, TABLE_CHUNK_ROWS)):
+            fh.write("".join(",".join(map(_format_cell, row)) + "\n" for row in chunk))
 
 
 METRICS_HEADER = [
@@ -161,8 +169,6 @@ def emit_report(out_dir, *, metrics_rows=None, fidelity_rows=None,
     csv format writes one file per section; json packs the same tables into one
     report.json.  Returns the paths written.
     """
-    import os
-
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
@@ -177,7 +183,7 @@ def emit_report(out_dir, *, metrics_rows=None, fidelity_rows=None,
             if rows is None:
                 continue
             path = os.path.join(out_dir, f"{name}.csv")
-            _write_table(path, header, rows)
+            write_table(path, header, zip(*rows))
             written.append(path)
         return written
     payload = {}

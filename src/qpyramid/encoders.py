@@ -276,11 +276,3 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
         inv.gates.append(type(gate)(gate.kind, gate.qubits, angle))
     return inv
 
-
-def write_diagonal_csv(diagonal: np.ndarray, path) -> None:
-    """Columns: index, re, im, phase."""
-    lines = ["index,re,im,phase"]
-    for i, z in enumerate(diagonal):
-        lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r},{float(np.angle(z))!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

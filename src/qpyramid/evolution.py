@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import FidelityReport, swap_test_estimate
+from .analysis import FidelityReport, emit_report, swap_test_estimate, write_table
 from .circuit import Circuit, InvalidWidth, wrap_angle
 from .encoders import build_potential_circuit, build_qate_circuit, build_qft, solve_qate
 from .grids import (
@@ -45,10 +45,9 @@ from .simulator import (
     RandomSource,
     StateVector,
     fidelity_exact,
+    index_bitstring,
     run,
     sample,
-    write_histogram_csv,
-    write_statevector_csv,
 )
 
 MODES = ("paper", "centered")
@@ -320,8 +319,6 @@ def export_evolution_result(result: EvolutionResult, out_dir) -> list[str]:
     import json
     import os
 
-    from .analysis import emit_report
-
     os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, "config.json")
     with open(config_path, "w") as fh:
@@ -330,12 +327,20 @@ def export_evolution_result(result: EvolutionResult, out_dir) -> list[str]:
     written = [config_path]
     summary_rows = []
     n = result.config.grid.n_qubits
+    indices = range(1 << n)
+    bitstrings = [index_bitstring(i, n) for i in indices]
     for step, state in enumerate(result.states):
         state_path = os.path.join(out_dir, f"step_{step:03d}_state.csv")
-        write_statevector_csv(state, state_path)
+        amplitudes = state.amplitudes.tolist()
+        write_table(state_path, ["index", "bitstring", "real", "imag", "probability"],
+                    [indices, bitstrings, [a.real for a in amplitudes], [a.imag for a in amplitudes],
+                     [abs(a) ** 2 for a in amplitudes]])
         written.append(state_path)
         hist_path = os.path.join(out_dir, f"step_{step:03d}_hist.csv")
-        write_histogram_csv(result.histograms[step], n, hist_path)
+        histogram = result.histograms[step]
+        counts = [histogram.counts.get(i, 0) for i in indices]
+        write_table(hist_path, ["bitstring", "count", "frequency"],
+                    [bitstrings, counts, [c / histogram.shots for c in counts]])
         written.append(hist_path)
         summary_rows.append(
             [step, result.exact_fidelities[step], result.swap_reports[step].estimated,

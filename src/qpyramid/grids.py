@@ -143,12 +143,16 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in _POTENTIAL_KINDS:
             raise GridError(f"unknown potential kind {self.kind!r}")
+        if not math.isfinite(self.eta):
+            raise GridError(f"eta must be finite, got {self.eta}")
         object.__setattr__(self, "qubit_positions", tuple(int(q) for q in self.qubit_positions))
         if (self.boundaries is None) != (self.values is None):
             raise GridError("boundaries and values must be given together")
         if self.boundaries is not None:
             bounds = tuple(float(b) for b in self.boundaries)
             vals = tuple(float(v) for v in self.values)
+            if not all(math.isfinite(x) for x in bounds + vals):
+                raise GridError("boundaries and values must be finite")
             if len(vals) != len(bounds) + 1:
                 raise GridError("need exactly one more region value than boundaries")
             if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
@@ -195,11 +199,3 @@ def potential_profile(grid: Grid, spec: PotentialSpec) -> np.ndarray:
         profile += spec.eta * (1.0 - 2.0 * bits)
     return profile
 
-
-def write_profile_csv(profile: PhaseProfile, path) -> None:
-    """Columns: index, theta."""
-    lines = ["index,theta"]
-    for i, theta in enumerate(profile.thetas):
-        lines.append(f"{i},{float(theta)!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -19,7 +19,6 @@ from .circuit import Circuit, CircuitError, Gate, GateKind, InvalidWidth, valida
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
-DIAG_TOL = 1e-10
 UNITARY_MAX_QUBITS = 12
 
 
@@ -212,24 +211,17 @@ def _is_basis_permutation_identity(circuit: Circuit) -> bool:
 
 
 def extract_diagonal(circuit: Circuit) -> np.ndarray:
-    """Main diagonal of a diagonal circuit, verified against off-diagonal leakage.
+    """Main diagonal of a diagonal circuit built from X/CX/Swap and phase-type gates.
 
-    For n <= 12 the full unitary is checked entry-by-entry; for wider circuits
-    the basis permutation induced by X/CX/Swap gates must compose to identity.
+    The basis permutation induced by the X/CX/Swap gates must compose to the
+    identity; the circuit applied to the all-ones vector is then its diagonal.
+    Hadamard and controlled swap raise NotDiagonal; use `extract_unitary` for
+    circuits that contain them.
     """
     validate(circuit)
-    n = circuit.n_qubits
-    if n <= UNITARY_MAX_QUBITS:
-        matrix = extract_unitary(circuit)
-        diag = np.diag(matrix).copy()
-        off = matrix - np.diag(diag)
-        worst = float(np.max(np.abs(off))) if off.size else 0.0
-        if worst >= DIAG_TOL:
-            raise NotDiagonal(f"off-diagonal magnitude {worst} exceeds {DIAG_TOL}")
-        return diag
     if not _is_basis_permutation_identity(circuit):
         raise NotDiagonal("basis states are not mapped to themselves up to phase")
-    ones = np.ones(1 << n, dtype=np.complex128)
+    ones = np.ones(1 << circuit.n_qubits, dtype=np.complex128)
     return _apply_circuit_raw(ones, circuit)
 
 
@@ -253,23 +245,3 @@ def fidelity_exact(a: StateVector, b: StateVector) -> float:
 def index_bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
-
-def write_statevector_csv(state: StateVector, path) -> None:
-    """Columns: index, bitstring, real, imag, probability (round-trip floats)."""
-    lines = ["index,bitstring,real,imag,probability"]
-    for i, amp in enumerate(state.amplitudes):
-        lines.append(
-            f"{i},{index_bitstring(i, state.n_qubits)},{float(amp.real)!r},{float(amp.imag)!r},{float(abs(amp) ** 2)!r}"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_histogram_csv(histogram: Histogram, n_qubits: int, path) -> None:
-    """Columns: bitstring, count, frequency; all 2^n outcomes are listed."""
-    lines = ["bitstring,count,frequency"]
-    for i in range(1 << n_qubits):
-        count = histogram.counts.get(i, 0)
-        lines.append(f"{index_bitstring(i, n_qubits)},{count},{count / histogram.shots!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpyramid import analysis
 from qpyramid.analysis import (
     ErrorBudgetParams,
     FidelityReport,
@@ -17,6 +18,7 @@ from qpyramid.analysis import (
     swap_test_circuit,
     swap_test_estimate,
     swap_test_probability,
+    write_table,
 )
 from qpyramid.circuit import GateKind, InvalidWidth, count_gates
 from qpyramid.simulator import RandomSource, StateVector, fidelity_exact, run
@@ -271,6 +273,23 @@ def test_emit_report_empty_rows_headers_only(tmp_path):
         "n,qate_1q,qate_2q,qate_total,baseline_total,depth_ours,depth_paper_ref,depth_baseline_paper_ref"
     ]
     assert len((tmp_path / "fidelity.csv").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 7, 9])
+def test_write_table_chunk_boundaries(tmp_path, monkeypatch, n_rows):
+    # chunks of 3 rows: empty, partial, exact and multi-chunk tables
+    monkeypatch.setattr(analysis, "TABLE_CHUNK_ROWS", 3)
+    floats = [i / 7 for i in range(n_rows)]
+    notes = [None if i % 2 else f"r{i}" for i in range(n_rows)]
+    write_table(tmp_path / "t.csv", ["i", "x", "note"], [range(n_rows), floats, notes])
+    expected = ["i,x,note"] + [f"{i},{x!r},{'' if note is None else note}"
+                               for i, x, note in zip(range(n_rows), floats, notes)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_write_table_numpy_scalars_as_plain_floats(tmp_path):
+    write_table(tmp_path / "t.csv", ["x"], [[np.float64(0.1), np.float64(1e-300)]])
+    assert (tmp_path / "t.csv").read_text() == "x\n0.1\n1e-300\n"
 
 
 def test_emit_report_json(tmp_path):

@@ -140,6 +140,8 @@ _QUICK = ["--steps", "1", "--shots", "64"]
     ["evolve", "--qubits", "4", "--mass", "inf", *_QUICK],
     ["evolve", "--qubits", "5", "--potential", "single", "--positions", "7", *_QUICK],
     ["fidelity", "--qubits", "3..5", "--potential", "multi", "--positions", "0,3", *_QUICK],
+    ["evolve", "--qubits", "3", "--eta", "inf", "--potential", "single", *_QUICK],
+    ["evolve", "--qubits", "3", "--eta", "nan", "--potential", "single", *_QUICK],
 ], ids=lambda args: " ".join(args[:6]))
 def test_invalid_input_exits_3_without_traceback(runner, tmp_path, args):
     with warnings.catch_warnings(record=True) as caught:
@@ -234,6 +236,80 @@ def test_error_budget_requires_h(runner):
     assert runner.invoke(main, ["error-budget"]).exit_code == 2
 
 
+# Table bytes at small n for every table kind (diagonal, profile, statevector,
+# histogram and reports); a change to the CSV format or to how a column is
+# computed shows here.
+_GOLDEN = [
+    (["encode-ke", "--qubits", "2"], {
+        "diagonal.csv": (
+            'index,re,im,phase\n'
+            '0,0.9999383589428604,-0.011103076810469684,-0.011103304951225529\n'
+            '1,0.9999992389915728,-0.001233700237183983,-0.0012337005501361707\n'
+            '2,0.9999992389915728,-0.001233700237183983,-0.0012337005501361707\n'
+            '3,0.9999383589428604,-0.011103076810469684,-0.011103304951225529\n'
+        ),
+        "target.csv": (
+            'index,re,im,phase\n'
+            '0,0.9999383589428604,-0.011103076810469684,-0.011103304951225529\n'
+            '1,0.9999992389915728,-0.0012337002371839822,-0.0012337005501361698\n'
+            '2,0.9999992389915728,-0.0012337002371839822,-0.0012337005501361698\n'
+            '3,0.9999383589428604,-0.011103076810469684,-0.011103304951225529\n'
+        ),
+        "profile.csv": (
+            'index,theta\n'
+            '0,0.011103304951225529\n'
+            '1,0.0012337005501361698\n'
+            '2,0.0012337005501361698\n'
+            '3,0.011103304951225529\n'
+        ),
+    }),
+    (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
+        "step_001_state.csv": (
+            'index,bitstring,real,imag,probability\n'
+            '0,00,0.0014644433274901465,-0.001985805770344798,6.08801881696511e-06\n'
+            '1,01,-0.5705755997614914,-0.42164374033077007,0.5033399588033075\n'
+            '2,10,-0.5624016031838417,0.42467905751919904,0.4966478651591505\n'
+            '3,11,-0.0014888301518523545,-0.0019675882452791196,6.088018724025269e-06\n'
+        ),
+        "step_001_hist.csv": (
+            'bitstring,count,frequency\n'
+            '00,0,0.0\n'
+            '01,7,0.7\n'
+            '10,3,0.3\n'
+            '11,0,0.0\n'
+        ),
+        "summary.csv": (
+            'step,exact_fidelity,swap_fidelity,norm\n'
+            '0,0.9999999999999998,1.0,0.9999999999999999\n'
+            '1,0.9999999999999987,1.0,0.9999999999999994\n'
+        ),
+    }),
+    (["metrics", "--qubits", "6..7"], {
+        "metrics.csv": (
+            'n,qate_1q,qate_2q,qate_total,baseline_total,depth_ours,depth_paper_ref,depth_baseline_paper_ref\n'
+            '6,5,20,25,33,12,36,40\n'
+            '7,6,27,33,42,14,,\n'
+        ),
+    }),
+    (["fidelity", "--qubits", "2..3", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
+        "fidelity.csv": (
+            'n,mode,Nt,exact,swap_estimate,std_error,reference,deviation_note\n'
+            '2,centered,1,0.9423214502329914,0.6000000000000001,0.12649110640673517,,\n'
+            '3,centered,1,0.9867116251971624,1.0,0.0,0.73,deviates from reference 0.73 by 0.257\n'
+        ),
+    }),
+]
+
+
+@pytest.mark.parametrize("args, tables", _GOLDEN, ids=[args[0] for args, _ in _GOLDEN])
+def test_table_bytes_golden(runner, tmp_path, args, tables):
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    for name, text in tables.items():
+        assert (tmp_path / name).read_text() == text, name
+
+
+
 # --- shared behaviour ---
 
 
@@ -258,6 +334,92 @@ def test_config_file_with_flag_override(runner, tmp_path):
 
 def test_config_file_rejects_garbage(runner, tmp_path):
     config = tmp_path / "bad.conf"
-    config.write_text("this is not a key value line\n")
-    result = runner.invoke(main, ["metrics", "--config", str(config)])
-    assert result.exit_code == 2
+    out = tmp_path / "m"
+    for text in ("this is not a key value line\n", '{"params": {"qubits": "3..4"', '{"params": 5}',
+                 "qubits=3..4\n\udcff\n"):
+        config.write_bytes(text.encode("utf-8", "surrogateescape"))
+        result = runner.invoke(main, ["metrics", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--config" in result.output
+        assert not out.exists()
+    # a directory exists but cannot be read as a file: an I/O failure
+    result = runner.invoke(main, ["metrics", "--config", str(tmp_path), "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("i/o error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    ("encode-ke", "method", "qwa"),
+    ("encode-ke", "window", "1..x"),
+    ("encode-ke", "window", "1,x"),
+    ("evolve", "potential", "bogus"),
+    ("evolve", "qubits", "abc"),
+    ("evolve", "positions", "x"),
+    ("fidelity", "positions", "0,"),
+    ("fidelity", "format", "xml"),
+    ("metrics", "format", "xml"),
+    ("error-budget", "t1", "soon"),
+])
+def test_bad_value_is_usage_error(runner, tmp_path, command, key, value, source):
+    """Flag and config-file values pass the same click checks: exit 2, no output."""
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)] + (["--h", "0.1"] if command == "error-budget" else [])
+    if key == "window":
+        args += ["--method", "qwe"]
+    if source == "flag":
+        args += [f"--{key}", value]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key}={value}\n")
+        args += ["--config", str(config)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"--{key}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fidelity", "metrics"])
+def test_report_manifest_reruns_identically(runner, tmp_path, command):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    args = [command, "--qubits", "3..4", "--format", "json", "--out", str(out_a)]
+    if command == "fidelity":
+        args += ["--steps", "1", "--shots", "64"]
+    assert runner.invoke(main, args).exit_code == 0
+    rerun = runner.invoke(main, [command, "--config", str(out_a / "manifest.json"), "--out", str(out_b)])
+    assert rerun.exit_code == 0, rerun.output
+    assert sorted(p.name for p in out_b.iterdir()) == ["manifest.json", "report.json"]
+    for name in ("report.json", "manifest.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# Manifests as written before they recorded `format`; each must still load.
+_OLD_MANIFESTS = {
+    "encode-ke": '{"command": "encode-ke", "params": {"cp_budget": 2, "d": 10.0, "dt": 0.1, '
+                 '"mass": 1.0, "method": "qwe", "qubits": 4, "window": "5..7"}}',
+    "evolve": '{"command": "evolve", "params": {"d": 10.0, "dt": 0.1, "eta": 1.0, "k0": 1.0, '
+              '"mass": 1.0, "mode": "paper", "positions": "0", "potential": "single", "qubits": 3, '
+              '"seed": 7, "shots": 64, "steps": 1, "trotter_steps": 2}}',
+    "fidelity": '{"command": "fidelity", "params": {"d": 10.0, "dt": 0.1, "eta": 1.0, "k0": 1.0, '
+                '"mass": 1.0, "mode": "centered", "positions": "0,2", "potential": "multi", '
+                '"qubits": "3..4", "seed": 1234, "shots": 64, "steps": 1, "trotter_steps": 2}}',
+    "metrics": '{"command": "metrics", "params": {"qubits": "3..4"}}',
+    "error-budget": '{"command": "error-budget", "params": {"dt": 0.1, "h": 0.001, "l2": 8, '
+                    '"sigma_cr2": 0.0001, "sigma_g2": 0.0001, "t1": Infinity, "t2": 100.0}}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OLD_MANIFESTS))
+def test_config_file_old_manifest_loads(runner, tmp_path, command):
+    config = tmp_path / "manifest.json"
+    config.write_text(_OLD_MANIFESTS[command])
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    params = json.loads(_OLD_MANIFESTS[command])["params"]
+    if command in ("fidelity", "metrics"):
+        params["format"] = "csv"
+    assert json.loads((out / "manifest.json").read_text()) == {"command": command, "params": params}

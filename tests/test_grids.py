@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qpyramid.analysis import write_table
 from qpyramid.grids import (
     Grid,
     GridError,
@@ -14,7 +15,6 @@ from qpyramid.grids import (
     momentum_samples,
     position_samples,
     potential_profile,
-    write_profile_csv,
 )
 
 
@@ -184,12 +184,19 @@ def test_potential_malformed():
         )
     with pytest.raises(GridError):
         potential_profile(Grid(1.0, 3), PotentialSpec.single_step(1.0, qubit=7))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(GridError):
+            PotentialSpec.single_step(bad)
+        with pytest.raises(GridError):
+            PotentialSpec("single_step", 1.0, (0,), boundaries=(bad,), values=(0.0, 1.0))
+        with pytest.raises(GridError):
+            PotentialSpec("single_step", 1.0, (0,), boundaries=(0.0,), values=(0.0, bad))
 
 
 def test_profile_csv(tmp_path):
     profile = kinetic_phase_profile(Grid(10.0, 3), 0.1)
     path = tmp_path / "profile.csv"
-    write_profile_csv(profile, path)
+    write_table(path, ["index", "theta"], [range(len(profile)), profile.thetas.tolist()])
     lines = path.read_text().splitlines()
     assert lines[0] == "index,theta"
     assert len(lines) == 9

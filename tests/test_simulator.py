@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpyramid.analysis import write_table
 from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
 from qpyramid.simulator import (
     Histogram,
@@ -14,10 +17,9 @@ from qpyramid.simulator import (
     extract_diagonal,
     extract_unitary,
     fidelity_exact,
+    index_bitstring,
     run,
     sample,
-    write_histogram_csv,
-    write_statevector_csv,
 )
 
 from oracles import circuit_unitary, random_circuit
@@ -139,10 +141,48 @@ def test_extract_diagonal_identity():
 def test_extract_diagonal_rejects_hadamard():
     with pytest.raises(NotDiagonal):
         extract_diagonal(Circuit(2).h(0))
+    # H.H is the identity, but extract_diagonal does not track Hadamards
+    with pytest.raises(NotDiagonal):
+        extract_diagonal(Circuit(3).h(0).h(0))
+
+
+DIAG_TOL = 1e-10  # off-diagonal magnitude at which a unitary counts as non-diagonal
+_PERMUTING = (GateKind.PAULI_X, GateKind.CONTROLLED_NOT, GateKind.SWAP)
+_PHASE_TYPE = (GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z)
+
+
+@st.composite
+def _permuting_and_phase_circuits(draw):
+    """X/CX/Swap/P/CP/RZ circuits at n <= 6.  Half of them replay their
+    X/CX/Swap gates in reverse at the end, so the basis permutation composes
+    to the identity and the circuit is diagonal."""
+    n = draw(st.integers(1, 6))
+    kinds = [kind for kind in _PERMUTING + _PHASE_TYPE if kind.arity <= n]
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(n)))[:kind.arity])
+        angle = draw(st.floats(-math.pi, math.pi)) if kind.parametric else None
+        gates.append(Gate(kind, qubits, angle))
+    if draw(st.booleans()):
+        gates += [gate for gate in reversed(gates) if gate.kind in _PERMUTING]
+    return Circuit(n, gates, global_phase=draw(st.floats(-math.pi, math.pi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permuting_and_phase_circuits())
+def test_extract_diagonal_matches_dense_unitary(circuit):
+    unitary = extract_unitary(circuit)
+    diagonal = np.diag(unitary)
+    if np.max(np.abs(unitary - np.diag(diagonal))) >= DIAG_TOL:
+        with pytest.raises(NotDiagonal):
+            extract_diagonal(circuit)
+    else:
+        np.testing.assert_allclose(extract_diagonal(circuit), diagonal, rtol=0, atol=1e-12)
 
 
 def test_extract_diagonal_wide_circuit_permutation_path():
-    # n = 13 bypasses the unitary check; the CX sandwich still cancels exactly
+    # n = 13 is past extract_unitary's cap; the CX sandwich still cancels exactly
     circuit = Circuit(13)
     for k in range(1, 13):
         circuit.cx(0, k)
@@ -251,10 +291,14 @@ def test_from_amplitudes_rejects_odd_length():
 
 def test_statevector_csv_schema_and_determinism(tmp_path):
     state = run(Circuit(2).h(0), StateVector.zero_state(2))
+    amplitudes = state.amplitudes.tolist()
+    columns = [range(4), [index_bitstring(i, 2) for i in range(4)], [a.real for a in amplitudes],
+               [a.imag for a in amplitudes], [abs(a) ** 2 for a in amplitudes]]
+    header = ["index", "bitstring", "real", "imag", "probability"]
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    write_statevector_csv(state, path_a)
-    write_statevector_csv(state, path_b)
+    write_table(path_a, header, columns)
+    write_table(path_b, header, columns)
     assert path_a.read_bytes() == path_b.read_bytes()
     lines = path_a.read_text().splitlines()
     assert lines[0] == "index,bitstring,real,imag,probability"
@@ -264,8 +308,10 @@ def test_statevector_csv_schema_and_determinism(tmp_path):
 
 def test_histogram_csv_lists_all_outcomes(tmp_path):
     hist = Histogram(10, {0: 7, 3: 3})
+    counts = [hist.counts.get(i, 0) for i in range(4)]
     path = tmp_path / "h.csv"
-    write_histogram_csv(hist, 2, path)
+    write_table(path, ["bitstring", "count", "frequency"],
+                [[index_bitstring(i, 2) for i in range(4)], counts, [c / hist.shots for c in counts]])
     lines = path.read_text().splitlines()
     assert lines[0] == "bitstring,count,frequency"
     assert lines[1] == "00,7,0.7"
