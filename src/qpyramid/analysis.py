@@ -51,12 +51,14 @@ class ErrorBudgetParams:
     readout_variance: float = 0.0
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"step size h must be positive, got {self.h}")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("decoherence constants must be positive")
-        if self.gate_variance < 0 or self.readout_variance < 0 or self.l2_gates < 0:
-            raise ValueError("variances and gate counts must be nonnegative")
+        if not (0 < self.h < math.inf):
+            raise ValueError(f"step size h must be finite and positive, got {self.h}")
+        if not (self.t1 > 0 and self.t2 > 0):
+            raise ValueError(f"decoherence constants must be positive, got {self.t1}, {self.t2}")
+        if self.l2_gates < 0 or not all(
+            0 <= x < math.inf for x in (self.dt, self.gate_variance, self.readout_variance)
+        ):
+            raise ValueError("dt, variances and gate counts must be finite and nonnegative")
 
 
 def error_budget_terms(params: ErrorBudgetParams) -> dict[str, float]:

@@ -59,6 +59,9 @@ def _guarded(fn):
         except (CircuitError, GridError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(EXIT_VALIDATION)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
+            raise SystemExit(EXIT_VALIDATION)
         except OSError as exc:
             click.echo(f"i/o error ({getattr(exc, 'filename', '?')}): {exc}", err=True)
             raise SystemExit(EXIT_IO)
@@ -105,14 +108,14 @@ def _load_config(ctx: click.Context, param, path: str | None) -> None:
     ctx.default_map = _parse_config(text, path)
 
 
-def _parse_qubit_range(text: str) -> list[int]:
+def _parse_qubit_range(text: str) -> range:
     """A single width `n` or an inclusive range `a..b` with a <= b."""
     lo, sep, hi = text.partition("..")
     first = int(lo)
     last = int(hi) if sep else first
     if last < first:
         raise ValueError(f"empty range {text!r}")
-    return list(range(first, last + 1))
+    return range(first, last + 1)
 
 
 def _parse_window(text: str) -> frozenset[int]:
@@ -142,15 +145,37 @@ def _checked(parse, expected: str):
 _QUBIT_RANGE = _checked(_parse_qubit_range, "n or a..b with integers a <= b")
 
 
-def _potential_from_params(kind: str, eta: float, positions: str | None) -> PotentialSpec:
-    qubits = _parse_positions(positions) if positions is not None else None
+_POTENTIALS = {"single": PotentialSpec.single_step, "double": PotentialSpec.double_step,
+               "multi": PotentialSpec.multi_step}
+
+
+def _potential_spec(kind: str, eta: float, positions: str | None) -> PotentialSpec:
+    """--potential picks the PotentialSpec factory, whose defaults hold the
+    positions; --positions is passed on only when given.  `none` takes no
+    positions and `single`/`double` exactly one."""
     if kind == "none":
+        if positions is not None:
+            raise click.BadParameter("--potential none takes no positions", param_hint="'--positions'")
         return PotentialSpec.none()
-    if kind == "single":
-        return PotentialSpec.single_step(eta, qubits[0] if qubits else 0)
-    if kind == "double":
-        return PotentialSpec.double_step(eta, qubits[0] if qubits else 1)
-    return PotentialSpec.multi_step(eta, qubits if qubits else (0, 1))
+    if positions is None:
+        return _POTENTIALS[kind](eta)
+    qubits = _parse_positions(positions)
+    if kind == "multi":
+        return _POTENTIALS[kind](eta, qubits)
+    if len(qubits) != 1:
+        raise click.BadParameter(f"--potential {kind} takes exactly one position, got {positions!r}",
+                                 param_hint="'--positions'")
+    return _POTENTIALS[kind](eta, qubits[0])
+
+
+def _require_memory(n: int) -> None:
+    """Refuse, before anything is allocated, a width whose single statevector
+    (16 * 2^n bytes) exceeds the physical memory.  The shift is capped so an
+    absurd n does not build a huge integer."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n >= 1 and 16 << min(n, 64) > physical:
+        raise GridError(f"one statevector of {n} qubits needs 2^{n + 4} bytes, "
+                        f"more than the {physical} bytes of physical memory")
 
 
 def _write_manifest() -> None:
@@ -204,7 +229,7 @@ def _evolution_config(qubits, d, dt, mass, steps, trotter_steps, k0, potential, 
                       positions, shots, seed, mode) -> EvolutionConfig:
     return EvolutionConfig(
         grid=Grid(d, qubits), packet=PacketSpec(k0),
-        potential=_potential_from_params(potential, eta, positions), dt=dt,
+        potential=_potential_spec(potential, eta, positions), dt=dt,
         trotter_steps=trotter_steps, total_steps=steps, mode=mode, shots=shots,
         seed=seed, mass=mass,
     )
@@ -228,6 +253,7 @@ def main():
 @_guarded
 def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
     """Build a kinetic-energy evolution operator and dump circuit + diagonals."""
+    _require_memory(qubits)
     grid = Grid(d, qubits)
     profile = kinetic_phase_profile(grid, dt, mass)
     if method == "qate":
@@ -263,6 +289,7 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
 @_guarded
 def cmd_evolve(out, **params):
     """Evolve the Gaussian packet; write per-step states, histograms, summary."""
+    _require_memory(params["qubits"])
     config = _evolution_config(**params)
     result = evolve_quantum(config)
     export_evolution_result(result, out)
@@ -281,6 +308,7 @@ def cmd_evolve(out, **params):
 def cmd_fidelity(qubits, out, format, **params):
     """Sweep qubit counts, swap-testing each final state against the reference."""
     n_values = _parse_qubit_range(qubits)
+    _require_memory(n_values[-1])
     template = _evolution_config(n_values[0], **params)
     rows = [
         fidelity_row(config.grid.n_qubits, config.mode, config.trotter_steps, report)

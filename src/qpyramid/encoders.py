@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, GateKind, InvalidWidth, _qate_template, wrap_angle
+from .circuit import Circuit, CircuitError, InvalidWidth, wrap_angle
 from .grids import GridError, PhaseProfile
 
 _EXACT_TOL = 1e-9
@@ -26,11 +26,6 @@ _EXACT_TOL = 1e-9
 
 class InfeasibleWindow(CircuitError):
     """Window positions over-constrain the available phase/controlled-phase terms."""
-
-
-def _half_bit_weight(n: int, qubit: int) -> int:
-    """Weight of `qubit`'s bit (qubit 1..n-1) inside a half-index."""
-    return 1 << (n - 1 - qubit)
 
 
 def _half_bit(j: int, n: int, qubit: int) -> int:
@@ -59,12 +54,38 @@ class QateCoefficients:
             raise CircuitError("coefficients must be finite")
 
 
-def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
-    """Interpolate a half profile at the popcount <= 2 half-indices.
+def _interpolate_quadratic(
+    theta: np.ndarray, n: int, first: int
+) -> tuple[float, dict[int, float], dict[tuple[int, int], float]]:
+    """Interpolate `theta` at its popcount <= 2 indices over qubits first..n-1,
+    where qubit q's bit has weight w_q = 2^(n-1-q):
 
-    a_global = theta[0]; alpha[k] = theta[w_k] - a_global;
-    beta[(k,l)] = theta[w_k + w_l] - alpha[k] - alpha[l] - a_global.
+    a = theta[0]; alpha[q] = theta[w_q] - a;
+    beta[(q,r)] = theta[w_q + w_r] - alpha[q] - alpha[r] - a  (q < r).
     """
+    weight = {q: 1 << (n - 1 - q) for q in range(first, n)}
+    a = float(theta[0])
+    alpha = {q: float(theta[w]) - a for q, w in weight.items()}
+    beta = {(q, r): float(theta[weight[q] + weight[r]]) - alpha[q] - alpha[r] - a
+            for q in weight for r in weight if q < r}
+    return a, alpha, beta
+
+
+def _emit_phase_gates(
+    circuit: Circuit, alpha: dict[int, float], beta: dict[tuple[int, int], float]
+) -> Circuit:
+    """Append Phase(q, -alpha[q]) and then CPhase(q, r, -beta[(q,r)]), each in
+    the dicts' order."""
+    for q, angle in alpha.items():
+        circuit.p(q, wrap_angle(-angle))
+    for (q, r), angle in beta.items():
+        circuit.cp(q, r, wrap_angle(-angle))
+    return circuit
+
+
+def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
+    """Interpolate a half profile at the popcount <= 2 half-indices, over the
+    payload qubits 1..n-1 (`_interpolate_quadratic`)."""
     if profile_half.span != "half":
         raise GridError("solve_qate expects a half-span profile")
     theta = profile_half.thetas
@@ -72,14 +93,7 @@ def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
     n = int(round(math.log2(length))) + 1
     if 1 << (n - 1) != length or n < 2:
         raise InvalidWidth(f"half profile length {length} is not 2^(n-1) with n >= 2")
-    a_global = float(theta[0])
-    alpha = {k: float(theta[_half_bit_weight(n, k)]) - a_global for k in range(1, n)}
-    beta = {}
-    for k in range(1, n):
-        for l in range(k + 1, n):
-            w = _half_bit_weight(n, k) + _half_bit_weight(n, l)
-            beta[(k, l)] = float(theta[w]) - alpha[k] - alpha[l] - a_global
-    return QateCoefficients(n, a_global, alpha, beta)
+    return QateCoefficients(n, *_interpolate_quadratic(theta, n, first=1))
 
 
 def qate_phase_at(coeffs: QateCoefficients, j: int) -> float:
@@ -115,14 +129,10 @@ def build_qate_circuit(n: int, coeffs: QateCoefficients) -> Circuit:
     counts agree with qate_gate_count(n) for every coefficient set."""
     if coeffs.n_qubits != n:
         raise InvalidWidth(f"coefficients sized for n={coeffs.n_qubits}, circuit wants n={n}")
-    circuit = Circuit(n, global_phase=wrap_angle(-coeffs.a_global))
-    for gate in _qate_template(n):
-        if gate.kind is GateKind.CONTROLLED_NOT:
-            circuit.cx(*gate.qubits)
-        elif gate.kind is GateKind.PHASE:
-            circuit.p(gate.qubits[0], wrap_angle(-coeffs.alpha[gate.qubits[0]]))
-        else:
-            circuit.cp(*gate.qubits, wrap_angle(-coeffs.beta[gate.qubits]))
+    left, right = build_qpa_shell(n)
+    circuit = Circuit(n, left.gates, wrap_angle(-coeffs.a_global))
+    _emit_phase_gates(circuit, coeffs.alpha, coeffs.beta)
+    circuit.gates += right.gates  # not extend(): that would turn a -0.0 global phase into 0.0
     return circuit
 
 
@@ -205,11 +215,9 @@ def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) ->
     left, right = build_qpa_shell(n) if (active or chosen) else (Circuit(n), Circuit(n))
     circuit = Circuit(n, global_phase=wrap_angle(-a_global))
     circuit.extend(left)
-    for pos, k in enumerate(active):
-        circuit.p(k, wrap_angle(-float(solution[pos])))
-    pair_values = {pair: float(solution[len(active) + i]) for i, pair in enumerate(chosen)}
-    for pair in sorted(pair_values):
-        circuit.cp(*pair, wrap_angle(-pair_values[pair]))
+    alpha = {k: float(solution[pos]) for pos, k in enumerate(active)}
+    beta = {pair: float(solution[len(active) + i]) for i, pair in enumerate(chosen)}
+    _emit_phase_gates(circuit, alpha, dict(sorted(beta.items())))
     circuit.extend(right)
     return circuit
 
@@ -223,17 +231,8 @@ def build_direct_diagonal(n: int, profile_full: PhaseProfile) -> Circuit:
     theta = profile_full.thetas
     if len(theta) != 1 << n:
         raise InvalidWidth(f"full profile length {len(theta)} != {1 << n}")
-    weight = lambda q: 1 << (n - 1 - q)
-    a_global = float(theta[0])
-    alpha = {q: float(theta[weight(q)]) - a_global for q in range(n)}
-    circuit = Circuit(n, global_phase=wrap_angle(-a_global))
-    for q in range(n):
-        circuit.p(q, wrap_angle(-alpha[q]))
-    for q in range(n):
-        for r in range(q + 1, n):
-            beta = float(theta[weight(q) + weight(r)]) - alpha[q] - alpha[r] - a_global
-            circuit.cp(q, r, wrap_angle(-beta))
-    return circuit
+    a_global, alpha, beta = _interpolate_quadratic(theta, n, first=0)
+    return _emit_phase_gates(Circuit(n, global_phase=wrap_angle(-a_global)), alpha, beta)
 
 
 def build_potential_circuit(n: int, spec, dt: float, r: int) -> Circuit:

@@ -157,6 +157,23 @@ def trotter_step_circuit(config: EvolutionConfig) -> Circuit:
     return step
 
 
+def _split_step_states(initial, substep, config: EvolutionConfig) -> Iterator:
+    """`initial`, then the state after each of the total_steps reported steps,
+    each made of trotter_steps applications of `substep`."""
+    state = initial
+    yield state
+    for _ in range(config.total_steps):
+        for _ in range(config.trotter_steps):
+            state = substep(state)
+        yield state
+
+
+def _final_state(states):
+    """Last of the reported states; an iterator is consumed without keeping
+    the earlier ones."""
+    return deque(states, maxlen=1)[0]
+
+
 def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
     """Split-step reference with a direct (dense) transform; always uses the
     exact centered change of basis regardless of config.mode."""
@@ -168,30 +185,21 @@ def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
     backward = forward.conj().T
     half_potential = np.exp(-1j * v * delta / 2.0)
     kinetic = np.exp(-1j * p * p * delta / (2.0 * config.mass))
-    psi = gaussian_packet(grid, config.packet).amplitudes.copy()
-    states = [psi.copy()]
-    for _ in range(config.total_steps):
-        for _ in range(config.trotter_steps):
-            psi = half_potential * psi
-            psi = kinetic * (forward @ psi)
-            psi = half_potential * (backward @ psi)
-        states.append(psi.copy())
-    return states
+
+    def substep(psi):
+        psi = half_potential * psi
+        psi = kinetic * (forward @ psi)
+        return half_potential * (backward @ psi)
+
+    initial = gaussian_packet(grid, config.packet).amplitudes
+    return list(_split_step_states(initial, substep, config))
 
 
 def _circuit_states(config: EvolutionConfig) -> Iterator[StateVector]:
     """Circuit-evolved state at every reported step, initial packet first."""
     step_circuit = trotter_step_circuit(config)
-    state = gaussian_packet(config.grid, config.packet)
-    yield state
-    for _ in range(config.total_steps):
-        for _ in range(config.trotter_steps):
-            state = run(step_circuit, state)
-        yield state
-
-
-def _final_circuit_state(config: EvolutionConfig) -> StateVector:
-    return deque(_circuit_states(config), maxlen=1)[0]
+    initial = gaussian_packet(config.grid, config.packet)
+    return _split_step_states(initial, lambda state: run(step_circuit, state), config)
 
 
 def evolve_quantum(config: EvolutionConfig) -> EvolutionResult:
@@ -201,8 +209,8 @@ def evolve_quantum(config: EvolutionConfig) -> EvolutionResult:
     oracle = evolve_classical_oracle(config)
     rng = RandomSource(config.seed)
     result = EvolutionResult(config)
-    for step, state in enumerate(_circuit_states(config)):
-        reference = StateVector(config.grid.n_qubits, oracle[step])
+    for state, amplitudes in zip(_circuit_states(config), oracle):
+        reference = StateVector(config.grid.n_qubits, amplitudes)
         result.states.append(state)
         result.oracle_states.append(reference)
         result.histograms.append(sample(state, config.shots, rng))
@@ -236,7 +244,7 @@ def sweep_reference_state(config: EvolutionConfig) -> StateVector:
     if config.potential.kind == "none":
         total_time = config.dt * config.total_steps
         return free_packet_reference(config.grid, config.packet, total_time, config.mass)
-    return StateVector(config.grid.n_qubits, evolve_classical_oracle(config)[-1])
+    return StateVector(config.grid.n_qubits, _final_state(evolve_classical_oracle(config)))
 
 
 def splitting_infidelity(config: EvolutionConfig, reference_multiplier: int = 16) -> float:
@@ -245,9 +253,9 @@ def splitting_infidelity(config: EvolutionConfig, reference_multiplier: int = 16
     sqrt(2 (1 - |<ref|psi>|)).  Halving the substep size divides this by ~4
     (second-order splitting); squared overlap converges at fourth order.
     """
-    state = _final_circuit_state(config)
+    state = _final_state(_circuit_states(config))
     fine = replace(config, trotter_steps=reference_multiplier * config.trotter_steps)
-    reference = evolve_classical_oracle(fine)[-1]
+    reference = _final_state(evolve_classical_oracle(fine))
     overlap = abs(np.vdot(reference, state.amplitudes))
     return float(math.sqrt(max(0.0, 2.0 * (1.0 - overlap))))
 
@@ -262,69 +270,17 @@ def fidelity_sweep(template: EvolutionConfig, n_values) -> list[tuple[EvolutionC
     for n in n_values:
         config = replace(template, grid=Grid(template.grid.d, n))
         reference = sweep_reference_state(config)
-        report = swap_test_estimate(reference, _final_circuit_state(config), config.shots, rng)
+        report = swap_test_estimate(reference, _final_state(_circuit_states(config)), config.shots, rng)
         points.append((config, report))
     return points
 
 
-def config_to_dict(config: EvolutionConfig) -> dict:
-    potential = {
-        "kind": config.potential.kind,
-        "eta": config.potential.eta,
-        "qubit_positions": list(config.potential.qubit_positions),
-    }
-    if config.potential.boundaries is not None:
-        potential["boundaries"] = list(config.potential.boundaries)
-        potential["values"] = list(config.potential.values)
-    return {
-        "grid": {"d": config.grid.d, "n_qubits": config.grid.n_qubits},
-        "packet": {"k0": config.packet.k0},
-        "potential": potential,
-        "dt": config.dt,
-        "trotter_steps": config.trotter_steps,
-        "total_steps": config.total_steps,
-        "mode": config.mode,
-        "shots": config.shots,
-        "seed": config.seed,
-        "mass": config.mass,
-    }
-
-
-def config_from_dict(data: dict) -> EvolutionConfig:
-    pot = data["potential"]
-    potential = PotentialSpec(
-        pot["kind"],
-        pot.get("eta", 0.0),
-        tuple(pot.get("qubit_positions", ())),
-        tuple(pot["boundaries"]) if "boundaries" in pot else None,
-        tuple(pot["values"]) if "values" in pot else None,
-    )
-    return EvolutionConfig(
-        grid=Grid(data["grid"]["d"], data["grid"]["n_qubits"]),
-        packet=PacketSpec(data["packet"]["k0"]),
-        potential=potential,
-        dt=data["dt"],
-        trotter_steps=data["trotter_steps"],
-        total_steps=data["total_steps"],
-        mode=data["mode"],
-        shots=data["shots"],
-        seed=data["seed"],
-        mass=data["mass"],
-    )
-
-
 def export_evolution_result(result: EvolutionResult, out_dir) -> list[str]:
-    """Per-step statevector and histogram CSVs, a fidelity/norm summary, and
-    the full configuration (config.json) for reproduction."""
-    import json
+    """Per-step statevector and histogram CSVs and a fidelity/norm summary."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    config_path = os.path.join(out_dir, "config.json")
-    with open(config_path, "w") as fh:
-        json.dump(config_to_dict(result.config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written = [config_path]
+    written = []
     summary_rows = []
     n = result.config.grid.n_qubits
     indices = range(1 << n)

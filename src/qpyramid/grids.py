@@ -173,7 +173,7 @@ class PotentialSpec:
         return PotentialSpec("double_step", eta, (qubit,))
 
     @staticmethod
-    def multi_step(eta: float, qubits: tuple[int, ...]) -> "PotentialSpec":
+    def multi_step(eta: float, qubits: tuple[int, ...] = (0, 1)) -> "PotentialSpec":
         return PotentialSpec("multi_step", eta, tuple(qubits))
 
 

@@ -243,6 +243,12 @@ def test_budget_rejects_invalid():
         ErrorBudgetParams(h=1e-3, t1=-1.0)
     with pytest.raises(ValueError):
         ErrorBudgetParams(h=1e-3, gate_variance=-1e-4)
+    for bad in ({"h": math.nan}, {"h": math.inf}, {"dt": -1.0}, {"dt": math.nan}, {"dt": math.inf},
+                {"t1": math.nan}, {"t2": math.nan}, {"gate_variance": math.nan},
+                {"gate_variance": math.inf}, {"readout_variance": math.nan}):
+        with pytest.raises(ValueError):
+            ErrorBudgetParams(**{"h": 1e-3, **bad})
+    assert error_budget(ErrorBudgetParams(h=1e-3, t1=math.inf, t2=math.inf, dt=0.5)) == pytest.approx(1e-9)
 
 
 # --- reporting ---

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -142,6 +143,18 @@ _QUICK = ["--steps", "1", "--shots", "64"]
     ["fidelity", "--qubits", "3..5", "--potential", "multi", "--positions", "0,3", *_QUICK],
     ["evolve", "--qubits", "3", "--eta", "inf", "--potential", "single", *_QUICK],
     ["evolve", "--qubits", "3", "--eta", "nan", "--potential", "single", *_QUICK],
+    ["error-budget", "--h", "nan"],
+    ["error-budget", "--h", "inf"],
+    ["error-budget", "--h", "0.1", "--t1", "nan"],
+    ["error-budget", "--h", "0.1", "--t2", "nan"],
+    ["error-budget", "--h", "0.1", "--sigma-g2", "nan"],
+    ["error-budget", "--h", "0.1", "--sigma-cr2", "inf"],
+    ["error-budget", "--h", "0.1", "--dt", "-1"],
+    ["error-budget", "--h", "0.1", "--dt", "inf"],
+    # a 40-qubit statevector needs 16 TiB: refused before any array is allocated
+    ["encode-ke", "--qubits", "40"],
+    ["evolve", "--qubits", "40", "--steps", "0"],
+    ["fidelity", "--qubits", "3..40", *_QUICK],
 ], ids=lambda args: " ".join(args[:6]))
 def test_invalid_input_exits_3_without_traceback(runner, tmp_path, args):
     with warnings.catch_warnings(record=True) as caught:
@@ -151,7 +164,19 @@ def test_invalid_input_exits_3_without_traceback(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert result.output.startswith("error: ")
+    assert not (tmp_path / "x").exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_memory_error_exits_3_without_traceback(runner, tmp_path, monkeypatch):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr("qpyramid.cli.evolve_quantum", exhausted)
+    result = runner.invoke(main, ["evolve", "--qubits", "3", "--out", str(tmp_path / "x")])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "error: out of memory: Unable to allocate 8.00 GiB\n"
 
 
 def test_evolve_multi_step_positions(runner, tmp_path):
@@ -309,6 +334,38 @@ def test_table_bytes_golden(runner, tmp_path, args, tables):
         assert (tmp_path / name).read_text() == text, name
 
 
+# circuit.json of `encode-ke --qubits 3` for the two interpolating encoders:
+# gate kinds, qubits and angles in order, plus the SHA-256 of the file bytes.
+_CX = "ControlledNot"
+_CIRCUIT_GOLDEN = {
+    "qate": ("83316fbab80b13a01f977398e951e5f7eb315c42b5cfe59cc7b4278bd749b4e6", [
+        (_CX, [0, 1], None), (_CX, [0, 2], None),
+        ("Phase", [1], 0.04934802200544679), ("Phase", [2], 0.029608813203268074),
+        ("ControlledPhase", [1, 2], -0.019739208802178713),
+        (_CX, [0, 1], None), (_CX, [0, 2], None),
+    ]),
+    "direct": ("220274742c590a99cfb699b5ce54be730e314afd3323e3c66c5096adfe69a076", [
+        ("Phase", [0], 0.05921762640653615), ("Phase", [1], 0.04934802200544679),
+        ("Phase", [2], 0.029608813203268074),
+        ("ControlledPhase", [0, 1], -0.07895683520871485),
+        ("ControlledPhase", [0, 2], -0.03947841760435742),
+        ("ControlledPhase", [1, 2], -0.019739208802178713),
+    ]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_CIRCUIT_GOLDEN))
+def test_circuit_json_bytes_golden(runner, tmp_path, method):
+    result = runner.invoke(main, ["encode-ke", "--qubits", "3", "--method", method,
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    digest, gates = _CIRCUIT_GOLDEN[method]
+    data = json.loads((tmp_path / "circuit.json").read_text())
+    assert data["n_qubits"] == 3
+    assert data["global_phase"] == -0.06045132695667232
+    assert [(g["kind"], g["qubits"], g.get("angle")) for g in data["gates"]] == gates
+    assert hashlib.sha256((tmp_path / "circuit.json").read_bytes()).hexdigest() == digest
+
 
 # --- shared behaviour ---
 
@@ -358,14 +415,18 @@ def test_config_file_rejects_garbage(runner, tmp_path):
     ("evolve", "qubits", "abc"),
     ("evolve", "positions", "x"),
     ("fidelity", "positions", "0,"),
+    ("evolve", "positions", "0"),
+    ("evolve --potential single", "positions", "0,2"),
+    ("fidelity --potential double", "positions", "1,2"),
     ("fidelity", "format", "xml"),
     ("metrics", "format", "xml"),
     ("error-budget", "t1", "soon"),
 ])
 def test_bad_value_is_usage_error(runner, tmp_path, command, key, value, source):
-    """Flag and config-file values pass the same click checks: exit 2, no output."""
+    """Flag and config-file values pass the same click checks: exit 2, no output.
+    `--positions` must fit `--potential`: none for none, one for single/double."""
     out = tmp_path / "out"
-    args = [command, "--out", str(out)] + (["--h", "0.1"] if command == "error-budget" else [])
+    args = [*command.split(), "--out", str(out)] + (["--h", "0.1"] if command == "error-budget" else [])
     if key == "window":
         args += ["--method", "qwe"]
     if source == "flag":

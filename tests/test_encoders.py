@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpyramid.circuit import Circuit, GateKind, InvalidWidth, count_gates, qate_gate_count
 from qpyramid.encoders import (
@@ -300,6 +302,18 @@ def test_direct_quadratic_exact():
     theta = np.array([0.0, 0.1, 0.4, 0.9])
     circuit = build_direct_diagonal(2, PhaseProfile(theta, "full"))
     np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * theta), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), coefficients=st.lists(
+    st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3))
+def test_direct_exact_for_random_quadratics(n, coefficients):
+    # any profile quadratic in the full index is reproduced, global phase included
+    c0, c1, c2 = coefficients
+    k = np.arange(1 << n, dtype=float)
+    theta = c0 + c1 * k + c2 * k * k
+    circuit = build_direct_diagonal(n, PhaseProfile(theta, "full"))
+    assert np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * theta))) < 1e-9
 
 
 def test_direct_constant_profile_is_pure_phase():

@@ -9,8 +9,6 @@ from qpyramid.encoders import build_qate_circuit, solve_qate
 from qpyramid.evolution import (
     EvolutionConfig,
     centered_transform_matrix,
-    config_from_dict,
-    config_to_dict,
     evolve_classical_oracle,
     evolve_quantum,
     export_evolution_result,
@@ -305,16 +303,7 @@ def test_fidelity_sweep_draws_no_per_step_samples(monkeypatch, potential):
     assert oracle_calls == ([] if potential.kind == "none" else [3, 4])
 
 
-# --- config serialization and export ---
-
-
-def test_config_round_trip():
-    config = _config(
-        n=4,
-        potential=PotentialSpec("single_step", 1.0, (0,), boundaries=(0.0,), values=(0.0, 1.0)),
-        mode="paper",
-    )
-    assert config_from_dict(config_to_dict(config)) == config
+# --- export ---
 
 
 def test_export_files_and_determinism(tmp_path):
@@ -326,7 +315,6 @@ def test_export_files_and_determinism(tmp_path):
     export_evolution_result(evolve_quantum(config), dir_b)
     names = sorted(p.name for p in dir_a.iterdir())
     assert names == [
-        "config.json",
         "step_000_hist.csv", "step_000_state.csv",
         "step_001_hist.csv", "step_001_state.csv",
         "summary.csv",
