@@ -65,15 +65,19 @@ def error_budget_terms(params: ErrorBudgetParams) -> dict[str, float]:
     """Itemized budget: h^3 + L2*sigma_g^2 + dt*(T1+T2)/(T1*T2) + sigma_cr^2.
 
     Asymptotic constants are taken as 1; this is a diagnostic, not a certified
-    bound.
+    bound.  A term that overflows float64 from finite inputs is rejected.
     """
-    return {
+    terms = {
         "discretization": params.h**3,
         "gate": params.l2_gates * params.gate_variance,
         # (T1+T2)/(T1*T2) written as 1/T1 + 1/T2 so infinite constants give 0
         "decoherence": params.dt * (1.0 / params.t1 + 1.0 / params.t2),
         "readout": params.readout_variance,
     }
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise ValueError(f"error budget term {name} overflows float64")
+    return terms
 
 
 def error_budget(params: ErrorBudgetParams) -> float:

@@ -50,14 +50,23 @@ EXIT_IO = 4
 
 
 def _guarded(fn):
+    """Map the command's failures to exit codes.  Numpy overflow and invalid
+    results raise instead of warning, so an input too large or too small to
+    compute with (`--k0 1e308`, `--d 1e-300`, a shot count past int64) exits 3
+    with one line, like any other rejected value."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*args, **kwargs)
         except click.ClickException:
             raise
         except (CircuitError, GridError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
+            raise SystemExit(EXIT_VALIDATION)
+        except ArithmeticError as exc:
+            detail = exc.args[-1] if exc.args else type(exc).__name__
+            click.echo(f"error: an input is out of numeric range ({detail})", err=True)
             raise SystemExit(EXIT_VALIDATION)
         except MemoryError as exc:
             click.echo(f"error: out of memory: {exc}", err=True)

@@ -133,7 +133,8 @@ def momentum_transform_circuit(n: int, mode: str, inverse: bool = False) -> Circ
 
 
 def centered_transform_matrix(grid: Grid) -> np.ndarray:
-    """Reference kernel exp(-i p_j x_k)/sqrt(N) used by the classical oracle."""
+    """Dense kernel exp(-i p_j x_k)/sqrt(N): the reference that the circuit
+    transform and the oracle's FFT form are tested against."""
     p = momentum_samples(grid)
     x = position_samples(grid)
     return np.exp(-1j * np.outer(p, x)) / math.sqrt(grid.n_samples)
@@ -175,21 +176,33 @@ def _final_state(states):
 
 
 def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
-    """Split-step reference with a direct (dense) transform; always uses the
-    exact centered change of basis regardless of config.mode."""
+    """Split-step reference with the exact centered change of basis,
+    regardless of config.mode, applied through the FFT:
+
+        forward(psi)_j = e^{-2 pi i c^2/N} e^{2 pi i c j/N} FFT(e^{2 pi i c k/N} psi_k)_j / sqrt(N)
+
+    with c = (N - 1)/2, which equals `centered_transform_matrix(grid) @ psi`
+    without building the N x N kernel; the backward step is its inverse.
+    """
     grid = config.grid
+    size = grid.n_samples
     p = momentum_samples(grid)
     v = potential_profile(grid, config.potential)
     delta = config.dt / config.trotter_steps
-    forward = centered_transform_matrix(grid)
-    backward = forward.conj().T
+    # the angles 2 pi c k / N and 2 pi c^2 / N are reduced mod 2 pi in
+    # integers before the exponential, so they stay exact at any width
+    k = np.arange(size, dtype=np.int64)
+    ramp = np.exp(1j * math.pi * ((size - 1) * k % (2 * size)) / size)
+    offset = np.exp(-0.5j * math.pi * ((size - 1) ** 2 % (4 * size)) / size)
+    forward_ramp = offset * ramp
     half_potential = np.exp(-1j * v * delta / 2.0)
     kinetic = np.exp(-1j * p * p * delta / (2.0 * config.mass))
 
     def substep(psi):
         psi = half_potential * psi
-        psi = kinetic * (forward @ psi)
-        return half_potential * (backward @ psi)
+        psi = kinetic * forward_ramp * np.fft.fft(ramp * psi, norm="ortho")
+        psi = ramp.conj() * np.fft.ifft(forward_ramp.conj() * psi, norm="ortho")
+        return half_potential * psi
 
     initial = gaussian_packet(grid, config.packet).amplitudes
     return list(_split_step_states(initial, substep, config))

@@ -1,9 +1,13 @@
-"""Dense statevector engine: gate kernels, unitary/diagonal extraction, sampling.
+"""Dense statevector engine: circuit plans, unitary/diagonal extraction, sampling.
 
 Amplitude arrays are complex128 of length 2^n with qubit 0 as the most
-significant bit of the basis index.  Gate kernels reshape to a rank-n tensor
-(one axis per qubit, optional trailing batch axis) and update slices in place,
-so the same code paths drive single states and column-batched unitaries.
+significant bit of the basis index.  A circuit runs as a plan compiled on
+each call: one diagonal op per run of phase-type gates, an in-place butterfly
+per Hadamard, one data movement per run of X, same-control CX or Swap gates,
+and a kernel per controlled swap.  Ops act on a rank-n tensor view (one axis
+per qubit plus a trailing batch axis), so the same code drives single states
+and column-batched unitaries.  Results equal gate-by-gate application to
+rounding, not bit for bit.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; identical seeds give
 bitwise-identical sample streams on every platform.
@@ -20,6 +24,8 @@ from .circuit import Circuit, CircuitError, Gate, GateKind, InvalidWidth, valida
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
 UNITARY_MAX_QUBITS = 12
+_TABLE_CHUNK = 1 << 14  # phase-table entries rounded to complex128 at a time
+_PHASE_KINDS = frozenset((GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z))
 
 
 class WidthTooLarge(CircuitError):
@@ -111,49 +117,171 @@ class RandomSource:
         return int(self._generator.binomial(trials, probability))
 
 
-def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, n: int) -> None:
-    """Mutate a tensor with qubit axes 0..n-1 (plus optional batch axes) in place."""
-    kind = gate.kind
-    if kind is GateKind.PHASE:
-        v = np.moveaxis(tensor, gate.qubits[0], 0)
-        v[1] *= np.exp(1j * gate.angle)
-    elif kind is GateKind.CONTROLLED_PHASE:
-        v = np.moveaxis(tensor, gate.qubits, (0, 1))
-        v[1, 1] *= np.exp(1j * gate.angle)
-    elif kind is GateKind.ROTATION_Z:
-        v = np.moveaxis(tensor, gate.qubits[0], 0)
-        v[0] *= np.exp(-0.5j * gate.angle)
-        v[1] *= np.exp(0.5j * gate.angle)
-    elif kind is GateKind.CONTROLLED_NOT:
-        v = np.moveaxis(tensor, gate.qubits, (0, 1))
-        v[1, 0], v[1, 1] = v[1, 1].copy(), v[1, 0].copy()
-    elif kind is GateKind.PAULI_X:
-        v = np.moveaxis(tensor, gate.qubits[0], 0)
-        v[0], v[1] = v[1].copy(), v[0].copy()
-    elif kind is GateKind.HADAMARD:
-        v = np.moveaxis(tensor, gate.qubits[0], 0)
-        lo = v[0].copy()
-        hi = v[1].copy()
-        v[0] = (lo + hi) * _SQRT2_INV
-        v[1] = (lo - hi) * _SQRT2_INV
-    elif kind is GateKind.SWAP:
-        v = np.moveaxis(tensor, gate.qubits, (0, 1))
-        v[0, 1], v[1, 0] = v[1, 0].copy(), v[0, 1].copy()
-    elif kind is GateKind.CONTROLLED_SWAP:
-        v = np.moveaxis(tensor, gate.qubits, (0, 1, 2))
-        v[1, 0, 1], v[1, 1, 0] = v[1, 1, 0].copy(), v[1, 0, 1].copy()
-    else:  # pragma: no cover
-        raise CircuitError(f"unhandled gate kind {kind}")
+def _apply_gate_tensor(tensor: np.ndarray, n: int, gate: Gate) -> None:
+    """Controlled swap, in place: the one gate kind that the plan executes by
+    itself.  Every other kind runs inside a fused op."""
+    if gate.kind is not GateKind.CONTROLLED_SWAP:
+        raise CircuitError(f"unhandled gate kind {gate.kind}")
+    v = np.moveaxis(tensor, gate.qubits, (0, 1, 2))
+    v[1, 0, 1], v[1, 1, 0] = v[1, 1, 0].copy(), v[1, 0, 1].copy()
+
+
+def _phase_table(n: int, first: int, const, linear: dict, rows: dict) -> np.ndarray:
+    """const * prod_q linear[q]^b_q * prod_{q<r} rows[q][r]^(b_q b_r) over the
+    bits of qubits first..n-1 (qubit n-1 least significant), from unit factors
+    in extended precision.
+
+    Built one qubit at a time as the new most significant bit: where qubit q is
+    1 the table is its lower half times linear[q] times the product of
+    rows[q][r]^b_r, which is filled in by doubling, so no exponential runs over
+    the table.  Extended precision keeps the products' error far below one
+    complex128 rounding, so each entry is the exponential of its angle sum
+    rounded once.  (Where numpy's long double is plain double, as on some
+    non-x86 platforms, entries are off by a few roundings instead.)
+    """
+    table = np.empty(1 << (n - first), dtype=np.clongdouble)
+    table[0] = const
+    size = 1
+    for q in range(n - 1, first - 1, -1):
+        lower, upper = table[:size], table[size:2 * size]
+        row = rows.get(q)
+        if row is None:
+            if q in linear:
+                np.multiply(lower, linear[q], out=upper)
+            else:
+                upper[...] = lower
+        else:
+            upper[0] = linear.get(q, 1)
+            block = 1
+            for r in range(n - 1, q, -1):
+                if r in row:
+                    np.multiply(upper[:block], row[r], out=upper[block:2 * block])
+                else:
+                    upper[block:2 * block] = upper[:block]
+                block *= 2
+            upper *= lower
+        size *= 2
+    return table
+
+
+def _multiply_rows(target: np.ndarray, table: np.ndarray) -> None:
+    """target[:, j] *= table[j], rounding the table to complex128 a chunk at a
+    time so that no copy of the whole table is made."""
+    for start in range(0, len(table), _TABLE_CHUNK):
+        chunk = table[start:start + _TABLE_CHUNK].astype(np.complex128)
+        target[:, start:start + _TABLE_CHUNK] *= chunk[:, None]
+
+
+def _diagonal(tensor: np.ndarray, n: int, terms: dict) -> None:
+    """Multiply by exp(i * sum of terms): `terms` maps () to a constant angle,
+    (q,) to the angle of bit q, and (q, r) with q < r to that of b_q b_r.
+
+    The diagonal spans qubits lo..n-1, lo the lowest qubit in a term.  The
+    halves where qubit lo is 0 and 1 each get a `_phase_table` over qubits
+    lo+1..n-1 made of the terms that hold there, and a half where none holds
+    is skipped (for a Fourier cascade, the half where the target bit is 0).
+    So a table never has more than 2^(n-1) entries.
+    """
+    factors = np.exp(1j * np.array(list(terms.values()), dtype=np.longdouble))
+    lo = min(q for key in terms for q in key)
+    halves = tensor.reshape(1 << lo, 2, 1 << (n - lo - 1), -1)
+    for bit in (0, 1):
+        held = [(key[1:] if lo in key else key, factor)
+                for key, factor in zip(terms, factors) if bit or lo not in key]
+        if not held:
+            continue
+        const, linear, rows = 1, {}, {}
+        for key, factor in held:
+            if not key:
+                const = const * factor
+            elif len(key) == 1:
+                linear[key[0]] = linear.get(key[0], 1) * factor
+            else:
+                rows.setdefault(key[0], {})[key[1]] = factor
+        _multiply_rows(halves[:, bit], _phase_table(n, lo + 1, const, linear, rows))
+
+
+def _hadamard(tensor: np.ndarray, n: int, q: int) -> None:
+    """(lo, hi) -> ((lo + hi) / sqrt 2, (lo - hi) / sqrt 2) in place; the
+    difference is the one temporary."""
+    v = tensor.reshape(1 << q, 2, -1)
+    lo, hi = v[:, 0], v[:, 1]
+    diff = lo - hi
+    lo += hi
+    lo *= _SQRT2_INV
+    np.multiply(diff, _SQRT2_INV, out=hi)
+
+
+def _flip(tensor: np.ndarray, n: int, control: int | None, targets: set) -> None:
+    """Flip the target bits, where `control` is 1 if there is a control: a run
+    of X gates, or of CX gates sharing their control, as one data movement."""
+    if not targets:
+        return
+    axes = sorted(targets)
+    if control is not None:
+        tensor = tensor[(slice(None),) * control + (1,)]
+        axes = [t - (t > control) for t in axes]
+    tensor[...] = np.flip(tensor, axes)
+
+
+def _permute(tensor: np.ndarray, n: int, perm: list) -> None:
+    """Move qubit axis perm[q] to axis q: a run of Swap gates as one transpose."""
+    tensor[...] = tensor.transpose(perm + [n])
+
+
+def _compile(circuit: Circuit) -> list:
+    """The plan of a validated circuit: a list of (kernel, args) ops.
+
+    Each maximal run of Phase/ControlledPhase/RotationZ gates becomes one
+    `_diagonal` op holding the run's summed constant, per-qubit and pairwise
+    angles.  Each Hadamard is a `_hadamard` op, a run of X gates or of CX gates
+    with one control is a `_flip`, a run of Swap gates a `_permute`, and a
+    controlled swap keeps its own kernel.  The plan is compiled on every call
+    and holds nothing of size 2^n, so a circuit edited between calls is never
+    run from a stale plan.
+    """
+    n = circuit.n_qubits
+    ops: list = []
+    for gate in circuit.gates:
+        kind, qubits = gate.kind, gate.qubits
+        last_kernel, last_args = ops[-1] if ops else (None, ())
+        if kind in _PHASE_KINDS:
+            if last_kernel is not _diagonal:
+                last_args = ({},)
+                ops.append((_diagonal, last_args))
+            terms = last_args[0]
+            key = tuple(sorted(qubits))
+            terms[key] = terms.get(key, 0.0) + gate.angle
+            if kind is GateKind.ROTATION_Z:
+                terms[()] = terms.get((), 0.0) - 0.5 * gate.angle
+        elif kind is GateKind.HADAMARD:
+            ops.append((_hadamard, qubits))
+        elif kind in (GateKind.PAULI_X, GateKind.CONTROLLED_NOT):
+            control = qubits[0] if kind is GateKind.CONTROLLED_NOT else None
+            if last_kernel is not _flip or last_args[0] != control:
+                last_args = (control, set())
+                ops.append((_flip, last_args))
+            last_args[1].symmetric_difference_update({qubits[-1]})
+        elif kind is GateKind.SWAP:
+            if last_kernel is not _permute:
+                last_args = (list(range(n)),)
+                ops.append((_permute, last_args))
+            perm = last_args[0]
+            a, b = qubits
+            perm[a], perm[b] = perm[b], perm[a]
+        else:
+            ops.append((_apply_gate_tensor, (gate,)))
+    return ops
 
 
 def _apply_circuit_raw(amplitudes: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Apply a validated circuit to a raw array (any norm); returns a new array."""
+    """Apply a validated circuit to a raw array (any norm, optional trailing
+    batch axes) by executing its plan; returns a new array."""
     n = circuit.n_qubits
-    batch = amplitudes.shape[1:]
     out = amplitudes.astype(np.complex128, copy=True)
-    tensor = out.reshape([2] * n + list(batch))
-    for gate in circuit.gates:
-        _apply_gate_tensor(tensor, gate, n)
+    tensor = out.reshape([2] * n + [-1])
+    for kernel, args in _compile(circuit):
+        kernel(tensor, n, *args)
     if circuit.global_phase != 0.0:
         out *= np.exp(1j * circuit.global_phase)
     return out

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import math
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpyramid.cli import main
 from qpyramid.circuit import circuit_from_json
@@ -155,6 +159,17 @@ _QUICK = ["--steps", "1", "--shots", "64"]
     ["encode-ke", "--qubits", "40"],
     ["evolve", "--qubits", "40", "--steps", "0"],
     ["fidelity", "--qubits", "3..40", *_QUICK],
+    # values that overflow a float64 or an int64 partway through the computation
+    ["fidelity", "--qubits", "3..4", "--k0", "1e308"],
+    ["evolve", "--qubits", "3", "--shots", "99999999999999999999"],
+    ["fidelity", "--qubits", "3..4", "--shots", "99999999999999999999"],
+    ["error-budget", "--h", "1e200"],
+    ["error-budget", "--h", "0.1", "--t1", "1e-300", "--dt", "1e300"],
+    ["evolve", "--qubits", "3", "--k0", "1e308"],
+    ["evolve", "--qubits", "3", "--d", "1e300"],
+    ["evolve", "--qubits", "3", "--d", "1e-300"],
+    ["evolve", "--qubits", "3", "--mass", "1e-320"],
+    ["encode-ke", "--qubits", "3", "--d", "1e-200"],
 ], ids=lambda args: " ".join(args[:6]))
 def test_invalid_input_exits_3_without_traceback(runner, tmp_path, args):
     with warnings.catch_warnings(record=True) as caught:
@@ -164,7 +179,76 @@ def test_invalid_input_exits_3_without_traceback(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert result.output.startswith("error: ")
+    assert len(result.output.splitlines()) == 1
     assert not (tmp_path / "x").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _number(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_EXTREME_FLOAT = (st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e300, 1e-300, -1e-300, 5e-324])
+                  | st.floats(allow_nan=True, allow_infinity=True))
+_EXTREME_INT = st.sampled_from([2**63, -2**63, 10**20]) | st.integers(-10**30, 10**30)
+# each numeric option with a range that runs quickly
+_SANE = {
+    "--d": st.floats(0.5, 30.0), "--dt": st.floats(0.0, 1.0), "--mass": st.floats(0.1, 10.0),
+    "--k0": st.floats(-5.0, 5.0), "--eta": st.floats(-3.0, 3.0), "--steps": st.integers(0, 1),
+    "--trotter-steps": st.integers(1, 3), "--shots": st.integers(1, 1000),
+    "--seed": st.integers(0, 2**32), "--cp-budget": st.integers(0, 5),
+    "--h": st.floats(1e-3, 1.0), "--l2": st.integers(0, 100), "--sigma-g2": st.floats(0.0, 0.01),
+    "--t1": st.floats(1.0, 1e3), "--t2": st.floats(1.0, 1e3), "--sigma-cr2": st.floats(0.0, 0.01),
+}
+_OPTIONS = {
+    "evolve": ["--d", "--dt", "--mass", "--k0", "--eta", "--steps", "--trotter-steps", "--shots",
+               "--seed"],
+    "encode-ke": ["--d", "--dt", "--mass", "--cp-budget"],
+    "error-budget": ["--h", "--l2", "--sigma-g2", "--t1", "--t2", "--dt", "--sigma-cr2"],
+}
+_OPTIONS["fidelity"] = _OPTIONS["evolve"]
+_INT_OPTIONS = {"--steps", "--trotter-steps", "--shots", "--seed", "--cp-budget", "--l2"}
+
+
+@st.composite
+def _fuzzed_command(draw):
+    """One command at 2..4 qubits and at most one reported step.  Up to three
+    of its numeric options take an extreme float (+-inf, nan, +-1e+-300, any
+    double) or a large integer; the others a value in a range that runs
+    quickly."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    extreme = draw(st.lists(st.sampled_from(options), max_size=3, unique=True))
+    values = {}
+    for option in options:
+        if option not in extreme:
+            values[option] = draw(_SANE[option])
+        else:
+            values[option] = draw(_EXTREME_INT if option in _INT_OPTIONS else _EXTREME_FLOAT)
+    if command in ("evolve", "fidelity"):
+        # at most one reported step, and none at all under a huge substep count
+        limit = 0 if values["--trotter-steps"] > 3 else 1
+        values["--steps"] = min(values["--steps"], limit)
+    args = [command] + [text for option in options for text in (option, _number(values[option]))]
+    if command == "error-budget":
+        return args
+    low = draw(st.integers(2, 4))
+    args += ["--qubits", f"{low}..{draw(st.integers(low, 4))}" if command == "fidelity" else str(low)]
+    if command == "encode-ke":
+        method = draw(st.sampled_from(["qate", "qwe", "direct"]))
+        return args + ["--method", method] + (["--window", "0..1"] if method == "qwe" else [])
+    return args + ["--potential", draw(st.sampled_from(["none", "single", "multi"]))]
+
+
+@settings(max_examples=200)
+@given(_fuzzed_command())
+def test_fuzzed_numeric_options_keep_the_exit_contract(args):
+    """Exit 0, 2, 3 or 4 with no traceback and no warning, whatever the numbers."""
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, args + ["--out", out])
+    assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
+    assert "Traceback" not in result.output
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -291,10 +375,10 @@ _GOLDEN = [
     (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
-            '0,00,0.0014644433274901465,-0.001985805770344798,6.08801881696511e-06\n'
-            '1,01,-0.5705755997614914,-0.42164374033077007,0.5033399588033075\n'
-            '2,10,-0.5624016031838417,0.42467905751919904,0.4966478651591505\n'
-            '3,11,-0.0014888301518523545,-0.0019675882452791196,6.088018724025269e-06\n'
+            '0,00,0.0014644433274901072,-0.0019858057703447977,6.088018816964994e-06\n'
+            '1,01,-0.5705755997614914,-0.4216437403307701,0.5033399588033076\n'
+            '2,10,-0.5624016031838417,0.4246790575191991,0.4966478651591506\n'
+            '3,11,-0.0014888301518523684,-0.001967588245279133,6.088018724025364e-06\n'
         ),
         "step_001_hist.csv": (
             'bitstring,count,frequency\n'
@@ -306,7 +390,7 @@ _GOLDEN = [
         "summary.csv": (
             'step,exact_fidelity,swap_fidelity,norm\n'
             '0,0.9999999999999998,1.0,0.9999999999999999\n'
-            '1,0.9999999999999987,1.0,0.9999999999999994\n'
+            '1,0.9999999999999991,1.0,0.9999999999999996\n'
         ),
     }),
     (["metrics", "--qubits", "6..7"], {

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from qpyramid.cli import main as cli_main
 from qpyramid.circuit import Circuit, count_gates
 from qpyramid.encoders import build_qate_circuit, solve_qate
 from qpyramid.evolution import (
@@ -26,6 +28,7 @@ from qpyramid.grids import (
     gaussian_packet,
     kinetic_phase_profile,
     momentum_samples,
+    potential_profile,
 )
 from qpyramid.simulator import StateVector, extract_unitary, fidelity_exact, run
 
@@ -176,6 +179,45 @@ def test_oracle_symmetric_packet_stays_symmetric():
     for state in evolve_classical_oracle(config):
         probs = np.abs(state) ** 2
         np.testing.assert_allclose(probs, probs[::-1], atol=1e-12)
+
+
+def _dense_oracle(config):
+    """The split-step reference with the dense N x N kernel, as the oracle
+    computed it before it used the FFT."""
+    grid = config.grid
+    p = momentum_samples(grid)
+    delta = config.dt / config.trotter_steps
+    forward = centered_transform_matrix(grid)
+    half_potential = np.exp(-1j * potential_profile(grid, config.potential) * delta / 2.0)
+    kinetic = np.exp(-1j * p * p * delta / (2.0 * config.mass))
+    states = [gaussian_packet(grid, config.packet).amplitudes]
+    for _ in range(config.total_steps * config.trotter_steps):
+        psi = kinetic * (forward @ (half_potential * states[-1]))
+        states.append(half_potential * (forward.conj().T @ psi))
+    return states[::config.trotter_steps]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_oracle_matches_dense_kernel(n):
+    for d, potential in ((10.0, PotentialSpec.none()), (20.0, PotentialSpec.single_step(1.5)),
+                         (0.5, PotentialSpec.multi_step(2.0, (0, 1)))):
+        config = _config(n=n, grid=Grid(d, n), potential=potential, packet=PacketSpec(1.3),
+                         total_steps=2, trotter_steps=3, mass=0.7)
+        for fast, dense in zip(evolve_classical_oracle(config), _dense_oracle(config), strict=True):
+            assert np.max(np.abs(fast - dense)) < 1e-12
+
+
+def test_oracle_builds_no_dense_kernel(monkeypatch, tmp_path):
+    def dense_kernel(grid):
+        raise AssertionError("the oracle built the N x N kernel")
+
+    monkeypatch.setattr("qpyramid.evolution.centered_transform_matrix", dense_kernel)
+    config = _config(n=6, potential=PotentialSpec.single_step(1.0), total_steps=2)
+    states = evolve_classical_oracle(config)
+    assert len(states) == 3
+    result = CliRunner().invoke(cli_main, ["evolve", "--qubits", "4", "--potential", "single",
+                                           "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
 
 
 # --- quantum evolution ---

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpyramid.analysis import write_table
-from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
+from qpyramid.circuit import Circuit, CircuitError, Gate, GateKind, InvalidWidth
 from qpyramid.simulator import (
+    _apply_gate_tensor,
     Histogram,
     NotDiagonal,
     RandomSource,
@@ -179,6 +180,59 @@ def test_extract_diagonal_matches_dense_unitary(circuit):
             extract_diagonal(circuit)
     else:
         np.testing.assert_allclose(extract_diagonal(circuit), diagonal, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _plan_circuits(draw):
+    """random_circuit over the full gate set at n <= 6, drawn from a seed.  The
+    phase kinds are listed `weight` extra times, so long phase runs with
+    repeated and overlapping gates are common, and every other kind (H, X,
+    CX, Swap, CSWAP) can break a run."""
+    n = draw(st.integers(1, 6))
+    weight = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = list(GateKind) + list(_PHASE_TYPE) * weight
+    return random_circuit(n, draw(st.integers(0, 40)), rng, kinds), rng
+
+
+@settings(max_examples=150)
+@given(_plan_circuits())
+def test_run_matches_kron_oracle(case):
+    circuit, rng = case
+    dim = 1 << circuit.n_qubits
+    state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim), normalize=True)
+    out = run(circuit, state)
+    expected = circuit_unitary(circuit) @ state.amplitudes
+    np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100)
+@given(_plan_circuits())
+def test_extract_unitary_matches_kron_oracle_property(case):
+    circuit, _ = case
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+
+
+def test_run_sees_gates_appended_between_calls():
+    # the plan is compiled per call: nothing from the first run is reused
+    circuit = Circuit(3).h(0).cp(0, 1, 0.7).p(2, 0.3)
+    state = StateVector.from_amplitudes(np.arange(1, 9), normalize=True)
+    first = run(circuit, state)
+    circuit.cp(1, 2, 1.1).x(0).p(0, -0.4)
+    second = run(circuit, state)
+    np.testing.assert_allclose(second.amplitudes, circuit_unitary(circuit) @ state.amplitudes, atol=1e-13)
+    assert np.max(np.abs(second.amplitudes - first.amplitudes)) > 0.1
+
+
+@pytest.mark.parametrize("gate", [
+    Gate(GateKind.PHASE, (0,), 0.5), Gate(GateKind.CONTROLLED_PHASE, (0, 1), 0.5),
+    Gate(GateKind.ROTATION_Z, (1,), 0.5), Gate(GateKind.HADAMARD, (0,)),
+])
+def test_gate_tensor_kernel_has_no_phase_or_hadamard_branch(gate):
+    # phase-type gates run as fused diagonals and H as the plan's butterfly
+    tensor = np.ones((2, 2, 1), dtype=np.complex128)
+    with pytest.raises(CircuitError, match="unhandled gate kind"):
+        _apply_gate_tensor(tensor, 2, gate)
 
 
 def test_extract_diagonal_wide_circuit_permutation_path():
