@@ -26,7 +26,6 @@ from .simulator import (
     RandomSource,
     StateVector,
     WidthTooLarge,
-    apply_gate,
     extract_diagonal,
     extract_unitary,
     fidelity_exact,

@@ -49,8 +49,11 @@ class GateKind(Enum):
 
     @property
     def parametric(self) -> bool:
-        return self in (GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z)
+        return self in PHASE_KINDS
 
+
+# the diagonal kinds, the only ones that take an angle
+PHASE_KINDS = frozenset((GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z))
 
 _ARITY = {
     GateKind.PAULI_X: 1,

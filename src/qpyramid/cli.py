@@ -262,6 +262,9 @@ def main():
 @_guarded
 def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
     """Build a kinetic-energy evolution operator and dump circuit + diagonals."""
+    for name, value in (("window", window), ("cp-budget", cp_budget)):
+        if value is not None and method != "qwe":
+            raise click.BadParameter(f"only --method qwe takes it, not {method}", param_hint=f"'--{name}'")
     _require_memory(qubits)
     grid = Grid(d, qubits)
     profile = kinetic_phase_profile(grid, dt, mass)

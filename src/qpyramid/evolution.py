@@ -247,7 +247,7 @@ def free_packet_reference(grid: Grid, packet: PacketSpec, time: float, mass: flo
         * np.exp(-((x - velocity * time) ** 2) / (2.0 * z))
         * np.exp(1j * (packet.k0 * x - 0.5 * packet.k0**2 * time / mass))
     )
-    return StateVector.from_amplitudes(amps, normalize=True)
+    return StateVector.from_amplitudes(amps)
 
 
 def sweep_reference_state(config: EvolutionConfig) -> StateVector:
@@ -307,7 +307,7 @@ def export_evolution_result(result: EvolutionResult, out_dir) -> list[str]:
         written.append(state_path)
         hist_path = os.path.join(out_dir, f"step_{step:03d}_hist.csv")
         histogram = result.histograms[step]
-        counts = [histogram.counts.get(i, 0) for i in indices]
+        counts = histogram.counts.tolist()
         write_table(hist_path, ["bitstring", "count", "frequency"],
                     [bitstrings, counts, [c / histogram.shots for c in counts]])
         written.append(hist_path)

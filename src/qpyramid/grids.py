@@ -115,7 +115,7 @@ def gaussian_packet(grid: Grid, spec: PacketSpec) -> StateVector:
     """Amplitude-encoded normalized Gaussian packet on the position grid."""
     x = position_samples(grid)
     amps = np.exp(-0.5 * x * x) * np.exp(1j * spec.k0 * x)
-    return StateVector.from_amplitudes(amps, normalize=True)
+    return StateVector.from_amplitudes(amps)
 
 
 _POTENTIAL_KINDS = ("none", "single_step", "double_step", "multi_step")

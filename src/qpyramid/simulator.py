@@ -4,10 +4,10 @@ Amplitude arrays are complex128 of length 2^n with qubit 0 as the most
 significant bit of the basis index.  A circuit runs as a plan compiled on
 each call: one diagonal op per run of phase-type gates, an in-place butterfly
 per Hadamard, one data movement per run of X, same-control CX or Swap gates,
-and a kernel per controlled swap.  Ops act on a rank-n tensor view (one axis
-per qubit plus a trailing batch axis), so the same code drives single states
-and column-batched unitaries.  Results equal gate-by-gate application to
-rounding, not bit for bit.
+and one per controlled swap.  Ops act on a rank-n tensor view (one axis per
+qubit plus a trailing batch axis), so the same code drives single states,
+column-batched unitaries and the basis labels that `extract_diagonal` tracks.
+Results equal gate-by-gate application to rounding, not bit for bit.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; identical seeds give
 bitwise-identical sample streams on every platform.
@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Gate, GateKind, InvalidWidth, validate
+from .circuit import PHASE_KINDS, Circuit, CircuitError, GateKind, InvalidWidth, validate
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
 UNITARY_MAX_QUBITS = 12
 _TABLE_CHUNK = 1 << 14  # phase-table entries rounded to complex128 at a time
-_PHASE_KINDS = frozenset((GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z))
 
 
 class WidthTooLarge(CircuitError):
@@ -66,14 +65,13 @@ class StateVector:
         return StateVector(n_qubits, amps)
 
     @staticmethod
-    def from_amplitudes(raw, normalize: bool = False) -> "StateVector":
+    def from_amplitudes(raw) -> "StateVector":
+        """The state of `raw` scaled to unit norm; its length sets the width."""
         amps = np.asarray(raw, dtype=np.complex128).reshape(-1)
         n = int(round(math.log2(amps.shape[0])))
         if 1 << n != amps.shape[0]:
             raise InvalidWidth(f"amplitude count {amps.shape[0]} is not a power of two")
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
-        return StateVector(n, amps)
+        return StateVector(n, amps / np.linalg.norm(amps))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -84,15 +82,16 @@ class StateVector:
 
 @dataclass
 class Histogram:
-    """Measurement counts keyed by basis index; counts sum to `shots`."""
+    """Measurement counts: counts[i] for basis index i, summing to `shots`."""
 
     shots: int
-    counts: dict[int, int]
+    counts: np.ndarray
 
     def __post_init__(self):
+        self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.shots < 1:
             raise ValueError("shots must be positive")
-        if sum(self.counts.values()) != self.shots:
+        if int(self.counts.sum()) != self.shots:
             raise ValueError("histogram counts do not sum to shots")
 
 
@@ -106,24 +105,11 @@ class RandomSource:
     def __post_init__(self):
         self._generator = np.random.Generator(np.random.PCG64(self.seed))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._generator
-
     def multinomial(self, trials: int, probabilities: np.ndarray) -> np.ndarray:
         return self._generator.multinomial(trials, probabilities)
 
     def binomial(self, trials: int, probability: float) -> int:
         return int(self._generator.binomial(trials, probability))
-
-
-def _apply_gate_tensor(tensor: np.ndarray, n: int, gate: Gate) -> None:
-    """Controlled swap, in place: the one gate kind that the plan executes by
-    itself.  Every other kind runs inside a fused op."""
-    if gate.kind is not GateKind.CONTROLLED_SWAP:
-        raise CircuitError(f"unhandled gate kind {gate.kind}")
-    v = np.moveaxis(tensor, gate.qubits, (0, 1, 2))
-    v[1, 0, 1], v[1, 1, 0] = v[1, 1, 0].copy(), v[1, 0, 1].copy()
 
 
 def _phase_table(n: int, first: int, const, linear: dict, rows: dict) -> np.ndarray:
@@ -229,14 +215,20 @@ def _permute(tensor: np.ndarray, n: int, perm: list) -> None:
     tensor[...] = tensor.transpose(perm + [n])
 
 
+def _cswap(tensor: np.ndarray, n: int, control: int, a: int, b: int) -> None:
+    """Swap the bits of qubits a and b where qubit `control` is 1, in place."""
+    v = np.moveaxis(tensor, (control, a, b), (0, 1, 2))
+    v[1, 0, 1], v[1, 1, 0] = v[1, 1, 0].copy(), v[1, 0, 1].copy()
+
+
 def _compile(circuit: Circuit) -> list:
     """The plan of a validated circuit: a list of (kernel, args) ops.
 
     Each maximal run of Phase/ControlledPhase/RotationZ gates becomes one
     `_diagonal` op holding the run's summed constant, per-qubit and pairwise
     angles.  Each Hadamard is a `_hadamard` op, a run of X gates or of CX gates
-    with one control is a `_flip`, a run of Swap gates a `_permute`, and a
-    controlled swap keeps its own kernel.  The plan is compiled on every call
+    with one control is a `_flip`, a run of Swap gates a `_permute`, and each
+    controlled swap a `_cswap`.  The plan is compiled on every call
     and holds nothing of size 2^n, so a circuit edited between calls is never
     run from a stale plan.
     """
@@ -245,7 +237,7 @@ def _compile(circuit: Circuit) -> list:
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
         last_kernel, last_args = ops[-1] if ops else (None, ())
-        if kind in _PHASE_KINDS:
+        if kind in PHASE_KINDS:
             if last_kernel is not _diagonal:
                 last_args = ({},)
                 ops.append((_diagonal, last_args))
@@ -270,28 +262,22 @@ def _compile(circuit: Circuit) -> list:
             a, b = qubits
             perm[a], perm[b] = perm[b], perm[a]
         else:
-            ops.append((_apply_gate_tensor, (gate,)))
+            ops.append((_cswap, qubits))
     return ops
 
 
-def _apply_circuit_raw(amplitudes: np.ndarray, circuit: Circuit) -> np.ndarray:
+def _apply_circuit_raw(amplitudes: np.ndarray, circuit: Circuit, plan: list | None = None) -> np.ndarray:
     """Apply a validated circuit to a raw array (any norm, optional trailing
-    batch axes) by executing its plan; returns a new array."""
+    batch axes) by executing its plan, compiled here unless given; returns a
+    new array."""
     n = circuit.n_qubits
     out = amplitudes.astype(np.complex128, copy=True)
     tensor = out.reshape([2] * n + [-1])
-    for kernel, args in _compile(circuit):
+    for kernel, args in _compile(circuit) if plan is None else plan:
         kernel(tensor, n, *args)
     if circuit.global_phase != 0.0:
         out *= np.exp(1j * circuit.global_phase)
     return out
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate; pure (the input state is untouched)."""
-    single = Circuit(state.n_qubits, [gate])
-    validate(single)
-    return StateVector(state.n_qubits, _apply_circuit_raw(state.amplitudes, single))
 
 
 def run(circuit: Circuit, initial: StateVector) -> StateVector:
@@ -312,45 +298,31 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     return _apply_circuit_raw(np.eye(dim, dtype=np.complex128), circuit)
 
 
-def _is_basis_permutation_identity(circuit: Circuit) -> bool:
-    """Track the GF(2)-affine basis map b -> M.b + c induced by X/CX/Swap gates;
-    True iff it composes to the identity (phase-type gates are ignored).
-    Hadamard and controlled swap are not trackable here and fail conservatively."""
-    n = circuit.n_qubits
-    matrix = np.eye(n, dtype=np.uint8)  # output bit q = row q . input bits (mod 2)
-    offset = np.zeros(n, dtype=np.uint8)
-    for gate in circuit.gates:
-        kind = gate.kind
-        if kind in (GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z):
-            continue
-        if kind is GateKind.PAULI_X:
-            offset[gate.qubits[0]] ^= 1
-        elif kind is GateKind.CONTROLLED_NOT:
-            c, t = gate.qubits
-            matrix[t] ^= matrix[c]
-            offset[t] ^= offset[c]
-        elif kind is GateKind.SWAP:
-            a, b = gate.qubits
-            matrix[[a, b]] = matrix[[b, a]]
-            offset[[a, b]] = offset[[b, a]]
-        else:
-            return False
-    return bool(np.array_equal(matrix, np.eye(n, dtype=np.uint8)) and not offset.any())
-
-
 def extract_diagonal(circuit: Circuit) -> np.ndarray:
-    """Main diagonal of a diagonal circuit built from X/CX/Swap and phase-type gates.
+    """Main diagonal of a circuit that maps every basis state to itself up to
+    a phase, read off its plan.
 
-    The basis permutation induced by the X/CX/Swap gates must compose to the
-    identity; the circuit applied to the all-ones vector is then its diagonal.
-    Hadamard and controlled swap raise NotDiagonal; use `extract_unitary` for
-    circuits that contain them.
+    The plan's data movements (flips, transposes, controlled swaps) run on the
+    basis labels 0..2^n-1 while its diagonal ops are skipped; the circuit is
+    diagonal if every label ends where it started, and its plan applied to the
+    all-ones vector is then the diagonal.  Any Hadamard raises NotDiagonal,
+    even a pair that cancels; use `extract_unitary` for such circuits.
     """
     validate(circuit)
-    if not _is_basis_permutation_identity(circuit):
+    n = circuit.n_qubits
+    plan = _compile(circuit)
+    labels = np.arange(1 << n)
+    tensor = labels.reshape([2] * n + [-1])
+    for kernel, args in plan:
+        if kernel is _hadamard:
+            raise NotDiagonal("a Hadamard maps basis states to superpositions")
+        if kernel is not _diagonal:
+            kernel(tensor, n, *args)
+    in_place = np.array_equal(labels, np.arange(1 << n))
+    del labels, tensor  # freed before the ones vector is allocated
+    if not in_place:
         raise NotDiagonal("basis states are not mapped to themselves up to phase")
-    ones = np.ones(1 << circuit.n_qubits, dtype=np.complex128)
-    return _apply_circuit_raw(ones, circuit)
+    return _apply_circuit_raw(np.ones(1 << n, dtype=np.complex128), circuit, plan)
 
 
 def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:
@@ -359,8 +331,7 @@ def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:
         raise ValueError("shots must be positive")
     probs = state.probabilities()
     probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
-    return Histogram(shots, {int(i): int(c) for i, c in enumerate(counts) if c > 0})
+    return Histogram(shots, rng.multinomial(shots, probs))
 
 
 def fidelity_exact(a: StateVector, b: StateVector) -> float:

@@ -194,21 +194,15 @@ def test_criterion_7_swap_test():
     rng = np.random.default_rng(707)
     hits = 0
     for seed in range(100):
-        a = StateVector.from_amplitudes(
-            rng.normal(size=16) + 1j * rng.normal(size=16), normalize=True
-        )
-        b = StateVector.from_amplitudes(
-            rng.normal(size=16) + 1j * rng.normal(size=16), normalize=True
-        )
+        a = StateVector.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
+        b = StateVector.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
         report = swap_test_estimate(a, b, 10_000, RandomSource(seed))
         combined = 2.0 * report.std_error
         if abs(report.estimated - fidelity_exact(a, b)) <= 3.0 * combined:
             hits += 1
     assert hits >= 95
 
-    state = StateVector.from_amplitudes(
-        rng.normal(size=16) + 1j * rng.normal(size=16), normalize=True
-    )
+    state = StateVector.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
     assert swap_test_probability(state, state) == pytest.approx(1.0, abs=1e-12)
     orthogonal = StateVector.basis_state(4, 3)
     other = StateVector.basis_state(4, 12)

@@ -26,7 +26,7 @@ from qpyramid.simulator import RandomSource, StateVector, fidelity_exact, run
 
 def _random_state(n, rng):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector.from_amplitudes(amps, normalize=True)
+    return StateVector.from_amplitudes(amps)
 
 
 # --- circuit structure ---
@@ -65,7 +65,7 @@ def test_probability_orthogonal_states_is_half():
 
 def test_probability_half_overlap():
     a = StateVector.zero_state(1)
-    b = StateVector.from_amplitudes([1.0, 1.0], normalize=True)
+    b = StateVector.from_amplitudes([1.0, 1.0])
     # |<a|b>|^2 = 1/2  ->  Pr(0) = 3/4
     assert swap_test_probability(a, b) == pytest.approx(0.75, abs=1e-12)
 
@@ -109,8 +109,7 @@ def test_estimator_probability_matches_circuit(n, seed, angle):
     rng = np.random.default_rng(seed)
     a = _random_state(n, rng)
     c = _random_state(n, rng)
-    b = StateVector.from_amplitudes(
-        math.cos(angle) * a.amplitudes + math.sin(angle) * c.amplitudes, normalize=True)
+    b = StateVector.from_amplitudes(math.cos(angle) * a.amplitudes + math.sin(angle) * c.amplitudes)
     assert _estimator_probability(a, b) == pytest.approx(swap_test_probability(a, b), abs=1e-12)
 
 

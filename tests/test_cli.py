@@ -236,6 +236,9 @@ def _fuzzed_command(draw):
     args += ["--qubits", f"{low}..{draw(st.integers(low, 4))}" if command == "fidelity" else str(low)]
     if command == "encode-ke":
         method = draw(st.sampled_from(["qate", "qwe", "direct"]))
+        if method != "qwe":  # --cp-budget is a usage error for the other methods
+            at = args.index("--cp-budget")
+            del args[at:at + 2]
         return args + ["--method", method] + (["--window", "0..1"] if method == "qwe" else [])
     return args + ["--potential", draw(st.sampled_from(["none", "single", "multi"]))]
 
@@ -495,6 +498,10 @@ def test_config_file_rejects_garbage(runner, tmp_path):
     ("encode-ke", "method", "qwa"),
     ("encode-ke", "window", "1..x"),
     ("encode-ke", "window", "1,x"),
+    ("encode-ke --method qate", "window", "1..3"),
+    ("encode-ke --method direct", "window", "1,2"),
+    ("encode-ke", "cp-budget", "3"),
+    ("encode-ke --method direct", "cp-budget", "0"),
     ("evolve", "potential", "bogus"),
     ("evolve", "qubits", "abc"),
     ("evolve", "positions", "x"),
@@ -508,10 +515,11 @@ def test_config_file_rejects_garbage(runner, tmp_path):
 ])
 def test_bad_value_is_usage_error(runner, tmp_path, command, key, value, source):
     """Flag and config-file values pass the same click checks: exit 2, no output.
-    `--positions` must fit `--potential`: none for none, one for single/double."""
+    `--positions` must fit `--potential`: none for none, one for single/double.
+    `--window` and `--cp-budget` are for `--method qwe` only."""
     out = tmp_path / "out"
     args = [*command.split(), "--out", str(out)] + (["--h", "0.1"] if command == "error-budget" else [])
-    if key == "window":
+    if key == "window" and "--method" not in command:
         args += ["--method", "qwe"]
     if source == "flag":
         args += [f"--{key}", value]

@@ -149,6 +149,20 @@ def test_encoder_exact_for_random_quadratics():
             assert np.max(np.abs(aligned - np.exp(-1j * full))) < 1e-10
 
 
+@settings(max_examples=200)
+@given(n=st.integers(2, 8), coeffs=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_encoder_exact_for_any_quadratic_half_profile(n, coeffs):
+    # no global phase is aligned out: the error is about one rounding per gate
+    # at the profile's scale
+    c0, c1, c2 = coeffs
+    j = np.arange(1 << (n - 1), dtype=float)
+    half = c0 + c1 * j + c2 * j * j
+    full = np.concatenate([half, half[::-1]])
+    circuit = build_qate_circuit(n, solve_qate(PhaseProfile(half, "half")))
+    error = np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * full)))
+    assert error <= len(circuit.gates) * 2.0**-52 * max(1.0, np.max(np.abs(full)))
+
+
 def test_encoder_interpolates_low_popcount_indices():
     # arbitrary profiles are matched wherever the half-index has <= 2 set bits
     n = 5

@@ -265,7 +265,7 @@ def test_evolution_deterministic():
     first = evolve_quantum(config)
     second = evolve_quantum(config)
     for hist_a, hist_b in zip(first.histograms, second.histograms):
-        assert hist_a.counts == hist_b.counts
+        np.testing.assert_array_equal(hist_a.counts, hist_b.counts)
     assert [r.estimated for r in first.swap_reports] == [r.estimated for r in second.swap_reports]
 
 

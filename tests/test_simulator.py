@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpyramid.analysis import write_table
-from qpyramid.circuit import Circuit, CircuitError, Gate, GateKind, InvalidWidth
+from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
 from qpyramid.simulator import (
-    _apply_gate_tensor,
+    _compile,
+    _cswap,
+    _diagonal,
+    _flip,
+    _hadamard,
+    _permute,
     Histogram,
     NotDiagonal,
     RandomSource,
     StateVector,
     WidthTooLarge,
-    apply_gate,
     extract_diagonal,
     extract_unitary,
     fidelity_exact,
@@ -30,18 +34,18 @@ from oracles import circuit_unitary, random_circuit
 
 
 def test_hadamard_on_zero():
-    out = apply_gate(StateVector.zero_state(1), Gate(GateKind.HADAMARD, (0,)))
+    out = run(Circuit(1, [Gate(GateKind.HADAMARD, (0,))]), StateVector.zero_state(1))
     np.testing.assert_allclose(out.amplitudes, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
 
 def test_phase_leaves_zero_untouched():
-    out = apply_gate(StateVector.zero_state(1), Gate(GateKind.PHASE, (0,), 1.1))
+    out = run(Circuit(1, [Gate(GateKind.PHASE, (0,), 1.1)]), StateVector.zero_state(1))
     np.testing.assert_allclose(out.amplitudes, [1.0, 0.0], atol=1e-15)
 
 
 def test_cnot_with_control_set():
     # |10> -> |11> under big-endian indexing
-    out = apply_gate(StateVector.basis_state(2, 2), Gate(GateKind.CONTROLLED_NOT, (0, 1)))
+    out = run(Circuit(2, [Gate(GateKind.CONTROLLED_NOT, (0, 1))]), StateVector.basis_state(2, 2))
     np.testing.assert_allclose(out.amplitudes, StateVector.basis_state(2, 3).amplitudes)
 
 
@@ -85,7 +89,7 @@ def test_cx_phase_cx_sandwich_diagonal():
 
 def test_cx_phase_cx_sandwich_on_uniform_state():
     theta = 0.9
-    uniform = StateVector.from_amplitudes(np.ones(4), normalize=True)
+    uniform = StateVector.from_amplitudes(np.ones(4))
     out = run(Circuit(2).cx(0, 1).p(1, theta).cx(0, 1), uniform)
     expected = np.array([1.0, np.exp(1j * theta), np.exp(1j * theta), 1.0]) / 2.0
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
@@ -148,15 +152,15 @@ def test_extract_diagonal_rejects_hadamard():
 
 
 DIAG_TOL = 1e-10  # off-diagonal magnitude at which a unitary counts as non-diagonal
-_PERMUTING = (GateKind.PAULI_X, GateKind.CONTROLLED_NOT, GateKind.SWAP)
+_PERMUTING = (GateKind.PAULI_X, GateKind.CONTROLLED_NOT, GateKind.SWAP, GateKind.CONTROLLED_SWAP)
 _PHASE_TYPE = (GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z)
 
 
 @st.composite
 def _permuting_and_phase_circuits(draw):
-    """X/CX/Swap/P/CP/RZ circuits at n <= 6.  Half of them replay their
-    X/CX/Swap gates in reverse at the end, so the basis permutation composes
-    to the identity and the circuit is diagonal."""
+    """X/CX/Swap/CSWAP/P/CP/RZ circuits at n <= 6.  Half of them replay their
+    X/CX/Swap/CSWAP gates in reverse at the end, so the basis permutation
+    composes to the identity and the circuit is diagonal."""
     n = draw(st.integers(1, 6))
     kinds = [kind for kind in _PERMUTING + _PHASE_TYPE if kind.arity <= n]
     gates = []
@@ -200,7 +204,7 @@ def _plan_circuits(draw):
 def test_run_matches_kron_oracle(case):
     circuit, rng = case
     dim = 1 << circuit.n_qubits
-    state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim), normalize=True)
+    state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     out = run(circuit, state)
     expected = circuit_unitary(circuit) @ state.amplitudes
     np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
@@ -216,7 +220,7 @@ def test_extract_unitary_matches_kron_oracle_property(case):
 def test_run_sees_gates_appended_between_calls():
     # the plan is compiled per call: nothing from the first run is reused
     circuit = Circuit(3).h(0).cp(0, 1, 0.7).p(2, 0.3)
-    state = StateVector.from_amplitudes(np.arange(1, 9), normalize=True)
+    state = StateVector.from_amplitudes(np.arange(1, 9))
     first = run(circuit, state)
     circuit.cp(1, 2, 1.1).x(0).p(0, -0.4)
     second = run(circuit, state)
@@ -230,9 +234,25 @@ def test_run_sees_gates_appended_between_calls():
 ])
 def test_gate_tensor_kernel_has_no_phase_or_hadamard_branch(gate):
     # phase-type gates run as fused diagonals and H as the plan's butterfly
-    tensor = np.ones((2, 2, 1), dtype=np.complex128)
-    with pytest.raises(CircuitError, match="unhandled gate kind"):
-        _apply_gate_tensor(tensor, 2, gate)
+    [(kernel, _)] = _compile(Circuit(2, [gate]))
+    assert kernel is (_hadamard if gate.kind is GateKind.HADAMARD else _diagonal)
+
+
+def test_plan_uses_only_the_five_kernels():
+    circuit = (Circuit(3).x(0).h(1).p(2, 0.3).cp(0, 1, 0.4).cx(0, 2).swap(1, 2).cswap(0, 1, 2)
+               .rz(1, 0.5))
+    assert {gate.kind for gate in circuit.gates} == set(GateKind)
+    kernels = [kernel for kernel, _ in _compile(circuit)]
+    assert set(kernels) == {_diagonal, _hadamard, _flip, _permute, _cswap}
+    assert kernels.count(_cswap) == 1
+
+
+def test_extract_diagonal_accepts_controlled_swaps_that_cancel():
+    circuit = Circuit(3).cswap(0, 1, 2).p(1, 0.7).cp(0, 2, -0.2).cswap(0, 1, 2)
+    diagonal = extract_diagonal(circuit)
+    np.testing.assert_allclose(diagonal, np.diag(extract_unitary(circuit)), rtol=0, atol=1e-14)
+    with pytest.raises(NotDiagonal):
+        extract_diagonal(Circuit(3).cswap(0, 1, 2).p(1, 0.7))
 
 
 def test_extract_diagonal_wide_circuit_permutation_path():
@@ -261,21 +281,22 @@ def test_extract_diagonal_wide_circuit_rejects_net_permutation():
 
 def test_sample_deterministic_state():
     hist = sample(StateVector.zero_state(2), 100, RandomSource(1))
-    assert hist.counts == {0: 100}
+    np.testing.assert_array_equal(hist.counts, [100, 0, 0, 0])
 
 
 def test_sample_counts_conserved():
     rng = np.random.default_rng(2)
-    state = StateVector.from_amplitudes(rng.normal(size=8) + 1j * rng.normal(size=8), normalize=True)
+    state = StateVector.from_amplitudes(rng.normal(size=8) + 1j * rng.normal(size=8))
     hist = sample(state, 999, RandomSource(3))
-    assert sum(hist.counts.values()) == 999
+    assert hist.counts.shape == (8,)
+    assert hist.counts.sum() == 999
 
 
 def test_sample_seed_reproducible_bitwise():
     state = run(Circuit(3).h(0).h(1).h(2), StateVector.zero_state(3))
     first = sample(state, 4096, RandomSource(99))
     second = sample(state, 4096, RandomSource(99))
-    assert first.counts == second.counts
+    np.testing.assert_array_equal(first.counts, second.counts)
 
 
 def test_sample_uniform_within_binomial_bound():
@@ -283,7 +304,7 @@ def test_sample_uniform_within_binomial_bound():
     hist = sample(state, 10000, RandomSource(42))
     sigma = math.sqrt(10000 * 0.25 * 0.75)
     for outcome in range(4):
-        assert abs(hist.counts.get(outcome, 0) - 2500) < 5 * sigma
+        assert abs(hist.counts[outcome] - 2500) < 5 * sigma
 
 
 def test_sample_rejects_zero_shots():
@@ -302,7 +323,7 @@ def test_binomial_is_seeded_and_integral():
 
 def test_histogram_invariant():
     with pytest.raises(ValueError):
-        Histogram(5, {0: 4})
+        Histogram(5, [4, 0])
 
 
 # --- norm and fidelity ---
@@ -337,7 +358,7 @@ def test_statevector_rejects_unnormalized():
 
 def test_from_amplitudes_rejects_odd_length():
     with pytest.raises(InvalidWidth):
-        StateVector.from_amplitudes(np.ones(6), normalize=True)
+        StateVector.from_amplitudes(np.ones(6))
 
 
 # --- csv dumps ---
@@ -361,8 +382,8 @@ def test_statevector_csv_schema_and_determinism(tmp_path):
 
 
 def test_histogram_csv_lists_all_outcomes(tmp_path):
-    hist = Histogram(10, {0: 7, 3: 3})
-    counts = [hist.counts.get(i, 0) for i in range(4)]
+    hist = Histogram(10, [7, 0, 0, 3])
+    counts = hist.counts.tolist()
     path = tmp_path / "h.csv"
     write_table(path, ["bitstring", "count", "frequency"],
                 [[index_bitstring(i, 2) for i in range(4)], counts, [c / hist.shots for c in counts]])
