@@ -73,9 +73,7 @@ from .analysis import (
     FidelityReport,
     error_budget,
     error_budget_terms,
-    swap_test_circuit,
     swap_test_estimate,
-    swap_test_probability,
 )
 
 __version__ = "0.1.0"

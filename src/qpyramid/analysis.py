@@ -7,10 +7,8 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuit import Circuit, InvalidWidth
-from .simulator import RandomSource, StateVector, fidelity_exact, run
+from .circuit import InvalidWidth
+from .simulator import RandomSource, StateVector, fidelity_exact
 
 # Reference circuit depths reported for qubit sizes 3..6 (informational columns
 # in metrics output; our own depth metric is ASAP layering and is not asserted
@@ -84,37 +82,6 @@ def error_budget(params: ErrorBudgetParams) -> float:
     return sum(error_budget_terms(params).values())
 
 
-def swap_test_circuit(n: int) -> Circuit:
-    """Width 2n+1: Hadamard on the ancilla (qubit 0), one controlled swap per
-    register pair, closing Hadamard.  Pr(ancilla=0) = 1/2 + |<psi|phi>|^2 / 2.
-
-    Simulating it costs O(4^n); it is kept as the explicit cross-check of the
-    closed form that `swap_test_estimate` samples from."""
-    if n < 1:
-        raise InvalidWidth(f"register width must be >= 1, got {n}")
-    circuit = Circuit(2 * n + 1)
-    circuit.h(0)
-    for i in range(n):
-        circuit.cswap(0, 1 + i, 1 + n + i)
-    circuit.h(0)
-    return circuit
-
-
-def _joint_state(a: StateVector, b: StateVector) -> StateVector:
-    amps = np.kron(np.array([1.0, 0.0], dtype=np.complex128),
-                   np.kron(a.amplitudes, b.amplitudes))
-    return StateVector(2 * a.n_qubits + 1, amps)
-
-
-def swap_test_probability(a: StateVector, b: StateVector) -> float:
-    """Pr(ancilla=0) read off the simulated swap-test circuit (no sampling)."""
-    if a.n_qubits != b.n_qubits:
-        raise InvalidWidth("swap test requires equal register widths")
-    out = run(swap_test_circuit(a.n_qubits), _joint_state(a, b))
-    half = 1 << (2 * a.n_qubits)
-    return float(np.sum(np.abs(out.amplitudes[:half]) ** 2))
-
-
 def swap_test_estimate(a: StateVector, b: StateVector, shots: int, rng: RandomSource) -> FidelityReport:
     """Sampled swap test: estimated = clamp(2*Pr^(0) - 1, 0, 1).
 
@@ -157,52 +124,35 @@ def write_table(path, header: list[str], columns) -> None:
             fh.write("".join(",".join(map(_format_cell, row)) + "\n" for row in chunk))
 
 
-METRICS_HEADER = [
-    "n", "qate_1q", "qate_2q", "qate_total", "baseline_total",
-    "depth_ours", "depth_paper_ref", "depth_baseline_paper_ref",
-]
-FIDELITY_HEADER = [
-    "n", "mode", "Nt", "exact", "swap_estimate", "std_error",
-    "reference", "deviation_note",
-]
-SUMMARY_HEADER = ["step", "exact_fidelity", "swap_fidelity", "norm"]
+REPORT_HEADERS = {
+    "metrics": ["n", "qate_1q", "qate_2q", "qate_total", "baseline_total",
+                "depth_ours", "depth_paper_ref", "depth_baseline_paper_ref"],
+    "fidelity": ["n", "mode", "Nt", "exact", "swap_estimate", "std_error",
+                 "reference", "deviation_note"],
+    "summary": ["step", "exact_fidelity", "swap_fidelity", "norm"],
+}
 
 
-def emit_report(out_dir, *, metrics_rows=None, fidelity_rows=None,
-                summary_rows=None, fmt: str = "csv") -> list[str]:
-    """Write whichever report sections are present; deterministic byte-for-byte.
+def emit_report(out_dir, section: str, rows, fmt: str = "csv") -> list[str]:
+    """Write one report table, whose columns REPORT_HEADERS[section] names;
+    deterministic byte-for-byte.
 
-    csv format writes one file per section; json packs the same tables into one
-    report.json.  Returns the paths written.
+    csv format writes `<section>.csv`; json writes report.json holding
+    {section: [one object per row]}.  Returns the list of paths written.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
+    header = REPORT_HEADERS[section]
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-    sections = [
-        ("metrics", METRICS_HEADER, metrics_rows),
-        ("fidelity", FIDELITY_HEADER, fidelity_rows),
-        ("summary", SUMMARY_HEADER, summary_rows),
-    ]
     if fmt == "csv":
-        for name, header, rows in sections:
-            if rows is None:
-                continue
-            path = os.path.join(out_dir, f"{name}.csv")
-            write_table(path, header, zip(*rows))
-            written.append(path)
-        return written
-    payload = {}
-    for name, header, rows in sections:
-        if rows is None:
-            continue
-        payload[name] = [dict(zip(header, row)) for row in rows]
+        path = os.path.join(out_dir, f"{section}.csv")
+        write_table(path, header, zip(*rows))
+        return [path]
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({section: [dict(zip(header, row)) for row in rows]}, fh, indent=2)
         fh.write("\n")
-    written.append(path)
-    return written
+    return [path]
 
 
 def metrics_row(n: int) -> list:

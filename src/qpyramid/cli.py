@@ -326,7 +326,7 @@ def cmd_fidelity(qubits, out, format, **params):
         fidelity_row(config.grid.n_qubits, config.mode, config.trotter_steps, report)
         for config, report in fidelity_sweep(template, n_values)
     ]
-    emit_report(out, fidelity_rows=rows, fmt=format)
+    emit_report(out, "fidelity", rows, fmt=format)
     _write_manifest()
     click.echo(f"wrote fidelity report for n in {qubits} to {out}")
 
@@ -340,7 +340,7 @@ def cmd_fidelity(qubits, out, format, **params):
 def cmd_metrics(qubits, out, format):
     """Gate-count and depth table against the reference construction."""
     rows = [metrics_row(n) for n in _parse_qubit_range(qubits)]
-    emit_report(out, metrics_rows=rows, fmt=format)
+    emit_report(out, "metrics", rows, fmt=format)
     _write_manifest()
     click.echo(f"wrote metrics for n in {qubits} to {out}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, CircuitError, InvalidWidth, wrap_angle
-from .grids import GridError, PhaseProfile
+from .grids import GridError, PhaseProfile, PotentialSpec
 
 _EXACT_TOL = 1e-9
 
@@ -235,22 +235,18 @@ def build_direct_diagonal(n: int, profile_full: PhaseProfile) -> Circuit:
     return _emit_phase_gates(Circuit(n, global_phase=wrap_angle(-a_global)), alpha, beta)
 
 
-def build_potential_circuit(n: int, spec, dt: float, r: int) -> Circuit:
-    """Step-potential factor e^{-i eta Z dt/r} at each position qubit of `spec`.
+def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit:
+    """Step-potential factor e^{-i eta Z time} at each position qubit of `spec`.
 
     RotationZ(lmbda) = diag(e^{-i lmbda/2}, e^{+i lmbda/2}), so each placement is
-    RotationZ(2 eta dt / r).  Single/double/multi variants differ only by the
-    qubit the rotation sits on.
+    RotationZ(2 eta time).  Single/double/multi variants differ only by the
+    qubits the rotations sit on; a spec without positions emits no gate.
     """
-    if r not in (1, 2):
-        raise InvalidWidth(f"split factor r must be 1 or 2, got {r}")
     circuit = Circuit(n)
-    if spec.kind == "none":
-        return circuit
     for q in spec.qubit_positions:
         if not 0 <= q < n:
-            raise IndexError(f"potential qubit {q} outside width {n}")
-        circuit.rz(q, 2.0 * spec.eta * dt / r)
+            raise GridError(f"potential qubit {q} outside width {n}")
+        circuit.rz(q, 2.0 * spec.eta * time)
     return circuit
 
 

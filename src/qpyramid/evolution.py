@@ -132,14 +132,6 @@ def momentum_transform_circuit(n: int, mode: str, inverse: bool = False) -> Circ
     return circuit
 
 
-def centered_transform_matrix(grid: Grid) -> np.ndarray:
-    """Dense kernel exp(-i p_j x_k)/sqrt(N): the reference that the circuit
-    transform and the oracle's FFT form are tested against."""
-    p = momentum_samples(grid)
-    x = position_samples(grid)
-    return np.exp(-1j * np.outer(p, x)) / math.sqrt(grid.n_samples)
-
-
 def trotter_step_circuit(config: EvolutionConfig) -> Circuit:
     """One substep: V(delta/2) . to_p . K(delta) . to_x . V(delta/2)
     with delta = dt / trotter_steps."""
@@ -149,7 +141,7 @@ def trotter_step_circuit(config: EvolutionConfig) -> Circuit:
     delta = config.dt / config.trotter_steps
     kinetic = kinetic_phase_profile(config.grid, delta, config.mass)
     u_kinetic = build_qate_circuit(n, solve_qate(kinetic.first_half()))
-    v_half = build_potential_circuit(n, config.potential, delta, 2)
+    v_half = build_potential_circuit(n, config.potential, delta / 2)
     to_momentum = momentum_transform_circuit(n, config.mode)
     to_position = momentum_transform_circuit(n, config.mode, inverse=True)
     step = Circuit(n)
@@ -181,8 +173,8 @@ def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
 
         forward(psi)_j = e^{-2 pi i c^2/N} e^{2 pi i c j/N} FFT(e^{2 pi i c k/N} psi_k)_j / sqrt(N)
 
-    with c = (N - 1)/2, which equals `centered_transform_matrix(grid) @ psi`
-    without building the N x N kernel; the backward step is its inverse.
+    with c = (N - 1)/2, which equals the dense kernel exp(-i p_j x_k)/sqrt(N)
+    applied to psi without building it; the backward step is its inverse.
     """
     grid = config.grid
     size = grid.n_samples
@@ -254,20 +246,20 @@ def sweep_reference_state(config: EvolutionConfig) -> StateVector:
     """Final-state reference for a fidelity sweep: the continuum solution when
     there is no potential (so the curve exposes discretization error), else the
     split-step reference at the same resolution."""
-    if config.potential.kind == "none":
+    if not config.potential.qubit_positions:
         total_time = config.dt * config.total_steps
         return free_packet_reference(config.grid, config.packet, total_time, config.mass)
     return StateVector(config.grid.n_qubits, _final_state(evolve_classical_oracle(config)))
 
 
-def splitting_infidelity(config: EvolutionConfig, reference_multiplier: int = 16) -> float:
+def splitting_infidelity(config: EvolutionConfig) -> float:
     """Phase-aligned error norm of the circuit evolution against a reference
-    split evolution with `reference_multiplier` times the substep count:
+    split evolution with 16 times the substep count:
     sqrt(2 (1 - |<ref|psi>|)).  Halving the substep size divides this by ~4
     (second-order splitting); squared overlap converges at fourth order.
     """
     state = _final_state(_circuit_states(config))
-    fine = replace(config, trotter_steps=reference_multiplier * config.trotter_steps)
+    fine = replace(config, trotter_steps=16 * config.trotter_steps)
     reference = _final_state(evolve_classical_oracle(fine))
     overlap = abs(np.vdot(reference, state.amplitudes))
     return float(math.sqrt(max(0.0, 2.0 * (1.0 - overlap))))
@@ -315,5 +307,5 @@ def export_evolution_result(result: EvolutionResult, out_dir) -> list[str]:
             [step, result.exact_fidelities[step], result.swap_reports[step].estimated,
              state.norm()]
         )
-    written += emit_report(out_dir, summary_rows=summary_rows)
+    written += emit_report(out_dir, "summary", summary_rows)
     return written

@@ -118,79 +118,47 @@ def gaussian_packet(grid: Grid, spec: PacketSpec) -> StateVector:
     return StateVector.from_amplitudes(amps)
 
 
-_POTENTIAL_KINDS = ("none", "single_step", "double_step", "multi_step")
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Step potential with barrier magnitude eta.
+    """Step potential of barrier magnitude eta, one Z rotation per entry of
+    `qubit_positions`; no positions means no potential.
 
-    Two realizations stay in lockstep:
-      - circuit: one Z rotation e^{-i eta Z dt/r} per entry of `qubit_positions`,
-      - sampled profile: by default the exact values those rotations induce,
-        V(x_k) = eta * sum_q (1 - 2 b_q(k)), i.e. +/-eta regions split at each
-        position qubit's bit boundary.
-    Explicit `boundaries`/`values` override the sampled profile for custom
-    piecewise shapes (circuit construction then still uses `qubit_positions`).
+    The circuit applies e^{-i eta Z t} on each position qubit, and
+    `potential_profile` samples the potential those rotations induce,
+    V(x_k) = eta * sum_q (1 - 2 b_q(k)): +/-eta regions split at each position
+    qubit's bit boundary.  Both read this one description.
     """
 
-    kind: str
     eta: float = 0.0
     qubit_positions: tuple[int, ...] = ()
-    boundaries: tuple[float, ...] | None = None
-    values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _POTENTIAL_KINDS:
-            raise GridError(f"unknown potential kind {self.kind!r}")
         if not math.isfinite(self.eta):
             raise GridError(f"eta must be finite, got {self.eta}")
         object.__setattr__(self, "qubit_positions", tuple(int(q) for q in self.qubit_positions))
-        if (self.boundaries is None) != (self.values is None):
-            raise GridError("boundaries and values must be given together")
-        if self.boundaries is not None:
-            bounds = tuple(float(b) for b in self.boundaries)
-            vals = tuple(float(v) for v in self.values)
-            if not all(math.isfinite(x) for x in bounds + vals):
-                raise GridError("boundaries and values must be finite")
-            if len(vals) != len(bounds) + 1:
-                raise GridError("need exactly one more region value than boundaries")
-            if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-                raise GridError("boundaries must be strictly increasing")
-            object.__setattr__(self, "boundaries", bounds)
-            object.__setattr__(self, "values", vals)
 
     @staticmethod
     def none() -> "PotentialSpec":
-        return PotentialSpec("none")
+        return PotentialSpec()
 
     @staticmethod
     def single_step(eta: float, qubit: int = 0) -> "PotentialSpec":
-        return PotentialSpec("single_step", eta, (qubit,))
+        return PotentialSpec(eta, (qubit,))
 
     @staticmethod
     def double_step(eta: float, qubit: int = 1) -> "PotentialSpec":
-        return PotentialSpec("double_step", eta, (qubit,))
+        return PotentialSpec(eta, (qubit,))
 
     @staticmethod
     def multi_step(eta: float, qubits: tuple[int, ...] = (0, 1)) -> "PotentialSpec":
-        return PotentialSpec("multi_step", eta, tuple(qubits))
+        return PotentialSpec(eta, tuple(qubits))
 
 
 def potential_profile(grid: Grid, spec: PotentialSpec) -> np.ndarray:
-    """Piecewise-constant V(x_k) used by the classical split-step oracle."""
-    x = position_samples(grid)
-    if spec.kind == "none":
-        return np.zeros_like(x)
-    if spec.boundaries is not None:
-        for b in spec.boundaries:
-            if not -grid.d < b < grid.d:
-                raise GridError(f"boundary {b} outside the open interval (-{grid.d}, {grid.d})")
-        region = np.searchsorted(np.asarray(spec.boundaries), x, side="right")
-        return np.asarray(spec.values)[region]
-    # Z-rotation realization: each position qubit q contributes eta on the
-    # half-period where its bit is 0 and -eta where it is 1.
-    profile = np.zeros_like(x)
+    """Piecewise-constant V(x_k) used by the classical split-step oracle: each
+    position qubit q contributes eta on the half-periods where its bit is 0 and
+    -eta where it is 1, as its Z rotation does."""
+    profile = np.zeros(grid.n_samples)
     k = np.arange(grid.n_samples)
     for q in spec.qubit_positions:
         if not 0 <= q < grid.n_qubits:
@@ -198,4 +166,3 @@ def potential_profile(grid: Grid, spec: PotentialSpec) -> np.ndarray:
         bits = (k >> (grid.n_qubits - 1 - q)) & 1
         profile += spec.eta * (1.0 - 2.0 * bits)
     return profile
-

@@ -24,7 +24,6 @@ from .circuit import PHASE_KINDS, Circuit, CircuitError, GateKind, InvalidWidth,
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
 UNITARY_MAX_QUBITS = 12
-_TABLE_CHUNK = 1 << 14  # phase-table entries rounded to complex128 at a time
 
 
 class WidthTooLarge(CircuitError):
@@ -49,7 +48,7 @@ class StateVector:
                 f"expected {1 << self.n_qubits} amplitudes for {self.n_qubits} qubits, got {self.amplitudes.shape[0]}"
             )
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
     @staticmethod
@@ -66,12 +65,16 @@ class StateVector:
 
     @staticmethod
     def from_amplitudes(raw) -> "StateVector":
-        """The state of `raw` scaled to unit norm; its length sets the width."""
+        """The state of `raw` scaled to unit norm; its length sets the width.
+        A zero or non-finite norm has no such scaling and is rejected."""
         amps = np.asarray(raw, dtype=np.complex128).reshape(-1)
         n = int(round(math.log2(amps.shape[0])))
         if 1 << n != amps.shape[0]:
             raise InvalidWidth(f"amplitude count {amps.shape[0]} is not a power of two")
-        return StateVector(n, amps / np.linalg.norm(amps))
+        norm = np.linalg.norm(amps)
+        if not (math.isfinite(norm) and norm > 0):
+            raise ValueError(f"cannot scale amplitudes of norm {norm} to unit norm")
+        return StateVector(n, amps / norm)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -112,10 +115,10 @@ class RandomSource:
         return int(self._generator.binomial(trials, probability))
 
 
-def _phase_table(n: int, first: int, const, linear: dict, rows: dict) -> np.ndarray:
+def _phase_table(qubits: list, const, linear: dict, rows: dict) -> np.ndarray:
     """const * prod_q linear[q]^b_q * prod_{q<r} rows[q][r]^(b_q b_r) over the
-    bits of qubits first..n-1 (qubit n-1 least significant), from unit factors
-    in extended precision.
+    bits of the ascending `qubits` (the last one least significant), from unit
+    factors in extended precision, rounded once to complex128.
 
     Built one qubit at a time as the new most significant bit: where qubit q is
     1 the table is its lower half times linear[q] times the product of
@@ -125,10 +128,11 @@ def _phase_table(n: int, first: int, const, linear: dict, rows: dict) -> np.ndar
     rounded once.  (Where numpy's long double is plain double, as on some
     non-x86 platforms, entries are off by a few roundings instead.)
     """
-    table = np.empty(1 << (n - first), dtype=np.clongdouble)
+    table = np.empty(1 << len(qubits), dtype=np.clongdouble)
     table[0] = const
     size = 1
-    for q in range(n - 1, first - 1, -1):
+    for i in range(len(qubits) - 1, -1, -1):
+        q = qubits[i]
         lower, upper = table[:size], table[size:2 * size]
         row = rows.get(q)
         if row is None:
@@ -139,7 +143,7 @@ def _phase_table(n: int, first: int, const, linear: dict, rows: dict) -> np.ndar
         else:
             upper[0] = linear.get(q, 1)
             block = 1
-            for r in range(n - 1, q, -1):
+            for r in reversed(qubits[i + 1:]):
                 if r in row:
                     np.multiply(upper[:block], row[r], out=upper[block:2 * block])
                 else:
@@ -147,30 +151,21 @@ def _phase_table(n: int, first: int, const, linear: dict, rows: dict) -> np.ndar
                 block *= 2
             upper *= lower
         size *= 2
-    return table
-
-
-def _multiply_rows(target: np.ndarray, table: np.ndarray) -> None:
-    """target[:, j] *= table[j], rounding the table to complex128 a chunk at a
-    time so that no copy of the whole table is made."""
-    for start in range(0, len(table), _TABLE_CHUNK):
-        chunk = table[start:start + _TABLE_CHUNK].astype(np.complex128)
-        target[:, start:start + _TABLE_CHUNK] *= chunk[:, None]
+    return table.astype(np.complex128)
 
 
 def _diagonal(tensor: np.ndarray, n: int, terms: dict) -> None:
     """Multiply by exp(i * sum of terms): `terms` maps () to a constant angle,
     (q,) to the angle of bit q, and (q, r) with q < r to that of b_q b_r.
 
-    The diagonal spans qubits lo..n-1, lo the lowest qubit in a term.  The
-    halves where qubit lo is 0 and 1 each get a `_phase_table` over qubits
-    lo+1..n-1 made of the terms that hold there, and a half where none holds
-    is skipped (for a Fourier cascade, the half where the target bit is 0).
-    So a table never has more than 2^(n-1) entries.
+    With lo the lowest qubit in a term, the halves where qubit lo is 0 and 1
+    each get a `_phase_table` of the terms that hold there, over only the
+    qubits those terms touch, broadcast over the others.  A half where no term
+    holds is skipped (for a Fourier cascade, the half where the target bit
+    is 0), so a table never has more than 2^(n-1) entries.
     """
     factors = np.exp(1j * np.array(list(terms.values()), dtype=np.longdouble))
     lo = min(q for key in terms for q in key)
-    halves = tensor.reshape(1 << lo, 2, 1 << (n - lo - 1), -1)
     for bit in (0, 1):
         held = [(key[1:] if lo in key else key, factor)
                 for key, factor in zip(terms, factors) if bit or lo not in key]
@@ -184,7 +179,12 @@ def _diagonal(tensor: np.ndarray, n: int, terms: dict) -> None:
                 linear[key[0]] = linear.get(key[0], 1) * factor
             else:
                 rows.setdefault(key[0], {})[key[1]] = factor
-        _multiply_rows(halves[:, bit], _phase_table(n, lo + 1, const, linear, rows))
+        touched = sorted(set(linear).union(rows, *rows.values()))
+        shape = [1] * (n - lo)  # qubits lo+1..n-1, then the batch axis
+        for q in touched:
+            shape[q - lo - 1] = 2
+        half = tensor[(slice(None),) * lo + (bit,)]
+        half *= _phase_table(touched, const, linear, rows).reshape(shape)
 
 
 def _hadamard(tensor: np.ndarray, n: int, q: int) -> None:
@@ -266,14 +266,13 @@ def _compile(circuit: Circuit) -> list:
     return ops
 
 
-def _apply_circuit_raw(amplitudes: np.ndarray, circuit: Circuit, plan: list | None = None) -> np.ndarray:
+def _apply_circuit_raw(amplitudes: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply a validated circuit to a raw array (any norm, optional trailing
-    batch axes) by executing its plan, compiled here unless given; returns a
-    new array."""
+    batch axes) by executing its plan; returns a new array."""
     n = circuit.n_qubits
     out = amplitudes.astype(np.complex128, copy=True)
     tensor = out.reshape([2] * n + [-1])
-    for kernel, args in _compile(circuit) if plan is None else plan:
+    for kernel, args in _compile(circuit):
         kernel(tensor, n, *args)
     if circuit.global_phase != 0.0:
         out *= np.exp(1j * circuit.global_phase)
@@ -310,10 +309,9 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
     """
     validate(circuit)
     n = circuit.n_qubits
-    plan = _compile(circuit)
     labels = np.arange(1 << n)
     tensor = labels.reshape([2] * n + [-1])
-    for kernel, args in plan:
+    for kernel, args in _compile(circuit):
         if kernel is _hadamard:
             raise NotDiagonal("a Hadamard maps basis states to superpositions")
         if kernel is not _diagonal:
@@ -322,7 +320,7 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
     del labels, tensor  # freed before the ones vector is allocated
     if not in_place:
         raise NotDiagonal("basis states are not mapped to themselves up to phase")
-    return _apply_circuit_raw(np.ones(1 << n, dtype=np.complex128), circuit, plan)
+    return _apply_circuit_raw(np.ones(1 << n, dtype=np.complex128), circuit)
 
 
 def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:

@@ -1,9 +1,15 @@
 """Independent brute-force oracles for the tests: gate matrices built from
 explicit Kronecker products and multiplied in order, with no shared code
-against the simulator's stride kernels."""
+against the simulator's stride kernels; the dense position-to-momentum
+kernel; and the explicit swap-test circuit that the closed-form estimator is
+checked against."""
+import math
+
 import numpy as np
 
-from qpyramid.circuit import Circuit, Gate, GateKind
+from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
+from qpyramid.grids import Grid, momentum_samples, position_samples
+from qpyramid.simulator import StateVector, run
 
 I2 = np.eye(2, dtype=complex)
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,3 +104,42 @@ def random_circuit(n: int, n_gates: int, rng: np.random.Generator, kinds=None) -
         angle = float(rng.uniform(-np.pi, np.pi)) if kind.parametric else None
         circuit.gates.append(Gate(kind, qubits, angle))
     return circuit
+
+
+def centered_transform_matrix(grid: Grid) -> np.ndarray:
+    """Dense kernel exp(-i p_j x_k)/sqrt(N): the reference that the circuit
+    transform and the oracle's FFT form are tested against."""
+    p = momentum_samples(grid)
+    x = position_samples(grid)
+    return np.exp(-1j * np.outer(p, x)) / math.sqrt(grid.n_samples)
+
+
+def swap_test_circuit(n: int) -> Circuit:
+    """Width 2n+1: Hadamard on the ancilla (qubit 0), one controlled swap per
+    register pair, closing Hadamard.  Pr(ancilla=0) = 1/2 + |<psi|phi>|^2 / 2.
+
+    Simulating it costs O(4^n); it is the explicit cross-check of the closed
+    form that `swap_test_estimate` samples from."""
+    if n < 1:
+        raise InvalidWidth(f"register width must be >= 1, got {n}")
+    circuit = Circuit(2 * n + 1)
+    circuit.h(0)
+    for i in range(n):
+        circuit.cswap(0, 1 + i, 1 + n + i)
+    circuit.h(0)
+    return circuit
+
+
+def _joint_state(a: StateVector, b: StateVector) -> StateVector:
+    amps = np.kron(np.array([1.0, 0.0], dtype=np.complex128),
+                   np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(2 * a.n_qubits + 1, amps)
+
+
+def swap_test_probability(a: StateVector, b: StateVector) -> float:
+    """Pr(ancilla=0) read off the simulated swap-test circuit (no sampling)."""
+    if a.n_qubits != b.n_qubits:
+        raise InvalidWidth("swap test requires equal register widths")
+    out = run(swap_test_circuit(a.n_qubits), _joint_state(a, b))
+    half = 1 << (2 * a.n_qubits)
+    return float(np.sum(np.abs(out.amplitudes[:half]) ** 2))

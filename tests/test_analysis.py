@@ -15,13 +15,13 @@ from qpyramid.analysis import (
     error_budget_terms,
     fidelity_row,
     metrics_row,
-    swap_test_circuit,
     swap_test_estimate,
-    swap_test_probability,
     write_table,
 )
 from qpyramid.circuit import GateKind, InvalidWidth, count_gates
-from qpyramid.simulator import RandomSource, StateVector, fidelity_exact, run
+from qpyramid.simulator import RandomSource, StateVector, fidelity_exact
+
+from oracles import swap_test_circuit, swap_test_probability
 
 
 def _random_state(n, rng):
@@ -130,7 +130,7 @@ def test_estimate_does_not_simulate_the_circuit(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("swap_test_estimate simulated the joint state")
 
-    monkeypatch.setattr("qpyramid.analysis.run", fail)
+    monkeypatch.setattr("qpyramid.simulator._apply_circuit_raw", fail)
     rng = np.random.default_rng(5)
     report = swap_test_estimate(_random_state(4, rng), _random_state(4, rng), 1000, RandomSource(2))
     assert 0.0 <= report.estimated <= 1.0
@@ -264,8 +264,8 @@ def test_emit_report_csv_deterministic(tmp_path):
     rows = [metrics_row(n) for n in range(3, 7)]
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
-    emit_report(dir_a, metrics_rows=rows)
-    emit_report(dir_b, metrics_rows=rows)
+    emit_report(dir_a, "metrics", rows)
+    emit_report(dir_b, "metrics", rows)
     assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
     lines = (dir_a / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("n,qate_1q,qate_2q,qate_total,baseline_total")
@@ -273,7 +273,8 @@ def test_emit_report_csv_deterministic(tmp_path):
 
 
 def test_emit_report_empty_rows_headers_only(tmp_path):
-    emit_report(tmp_path, metrics_rows=[], fidelity_rows=[])
+    assert emit_report(tmp_path, "metrics", []) == [str(tmp_path / "metrics.csv")]
+    emit_report(tmp_path, "fidelity", [])
     assert (tmp_path / "metrics.csv").read_text().splitlines() == [
         "n,qate_1q,qate_2q,qate_total,baseline_total,depth_ours,depth_paper_ref,depth_baseline_paper_ref"
     ]
@@ -298,8 +299,10 @@ def test_write_table_numpy_scalars_as_plain_floats(tmp_path):
 
 
 def test_emit_report_json(tmp_path):
-    emit_report(tmp_path, metrics_rows=[metrics_row(4)], fmt="json")
+    assert emit_report(tmp_path, "metrics", [metrics_row(4)], fmt="json") == [
+        str(tmp_path / "report.json")]
     data = json.loads((tmp_path / "report.json").read_text())
+    assert list(data) == ["metrics"]
     assert data["metrics"][0]["qate_total"] == 12
     assert data["metrics"][0]["baseline_total"] == 18
 

@@ -351,8 +351,8 @@ def test_error_budget_requires_h(runner):
 # Table bytes at small n for every table kind (diagonal, profile, statevector,
 # histogram and reports); a change to the CSV format or to how a column is
 # computed shows here.
-_GOLDEN = [
-    (["encode-ke", "--qubits", "2"], {
+_GOLDEN = {
+    "encode-ke": (["encode-ke", "--qubits", "2"], {
         "diagonal.csv": (
             'index,re,im,phase\n'
             '0,0.9999383589428604,-0.011103076810469684,-0.011103304951225529\n'
@@ -375,7 +375,7 @@ _GOLDEN = [
             '3,0.011103304951225529\n'
         ),
     }),
-    (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
+    "evolve": (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
             '0,00,0.0014644433274901072,-0.0019858057703447977,6.088018816964994e-06\n'
@@ -396,24 +396,74 @@ _GOLDEN = [
             '1,0.9999999999999991,1.0,0.9999999999999996\n'
         ),
     }),
-    (["metrics", "--qubits", "6..7"], {
+    "metrics": (["metrics", "--qubits", "6..7"], {
         "metrics.csv": (
             'n,qate_1q,qate_2q,qate_total,baseline_total,depth_ours,depth_paper_ref,depth_baseline_paper_ref\n'
             '6,5,20,25,33,12,36,40\n'
             '7,6,27,33,42,14,,\n'
         ),
     }),
-    (["fidelity", "--qubits", "2..3", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
+    "fidelity": (["fidelity", "--qubits", "2..3", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
         "fidelity.csv": (
             'n,mode,Nt,exact,swap_estimate,std_error,reference,deviation_note\n'
             '2,centered,1,0.9423214502329914,0.6000000000000001,0.12649110640673517,,\n'
             '3,centered,1,0.9867116251971624,1.0,0.0,0.73,deviates from reference 0.73 by 0.257\n'
         ),
     }),
-]
+    "evolve-potential": (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1",
+                          "--shots", "10", "--potential", "multi", "--positions", "0,1"], {
+        "step_001_state.csv": (
+            'index,bitstring,real,imag,probability\n'
+            '0,00,0.0012588774348546708,-0.0021220853939849468,6.0880188153505236e-06\n'
+            '1,01,-0.5705755997614905,-0.4216437403307737,0.5033399588033095\n'
+            '2,10,-0.5624016031838429,0.42467905751919566,0.49664786515914905\n'
+            '3,11,-0.0012849611463656365,-0.002106393500263189,6.088018725620302e-06\n'
+        ),
+        "step_001_hist.csv": (
+            'bitstring,count,frequency\n'
+            '00,0,0.0\n'
+            '01,7,0.7\n'
+            '10,3,0.3\n'
+            '11,0,0.0\n'
+        ),
+        "summary.csv": (
+            'step,exact_fidelity,swap_fidelity,norm\n'
+            '0,0.9999999999999998,1.0,0.9999999999999999\n'
+            '1,0.9999999999999996,1.0,0.9999999999999997\n'
+        ),
+    }),
+    "metrics-json": (["metrics", "--qubits", "6..7", "--format", "json"], {
+        "report.json": (
+            '{\n'
+            '  "metrics": [\n'
+            '    {\n'
+            '      "n": 6,\n'
+            '      "qate_1q": 5,\n'
+            '      "qate_2q": 20,\n'
+            '      "qate_total": 25,\n'
+            '      "baseline_total": 33,\n'
+            '      "depth_ours": 12,\n'
+            '      "depth_paper_ref": 36,\n'
+            '      "depth_baseline_paper_ref": 40\n'
+            '    },\n'
+            '    {\n'
+            '      "n": 7,\n'
+            '      "qate_1q": 6,\n'
+            '      "qate_2q": 27,\n'
+            '      "qate_total": 33,\n'
+            '      "baseline_total": 42,\n'
+            '      "depth_ours": 14,\n'
+            '      "depth_paper_ref": null,\n'
+            '      "depth_baseline_paper_ref": null\n'
+            '    }\n'
+            '  ]\n'
+            '}\n'
+        ),
+    }),
+}
 
 
-@pytest.mark.parametrize("args, tables", _GOLDEN, ids=[args[0] for args, _ in _GOLDEN])
+@pytest.mark.parametrize("args, tables", list(_GOLDEN.values()), ids=list(_GOLDEN))
 def test_table_bytes_golden(runner, tmp_path, args, tables):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
     assert result.exit_code == 0, result.output

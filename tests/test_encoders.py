@@ -19,7 +19,14 @@ from qpyramid.encoders import (
     qate_phase_at,
     solve_qate,
 )
-from qpyramid.grids import Grid, PhaseProfile, PotentialSpec, kinetic_phase_profile
+from qpyramid.grids import (
+    Grid,
+    GridError,
+    PhaseProfile,
+    PotentialSpec,
+    kinetic_phase_profile,
+    potential_profile,
+)
 from qpyramid.simulator import extract_diagonal, extract_unitary
 
 from oracles import dft_matrix, rz_mat
@@ -349,11 +356,11 @@ def test_direct_kinetic_profile_exact():
 
 
 def test_potential_single_step_tensor_value():
-    eta, dt, r = 1.7, 0.3, 2
-    circuit = build_potential_circuit(2, PotentialSpec.single_step(eta), dt, r)
-    expected = np.kron(rz_mat(2 * eta * dt / r), np.eye(2))
+    eta, time = 1.7, 0.15
+    circuit = build_potential_circuit(2, PotentialSpec.single_step(eta), time)
+    expected = np.kron(rz_mat(2 * eta * time), np.eye(2))
     np.testing.assert_allclose(extract_unitary(circuit), expected, atol=1e-14)
-    t = eta * dt / r
+    t = eta * time
     np.testing.assert_allclose(
         np.diag(extract_unitary(circuit)),
         [np.exp(-1j * t), np.exp(-1j * t), np.exp(1j * t), np.exp(1j * t)],
@@ -362,19 +369,33 @@ def test_potential_single_step_tensor_value():
 
 
 def test_potential_zero_eta_identity():
-    circuit = build_potential_circuit(3, PotentialSpec.single_step(0.0), 0.5, 2)
+    circuit = build_potential_circuit(3, PotentialSpec.single_step(0.0), 0.25)
     np.testing.assert_allclose(extract_unitary(circuit), np.eye(8), atol=1e-15)
 
 
 def test_potential_none_empty():
-    assert build_potential_circuit(4, PotentialSpec.none(), 0.1, 2).gates == []
+    assert build_potential_circuit(4, PotentialSpec.none(), 0.05).gates == []
+    assert build_potential_circuit(4, PotentialSpec.multi_step(1.0, ()), 0.05).gates == []
 
 
 def test_potential_invalid_position():
-    with pytest.raises(IndexError):
-        build_potential_circuit(2, PotentialSpec.single_step(1.0, qubit=5), 0.1, 2)
-    with pytest.raises(InvalidWidth):
-        build_potential_circuit(2, PotentialSpec.single_step(1.0), 0.1, 3)
+    for qubit in (2, 5, -1):
+        with pytest.raises(GridError):
+            build_potential_circuit(2, PotentialSpec.single_step(1.0, qubit=qubit), 0.05)
+
+
+def test_potential_circuit_diagonal_matches_profile():
+    # the circuit and the oracle's sampled profile read the same spec:
+    # the circuit's diagonal is exp(-i V(x_k) t) for every position set
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for _ in range(5):
+            positions = tuple(int(q) for q in rng.integers(0, n, size=rng.integers(0, n + 2)))
+            spec = PotentialSpec(float(rng.uniform(-3, 3)), positions)
+            time = float(rng.uniform(0, 1))
+            profile = potential_profile(Grid(10.0, n), spec)
+            np.testing.assert_allclose(extract_diagonal(build_potential_circuit(n, spec, time)),
+                                       np.exp(-1j * profile * time), atol=1e-12)
 
 
 # --- Fourier transform ---

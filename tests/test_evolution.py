@@ -3,14 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from qpyramid.cli import main as cli_main
 from qpyramid.circuit import Circuit, count_gates
 from qpyramid.encoders import build_qate_circuit, solve_qate
 from qpyramid.evolution import (
     EvolutionConfig,
-    centered_transform_matrix,
     evolve_classical_oracle,
     evolve_quantum,
     export_evolution_result,
@@ -18,6 +15,7 @@ from qpyramid.evolution import (
     free_packet_reference,
     momentum_transform_circuit,
     splitting_infidelity,
+    sweep_reference_state,
     trotter_step_circuit,
 )
 from qpyramid.grids import (
@@ -31,6 +29,8 @@ from qpyramid.grids import (
     potential_profile,
 )
 from qpyramid.simulator import StateVector, extract_unitary, fidelity_exact, run
+
+from oracles import centered_transform_matrix
 
 
 def _config(n=5, **overrides):
@@ -207,19 +207,6 @@ def test_oracle_matches_dense_kernel(n):
             assert np.max(np.abs(fast - dense)) < 1e-12
 
 
-def test_oracle_builds_no_dense_kernel(monkeypatch, tmp_path):
-    def dense_kernel(grid):
-        raise AssertionError("the oracle built the N x N kernel")
-
-    monkeypatch.setattr("qpyramid.evolution.centered_transform_matrix", dense_kernel)
-    config = _config(n=6, potential=PotentialSpec.single_step(1.0), total_steps=2)
-    states = evolve_classical_oracle(config)
-    assert len(states) == 3
-    result = CliRunner().invoke(cli_main, ["evolve", "--qubits", "4", "--potential", "single",
-                                           "--out", str(tmp_path / "run")])
-    assert result.exit_code == 0, result.output
-
-
 # --- quantum evolution ---
 
 
@@ -306,10 +293,18 @@ def test_fidelity_sweep_deterministic_and_sized():
     assert [rep.estimated for _, rep in first] == [rep.estimated for _, rep in second]
 
 
+def test_potential_without_positions_is_no_potential():
+    config = _config(n=4, total_steps=2, potential=PotentialSpec.multi_step(1.0, ()))
+    free = replace(config, potential=PotentialSpec.none())
+    assert trotter_step_circuit(config).gates == trotter_step_circuit(free).gates
+    np.testing.assert_array_equal(sweep_reference_state(config).amplitudes,
+                                  sweep_reference_state(free).amplitudes)
+
+
 def _old_sweep_exact(config):
     """The sweep's exact fidelity computed through the full evolve_quantum run."""
     result = evolve_quantum(config)
-    if config.potential.kind == "none":
+    if not config.potential.qubit_positions:
         total_time = config.dt * config.total_steps
         reference = free_packet_reference(config.grid, config.packet, total_time, config.mass)
     else:
@@ -342,7 +337,7 @@ def test_fidelity_sweep_draws_no_per_step_samples(monkeypatch, potential):
     monkeypatch.setattr("qpyramid.evolution.evolve_classical_oracle", counting_oracle)
     points = fidelity_sweep(_config(n=3, total_steps=2, shots=256, potential=potential), [3, 4])
     assert len(points) == 2
-    assert oracle_calls == ([] if potential.kind == "none" else [3, 4])
+    assert oracle_calls == ([] if not potential.qubit_positions else [3, 4])
 
 
 # --- export ---

@@ -133,28 +133,6 @@ def test_potential_none_is_zero():
     np.testing.assert_allclose(potential_profile(grid, PotentialSpec.none()), 0.0)
 
 
-def test_potential_explicit_single_step():
-    # classic step V1=0 for x < 0, V2=eta for x >= 0
-    grid = Grid(10.0, 5)
-    eta = 2.0
-    spec = PotentialSpec("single_step", eta, (0,), boundaries=(0.0,), values=(0.0, eta))
-    profile = potential_profile(grid, spec)
-    x = position_samples(grid)
-    np.testing.assert_allclose(profile[x < 0], 0.0)
-    np.testing.assert_allclose(profile[x >= 0], eta)
-
-
-def test_potential_explicit_double_step_well():
-    grid = Grid(10.0, 5)
-    eta = 1.5
-    spec = PotentialSpec("double_step", eta, (1,), boundaries=(-2.0, 2.0), values=(eta, 0.0, eta))
-    profile = potential_profile(grid, spec)
-    x = position_samples(grid)
-    np.testing.assert_allclose(profile[np.abs(x) < 2.0], 0.0)
-    np.testing.assert_allclose(profile[np.abs(x) > 2.0], eta)
-    np.testing.assert_allclose(profile, profile[::-1])
-
-
 def test_potential_default_single_step_matches_z_pattern():
     # default realization mirrors the circuit's e^{-i eta Z t}: +eta then -eta
     grid = Grid(10.0, 4)
@@ -174,23 +152,10 @@ def test_potential_default_double_step_pattern():
 
 def test_potential_malformed():
     with pytest.raises(GridError):
-        PotentialSpec("single_step", 1.0, (0,), boundaries=(2.0, -1.0), values=(0.0, 1.0, 2.0))
-    with pytest.raises(GridError):
-        PotentialSpec("single_step", 1.0, (0,), boundaries=(0.0,), values=(0.0,))
-    with pytest.raises(GridError):
-        potential_profile(
-            Grid(1.0, 3),
-            PotentialSpec("single_step", 1.0, (0,), boundaries=(5.0,), values=(0.0, 1.0)),
-        )
-    with pytest.raises(GridError):
         potential_profile(Grid(1.0, 3), PotentialSpec.single_step(1.0, qubit=7))
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(GridError):
             PotentialSpec.single_step(bad)
-        with pytest.raises(GridError):
-            PotentialSpec("single_step", 1.0, (0,), boundaries=(bad,), values=(0.0, 1.0))
-        with pytest.raises(GridError):
-            PotentialSpec("single_step", 1.0, (0,), boundaries=(0.0,), values=(0.0, bad))
 
 
 def test_profile_csv(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpyramid import simulator
 from qpyramid.analysis import write_table
 from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
 from qpyramid.simulator import (
@@ -238,6 +239,27 @@ def test_gate_tensor_kernel_has_no_phase_or_hadamard_branch(gate):
     assert kernel is (_hadamard if gate.kind is GateKind.HADAMARD else _diagonal)
 
 
+def test_phase_table_covers_only_touched_qubits(monkeypatch):
+    # one CP between the outermost qubits needs a table over qubit n-1 alone,
+    # broadcast over the ten qubits between them
+    sizes = []
+    real = simulator._phase_table
+
+    def recording(*args):
+        table = real(*args)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(simulator, "_phase_table", recording)
+    n = 12
+    state = StateVector.from_amplitudes(np.arange(1, (1 << n) + 1))
+    out = run(Circuit(n).cp(0, n - 1, 0.3), state)
+    assert sizes == [2]
+    expected = state.amplitudes.copy()
+    expected[(1 << (n - 1)) + 1::2] *= np.exp(0.3j)
+    np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-15)
+
+
 def test_plan_uses_only_the_five_kernels():
     circuit = (Circuit(3).x(0).h(1).p(2, 0.3).cp(0, 1, 0.4).cx(0, 2).swap(1, 2).cswap(0, 1, 2)
                .rz(1, 0.5))
@@ -354,6 +376,18 @@ def test_fidelity_width_mismatch():
 def test_statevector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
+
+
+def test_statevector_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            StateVector(2, np.full(4, bad))
+
+
+def test_from_amplitudes_rejects_zero_and_non_finite_norm():
+    for raw in (np.zeros(4), np.full(4, np.nan), np.array([1.0, np.inf])):
+        with pytest.raises(ValueError):
+            StateVector.from_amplitudes(raw)
 
 
 def test_from_amplitudes_rejects_odd_length():
