@@ -95,7 +95,7 @@ def swap_test_estimate(a: StateVector, b: StateVector, shots: int, rng: RandomSo
     if shots < 1:
         raise ValueError("shots must be positive")
     exact = fidelity_exact(a, b)
-    zeros = rng.binomial(shots, min(1.0, (1.0 + exact) / 2.0))
+    zeros = rng.binomial(shots, (1.0 + exact) / 2.0)
     p0 = zeros / shots
     estimated = min(1.0, max(0.0, 2.0 * p0 - 1.0))
     std_error = math.sqrt(p0 * (1.0 - p0) / shots)

@@ -240,6 +240,30 @@ def circuit_from_json(text: str) -> Circuit:
     return circuit
 
 
+def qft_gates(n: int, inverse: bool = False) -> list[tuple[GateKind, tuple[int, ...], float | None]]:
+    """The (kind, qubits, angle) of each gate of `build_qft(n, inverse)`, in
+    order: the list the simulator's compiler matches a Fourier block against."""
+    gates = []
+    for t in range(n):
+        gates.append((GateKind.HADAMARD, (t,), None))
+        gates += [(GateKind.CONTROLLED_PHASE, (c, t), 2.0 * math.pi / (1 << (c - t + 1)))
+                  for c in range(t + 1, n)]
+    gates += [(GateKind.SWAP, (q, n - 1 - q), None) for q in range(n // 2)]
+    if inverse:
+        gates = [(kind, qubits, None if angle is None else -angle)
+                 for kind, qubits, angle in reversed(gates)]
+    return gates
+
+
+def build_qft(n: int, inverse: bool = False) -> Circuit:
+    """Fourier transform circuit whose matrix is omega^{jk}/sqrt(2^n) with
+    omega = e^{2 pi i / 2^n} under the big-endian convention; `inverse` gives
+    the conjugate transpose."""
+    if n < 1:
+        raise InvalidWidth(f"transform needs n >= 1, got {n}")
+    return Circuit(n, [Gate(kind, qubits, angle) for kind, qubits, angle in qft_gates(n, inverse)])
+
+
 def wrap_angle(angle: float) -> float:
     """Reduce an angle modulo 2*pi into (-pi, pi]."""
     return angle - 2.0 * math.pi * math.ceil((angle - math.pi) / (2.0 * math.pi))

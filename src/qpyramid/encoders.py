@@ -1,5 +1,6 @@
 """Diagonal-unitary builders: CX-ladder reflection shell, exact/windowed phase
-encoders, step-potential rotations, and the quantum Fourier transform.
+encoders and step-potential rotations.  `build_qft` lives in `circuit`, where
+the simulator's compiler reads its gate list, and is re-exported here.
 
 Encoding scheme.  A diagonal payload on qubits 1..n-1, conjugated by CX ladders
 controlled on qubit 0, realizes a palindromic diagonal: the payload fixes the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, InvalidWidth, wrap_angle
+from .circuit import Circuit, CircuitError, InvalidWidth, build_qft, wrap_angle
 from .grids import GridError, PhaseProfile, PotentialSpec
 
 _EXACT_TOL = 1e-9
@@ -248,26 +249,4 @@ def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit
             raise GridError(f"potential qubit {q} outside width {n}")
         circuit.rz(q, 2.0 * spec.eta * time)
     return circuit
-
-
-def build_qft(n: int, inverse: bool = False) -> Circuit:
-    """Fourier transform circuit whose matrix is omega^{jk}/sqrt(2^n) with
-    omega = e^{2 pi i / 2^n} under the big-endian convention; `inverse` gives
-    the conjugate transpose."""
-    if n < 1:
-        raise InvalidWidth(f"transform needs n >= 1, got {n}")
-    forward = Circuit(n)
-    for t in range(n):
-        forward.h(t)
-        for c in range(t + 1, n):
-            forward.cp(c, t, 2.0 * math.pi / (1 << (c - t + 1)))
-    for q in range(n // 2):
-        forward.swap(q, n - 1 - q)
-    if not inverse:
-        return forward
-    inv = Circuit(n)
-    for gate in reversed(forward.gates):
-        angle = None if gate.angle is None else -gate.angle
-        inv.gates.append(type(gate)(gate.kind, gate.qubits, angle))
-    return inv
 

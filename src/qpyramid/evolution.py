@@ -3,8 +3,8 @@ classical split-step reference.
 
 Each substep applies V-half, position->momentum transform, the kinetic
 diagonal, the inverse transform, and V-half again (symmetric second-order
-splitting).  The transform circuits wrap the Fourier cascade in diagonal
-linear phase ramps:
+splitting).  The transform circuits wrap `build_qft` (which the simulator
+runs as one FFT) in diagonal linear phase ramps:
 
     centered mode  ramp coefficient c = (1 - N)/2; together with the global
                    phase this realizes the exact half-integer-offset change of
@@ -116,7 +116,7 @@ def _ramp_circuit(n: int, c: float, sign: float) -> Circuit:
 def momentum_transform_circuit(n: int, mode: str, inverse: bool = False) -> Circuit:
     """Position->momentum change of basis (or its inverse with `inverse`).
 
-    Forward: ramp . inverse-Fourier cascade . ramp with global -2 pi c^2 / N;
+    Forward: ramp . inverse QFT . ramp with global -2 pi c^2 / N;
     in centered mode its matrix equals exp(-i p_j x_k)/sqrt(N) exactly.
     """
     if mode not in MODES:

@@ -2,12 +2,14 @@
 
 Amplitude arrays are complex128 of length 2^n with qubit 0 as the most
 significant bit of the basis index.  A circuit runs as a plan compiled on
-each call: one diagonal op per run of phase-type gates, an in-place butterfly
-per Hadamard, one data movement per run of X, same-control CX or Swap gates,
-and one per controlled swap.  Ops act on a rank-n tensor view (one axis per
-qubit plus a trailing batch axis), so the same code drives single states,
-column-batched unitaries and the basis labels that `extract_diagonal` tracks.
-Results equal gate-by-gate application to rounding, not bit for bit.
+each call: one in-place FFT per block that is exactly `build_qft(n)` or its
+inverse over the full width (a near miss runs gate by gate), one diagonal op
+per run of phase-type gates, an in-place butterfly per Hadamard, one data
+movement per run of X, same-control CX or Swap gates, and one per controlled
+swap.  Ops act on a rank-n tensor view (one axis per qubit plus a trailing
+batch axis), so the same code drives single states, column-batched unitaries
+and the basis labels that `extract_diagonal` tracks.  Results equal
+gate-by-gate application to rounding, not bit for bit.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; identical seeds give
 bitwise-identical sample streams on every platform.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import PHASE_KINDS, Circuit, CircuitError, GateKind, InvalidWidth, validate
+from .circuit import PHASE_KINDS, Circuit, CircuitError, GateKind, InvalidWidth, qft_gates, validate
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
@@ -221,21 +223,58 @@ def _cswap(tensor: np.ndarray, n: int, control: int, a: int, b: int) -> None:
     v[1, 0, 1], v[1, 1, 0] = v[1, 1, 0].copy(), v[1, 0, 1].copy()
 
 
+def _fourier(tensor: np.ndarray, n: int, inverse: bool) -> None:
+    """The Fourier transform omega^{jk}/sqrt(2^n), omega = e^{2 pi i/2^n}
+    (numpy's orthonormal `ifft`), or with `inverse` its conjugate transpose
+    (`fft`), over the 2^n state index of each batch column, written back in
+    place; numpy's scratch copy of the input is the one temporary."""
+    flat = tensor.reshape(1 << n, -1)
+    transform = np.fft.fft if inverse else np.fft.ifft
+    transform(flat, axis=0, norm="ortho", out=flat)
+
+
+def _fourier_block(gates: list, start: int, n: int) -> tuple[bool, int] | None:
+    """(inverse, stop) when gates[start:stop] is exactly the gate list of
+    `build_qft(n, inverse)`: the same kinds, qubits and bit-identical angles,
+    closing swaps included.  gates[start] is a Hadamard or a Swap, the gates
+    a forward and an inverse block open with."""
+    inverse = gates[start].kind is GateKind.SWAP
+    template = qft_gates(n, inverse)
+    stop = start + len(template)
+    if stop <= len(gates) and all(
+            gate.kind is kind and gate.qubits == qubits and gate.angle == angle
+            for gate, (kind, qubits, angle) in zip(gates[start:stop], template)):
+        return inverse, stop
+    return None
+
+
 def _compile(circuit: Circuit) -> list:
     """The plan of a validated circuit: a list of (kernel, args) ops.
 
-    Each maximal run of Phase/ControlledPhase/RotationZ gates becomes one
-    `_diagonal` op holding the run's summed constant, per-qubit and pairwise
-    angles.  Each Hadamard is a `_hadamard` op, a run of X gates or of CX gates
-    with one control is a `_flip`, a run of Swap gates a `_permute`, and each
-    controlled swap a `_cswap`.  The plan is compiled on every call
-    and holds nothing of size 2^n, so a circuit edited between calls is never
-    run from a stale plan.
+    A block of gates that is exactly `build_qft(n)` or `build_qft(n,
+    inverse=True)` over the circuit's full width n becomes one `_fourier` op;
+    a block that differs by one gate, one angle bit or its width is not
+    matched and runs gate by gate.  Each maximal run of
+    Phase/ControlledPhase/RotationZ gates becomes one `_diagonal` op holding
+    the run's summed constant, per-qubit and pairwise angles.  Each Hadamard
+    is a `_hadamard` op, a run of X gates or of CX gates with one control is a
+    `_flip`, a run of Swap gates a `_permute`, and each controlled swap a
+    `_cswap`.  The plan is compiled on every call and holds nothing of size
+    2^n, so a circuit edited between calls is never run from a stale plan.
     """
     n = circuit.n_qubits
+    gates = circuit.gates
     ops: list = []
-    for gate in circuit.gates:
+    i = 0
+    while i < len(gates):
+        gate = gates[i]
         kind, qubits = gate.kind, gate.qubits
+        block = _fourier_block(gates, i, n) if kind in (GateKind.HADAMARD, GateKind.SWAP) else None
+        if block is not None:
+            inverse, i = block
+            ops.append((_fourier, (inverse,)))
+            continue
+        i += 1
         last_kernel, last_args = ops[-1] if ops else (None, ())
         if kind in PHASE_KINDS:
             if last_kernel is not _diagonal:
@@ -304,16 +343,17 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
     The plan's data movements (flips, transposes, controlled swaps) run on the
     basis labels 0..2^n-1 while its diagonal ops are skipped; the circuit is
     diagonal if every label ends where it started, and its plan applied to the
-    all-ones vector is then the diagonal.  Any Hadamard raises NotDiagonal,
-    even a pair that cancels; use `extract_unitary` for such circuits.
+    all-ones vector is then the diagonal.  Any Hadamard or Fourier op raises
+    NotDiagonal, even a pair that cancels; use `extract_unitary` for such
+    circuits.
     """
     validate(circuit)
     n = circuit.n_qubits
     labels = np.arange(1 << n)
     tensor = labels.reshape([2] * n + [-1])
     for kernel, args in _compile(circuit):
-        if kernel is _hadamard:
-            raise NotDiagonal("a Hadamard maps basis states to superpositions")
+        if kernel in (_hadamard, _fourier):
+            raise NotDiagonal("a Hadamard or Fourier transform maps basis states to superpositions")
         if kernel is not _diagonal:
             kernel(tensor, n, *args)
     in_place = np.array_equal(labels, np.arange(1 << n))
@@ -333,10 +373,12 @@ def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:
 
 
 def fidelity_exact(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2."""
+    """|<a|b>|^2, clamped to 1: Cauchy-Schwarz bounds it by 1 for unit
+    states, but rounding alone puts |<a|a>|^2 above 1 by an ulp or two for
+    about a fifth of random unit states."""
     if a.n_qubits != b.n_qubits:
         raise InvalidWidth(f"state widths differ: {a.n_qubits} vs {b.n_qubits}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return min(1.0, float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2))
 
 
 def index_bitstring(index: int, n_qubits: int) -> str:

@@ -378,10 +378,10 @@ _GOLDEN = {
     "evolve": (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
-            '0,00,0.0014644433274901072,-0.0019858057703447977,6.088018816964994e-06\n'
-            '1,01,-0.5705755997614914,-0.4216437403307701,0.5033399588033076\n'
-            '2,10,-0.5624016031838417,0.4246790575191991,0.4966478651591506\n'
-            '3,11,-0.0014888301518523684,-0.001967588245279133,6.088018724025364e-06\n'
+            '0,00,0.0014644433274900194,-0.001985805770344754,6.088018816964562e-06\n'
+            '1,01,-0.5705755997614916,-0.42164374033077034,0.503339958803308\n'
+            '2,10,-0.5624016031838419,0.4246790575191991,0.49664786515915077\n'
+            '3,11,-0.0014888301518523666,-0.0019675882452791353,6.088018724025368e-06\n'
         ),
         "step_001_hist.csv": (
             'bitstring,count,frequency\n'
@@ -393,7 +393,7 @@ _GOLDEN = {
         "summary.csv": (
             'step,exact_fidelity,swap_fidelity,norm\n'
             '0,0.9999999999999998,1.0,0.9999999999999999\n'
-            '1,0.9999999999999991,1.0,0.9999999999999996\n'
+            '1,1.0,1.0,0.9999999999999999\n'
         ),
     }),
     "metrics": (["metrics", "--qubits", "6..7"], {
@@ -406,18 +406,18 @@ _GOLDEN = {
     "fidelity": (["fidelity", "--qubits", "2..3", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
         "fidelity.csv": (
             'n,mode,Nt,exact,swap_estimate,std_error,reference,deviation_note\n'
-            '2,centered,1,0.9423214502329914,0.6000000000000001,0.12649110640673517,,\n'
-            '3,centered,1,0.9867116251971624,1.0,0.0,0.73,deviates from reference 0.73 by 0.257\n'
+            '2,centered,1,0.9423214502329921,0.6000000000000001,0.12649110640673517,,\n'
+            '3,centered,1,0.986711625197163,1.0,0.0,0.73,deviates from reference 0.73 by 0.257\n'
         ),
     }),
     "evolve-potential": (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1",
                           "--shots", "10", "--potential", "multi", "--positions", "0,1"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
-            '0,00,0.0012588774348546708,-0.0021220853939849468,6.0880188153505236e-06\n'
-            '1,01,-0.5705755997614905,-0.4216437403307737,0.5033399588033095\n'
-            '2,10,-0.5624016031838429,0.42467905751919566,0.49664786515914905\n'
-            '3,11,-0.0012849611463656365,-0.002106393500263189,6.088018725620302e-06\n'
+            '0,00,0.0012588774348545983,-0.0021220853939849104,6.088018815350186e-06\n'
+            '1,01,-0.5705755997614905,-0.42164374033077373,0.5033399588033095\n'
+            '2,10,-0.562401603183843,0.4246790575191958,0.4966478651591492\n'
+            '3,11,-0.001284961146365584,-0.0021063935002631445,6.088018725619978e-06\n'
         ),
         "step_001_hist.csv": (
             'bitstring,count,frequency\n'
@@ -429,7 +429,7 @@ _GOLDEN = {
         "summary.csv": (
             'step,exact_fidelity,swap_fidelity,norm\n'
             '0,0.9999999999999998,1.0,0.9999999999999999\n'
-            '1,0.9999999999999996,1.0,0.9999999999999997\n'
+            '1,1.0,1.0,0.9999999999999999\n'
         ),
     }),
     "metrics-json": (["metrics", "--qubits", "6..7", "--format", "json"], {

@@ -28,7 +28,15 @@ from qpyramid.grids import (
     momentum_samples,
     potential_profile,
 )
-from qpyramid.simulator import StateVector, extract_unitary, fidelity_exact, run
+from qpyramid.simulator import (
+    StateVector,
+    _compile,
+    _fourier,
+    _hadamard,
+    extract_unitary,
+    fidelity_exact,
+    run,
+)
 
 from oracles import centered_transform_matrix
 
@@ -127,6 +135,14 @@ def test_transform_rejects_unknown_mode():
 
 
 # --- single step circuit ---
+
+
+@pytest.mark.parametrize("mode", ["centered", "paper"])
+def test_step_runs_both_transforms_as_fourier_ops(mode):
+    config = _config(n=6, mode=mode, potential=PotentialSpec.multi_step(0.5, (0, 2)))
+    kernels = [kernel for kernel, _ in _compile(trotter_step_circuit(config))]
+    assert kernels.count(_fourier) == 2
+    assert _hadamard not in kernels
 
 
 def test_step_identity_at_zero_dt():

@@ -158,6 +158,16 @@ def test_potential_malformed():
             PotentialSpec.single_step(bad)
 
 
+def test_potential_positions_must_be_integers():
+    # a non-integer position used to be truncated by int(): 0.7 -> 0, True -> 1
+    for bad in ((0.7,), (True,), (1.0,), (np.float64(2.0),), ("1",), (0, False)):
+        with pytest.raises(GridError):
+            PotentialSpec(1.0, bad)
+    positions = PotentialSpec(1.0, (np.int64(2), 0, np.uint8(1))).qubit_positions
+    assert positions == (2, 0, 1)
+    assert all(type(q) is int for q in positions)
+
+
 def test_profile_csv(tmp_path):
     profile = kinetic_phase_profile(Grid(10.0, 3), 0.1)
     path = tmp_path / "profile.csv"

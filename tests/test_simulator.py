@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from qpyramid import simulator
 from qpyramid.analysis import write_table
-from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
+from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth, build_qft
 from qpyramid.simulator import (
     _compile,
     _cswap,
     _diagonal,
     _flip,
+    _fourier,
     _hadamard,
     _permute,
     Histogram,
@@ -150,6 +151,9 @@ def test_extract_diagonal_rejects_hadamard():
     # H.H is the identity, but extract_diagonal does not track Hadamards
     with pytest.raises(NotDiagonal):
         extract_diagonal(Circuit(3).h(0).h(0))
+    # nor Fourier ops: QFT . QFT^-1 is the identity
+    with pytest.raises(NotDiagonal):
+        extract_diagonal(build_qft(3).extend(build_qft(3, inverse=True)))
 
 
 DIAG_TOL = 1e-10  # off-diagonal magnitude at which a unitary counts as non-diagonal
@@ -269,6 +273,94 @@ def test_plan_uses_only_the_five_kernels():
     assert kernels.count(_cswap) == 1
 
 
+def test_plan_runs_each_fourier_block_as_one_op():
+    circuit = Circuit(3).x(0).h(1).p(2, 0.3).cswap(0, 1, 2)
+    circuit.extend(build_qft(3))
+    circuit.cp(0, 1, 0.4).cx(0, 2).swap(1, 2).rz(1, 0.5)
+    circuit.extend(build_qft(3, inverse=True))
+    kernels = [kernel for kernel, _ in _compile(circuit)]
+    assert set(kernels) == {_diagonal, _hadamard, _flip, _permute, _cswap, _fourier}
+    assert kernels.count(_fourier) == 2
+    assert kernels.count(_hadamard) == 1
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_build_qft_compiles_to_one_fourier_op(n):
+    # test_encoders checks these circuits' unitaries against the dense DFT
+    assert _compile(build_qft(n)) == [(_fourier, (False,))]
+    assert _compile(build_qft(n, inverse=True)) == [(_fourier, (n > 1,))]  # at n = 1 both are one H
+
+
+@st.composite
+def _circuits_with_fourier_blocks(draw):
+    """random_circuit segments at 2 <= n <= 6 with one to three whole Fourier
+    blocks, forward or inverse, between them; returns (circuit, blocks)."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuit = random_circuit(n, int(rng.integers(0, 12)), rng)
+    blocks = draw(st.integers(1, 3))
+    for _ in range(blocks):
+        circuit.extend(build_qft(n, inverse=draw(st.booleans())))
+        circuit.extend(random_circuit(n, int(rng.integers(0, 12)), rng))
+    return circuit, blocks
+
+
+@settings(max_examples=100)
+@given(_circuits_with_fourier_blocks())
+def test_fourier_blocks_match_kron_oracle(case):
+    circuit, blocks = case
+    assert [kernel for kernel, _ in _compile(circuit)].count(_fourier) == blocks
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+
+
+def _one_ulp_off(gates, index):
+    gate = gates[index]
+    moved = Gate(gate.kind, gate.qubits, float(np.nextafter(gate.angle, np.inf)))
+    return gates[:index] + [moved] + gates[index + 1:]
+
+
+def _near_misses(n, inverse):
+    """Gate lists that differ from build_qft(n, inverse) by one angle ulp, by
+    the block's last swap, or by their width (build_qft(n - 1) on qubits 0..n-2)."""
+    gates = build_qft(n, inverse).gates
+    angled = [i for i, gate in enumerate(gates) if gate.angle is not None]
+    swaps = [i for i, gate in enumerate(gates) if gate.kind is GateKind.SWAP]
+    yield from (_one_ulp_off(gates, i) for i in angled)
+    yield gates[:swaps[-1]] + gates[swaps[-1] + 1:]
+    yield build_qft(n - 1, inverse).gates
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_fourier_near_misses_run_gate_by_gate(n, inverse):
+    for gates in _near_misses(n, inverse):
+        circuit = Circuit(n, gates)
+        assert _fourier not in [kernel for kernel, _ in _compile(circuit)]
+        np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14])
+def test_fourier_op_agrees_with_gate_level_plan(n, inverse):
+    # the reference runs the same gates as two calls that split the block, so
+    # neither half holds a whole block and both run gate by gate
+    rng = np.random.default_rng(n)
+    head = random_circuit(n, 6, rng, list(_PHASE_TYPE))
+    block = build_qft(n, inverse).gates
+    tail = random_circuit(n, 6, rng, list(_PHASE_TYPE))
+    circuit = Circuit(n, head.gates + block + tail.gates, global_phase=tail.global_phase)
+    cut = len(head.gates) + len(block) // 2
+    first = Circuit(n, circuit.gates[:cut])
+    second = Circuit(n, circuit.gates[cut:], global_phase=circuit.global_phase)
+    assert [kernel for kernel, _ in _compile(circuit)].count(_fourier) == 1
+    assert _fourier not in [kernel for kernel, _ in _compile(first) + _compile(second)]
+    dim = 1 << n
+    state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    expected = run(second, run(first, state)).amplitudes
+    np.testing.assert_allclose(run(circuit, state).amplitudes, expected, rtol=0, atol=1e-12)
+
+
 def test_extract_diagonal_accepts_controlled_swaps_that_cancel():
     circuit = Circuit(3).cswap(0, 1, 2).p(1, 0.7).cp(0, 2, -0.2).cswap(0, 1, 2)
     diagonal = extract_diagonal(circuit)
@@ -366,6 +458,17 @@ def test_fidelity_identical_orthogonal_and_half():
     assert fidelity_exact(a, a) == pytest.approx(1.0)
     assert fidelity_exact(a, b) == pytest.approx(0.0)
     assert fidelity_exact(a, plus) == pytest.approx(0.5)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_fidelity_exact_is_a_probability(n, seed, same):
+    # |<a|a>|^2 rounds above 1 for about a fifth of random unit states
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    a, b = (StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            for _ in range(2))
+    assert 0.0 <= fidelity_exact(a, a if same else b) <= 1.0
 
 
 def test_fidelity_width_mismatch():
