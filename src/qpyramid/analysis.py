@@ -1,11 +1,12 @@
 """Swap-test fidelity estimation, closed-form error budget, report emission."""
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .circuit import InvalidWidth
 from .simulator import RandomSource, StateVector, fidelity_exact
@@ -113,15 +114,68 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _mirrored(column) -> bool:
+    """A float64 array that reads the same reversed, compared bit for bit, so
+    0.0 and -0.0 differ and one ulp breaks the symmetry."""
+    if column.dtype != np.float64 or column.ndim != 1:
+        return False
+    bits = column.view(np.int64)
+    return np.array_equal(bits, bits[::-1])
+
+
+def _mirrored_chunks(column):
+    """Cells of each chunk of a column equal to its reverse.  Only rows below
+    N - N // 2 are formatted; row r of the second half reuses the text of row
+    N-1-r.  The cells of rows below N // 2 are held as one newline-joined
+    string per chunk, which the second half splits again and reverses."""
+    n = len(column)
+    low, half = n // 2, n - n // 2
+    held = []   # joined text of rows [0, low), one string per chunk
+    spare = []  # cells of the last split string not yet reused
+    for a in range(0, n, TABLE_CHUNK_ROWS):
+        b = min(a + TABLE_CHUNK_ROWS, n)
+        cells = list(map(repr, column[a:min(b, half)].tolist()))
+        if a < low:
+            held.append("\n".join(cells[:low - a]))
+        need = b - max(a, half)
+        while need > 0:
+            if not spare:
+                spare = held.pop().split("\n")
+            k = min(need, len(spare))
+            cells += reversed(spare[-k:])
+            del spare[-k:]
+            need -= k
+        yield cells
+
+
+def _column_chunks(column):
+    """The cells of one column, TABLE_CHUNK_ROWS rows at a time."""
+    if isinstance(column, np.ndarray):
+        if _mirrored(column):
+            return _mirrored_chunks(column)
+        cells = lambda a, b: map(repr, column[a:b].tolist())
+    elif isinstance(column, range):
+        cells = lambda a, b: map(str, column[a:b])
+    else:
+        cells = lambda a, b: map(_format_cell, column[a:b])
+    return (cells(a, a + TABLE_CHUNK_ROWS) for a in range(0, len(column), TABLE_CHUNK_ROWS))
+
+
 def write_table(path, header: list[str], columns) -> None:
-    """CSV table with one iterable per column: floats in shortest round-trip
-    repr, None as an empty cell.  Rows are formatted and written
-    TABLE_CHUNK_ROWS at a time, so no string of the whole table is built."""
-    rows = zip(*columns)
+    """CSV table with one sequence per column: floats in shortest round-trip
+    repr, None as an empty cell.  Each chunk of TABLE_CHUNK_ROWS rows is
+    formatted column by column and written at once, so no string of the whole
+    table is built.  A float64 array column equal to its reverse, bit for bit,
+    is formatted once per mirrored pair of rows."""
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError("table columns differ in length")
+    chunks = [_column_chunks(column) for column in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, TABLE_CHUNK_ROWS)):
-            fh.write("".join(",".join(map(_format_cell, row)) + "\n" for row in chunk))
+        for cells in zip(*chunks):
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 REPORT_HEADERS = {

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,6 +32,17 @@ class ArityMismatch(CircuitError):
 
 class InvalidWidth(CircuitError):
     """Operation requested for an unsupported qubit count."""
+
+
+def exact_int(value, error: type[ValueError], what: str) -> int:
+    """`value` as a Python int.  Any integer type is accepted; a bool, a float
+    (even 1.0) or a string raises `error`, instead of being truncated."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{what} {value!r} is not an integer")
 
 
 class GateKind(Enum):
@@ -76,7 +88,8 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits",
+                           tuple(exact_int(q, CircuitError, "qubit") for q in self.qubits))
 
 
 @dataclass
@@ -89,6 +102,9 @@ class Circuit:
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     global_phase: float = 0.0
+
+    def __post_init__(self):
+        self.n_qubits = exact_int(self.n_qubits, InvalidWidth, "n_qubits")
 
     def _add(self, kind: GateKind, qubits: tuple[int, ...], angle: float | None = None) -> "Circuit":
         self.gates.append(Gate(kind, qubits, angle))
@@ -235,7 +251,7 @@ def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
     kinds = {k.value: k for k in GateKind}
     gates = [Gate(kinds[g["kind"]], tuple(g["qubits"]), g.get("angle")) for g in data["gates"]]
-    circuit = Circuit(int(data["n_qubits"]), gates, float(data.get("global_phase", 0.0)))
+    circuit = Circuit(data["n_qubits"], gates, float(data.get("global_phase", 0.0)))
     validate(circuit)
     return circuit
 

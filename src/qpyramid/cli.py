@@ -285,10 +285,9 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
         fh.write(circuit_to_json(circuit) + "\n")
     for name, values in (("diagonal.csv", diagonal), ("target.csv", target)):
         write_table(os.path.join(out, name), ["index", "re", "im", "phase"],
-                    [range(len(values)), values.real.tolist(), values.imag.tolist(),
-                     np.angle(values).tolist()])
+                    [range(len(values)), values.real, values.imag, np.angle(values)])
     write_table(os.path.join(out, "profile.csv"), ["index", "theta"],
-                [range(len(profile)), profile.thetas.tolist()])
+                [range(len(profile)), profile.thetas])
     _write_manifest()
     click.echo(f"wrote circuit.json, diagonal.csv, target.csv, profile.csv to {out}")
 

@@ -292,10 +292,11 @@ def export_evolution_result(result: EvolutionResult, out_dir) -> list[str]:
     bitstrings = [index_bitstring(i, n) for i in indices]
     for step, state in enumerate(result.states):
         state_path = os.path.join(out_dir, f"step_{step:03d}_state.csv")
-        amplitudes = state.amplitudes.tolist()
+        amplitudes = state.amplitudes
+        # probability stays Python's abs(a) ** 2: numpy's |a|^2 routes differ in the last bit
         write_table(state_path, ["index", "bitstring", "real", "imag", "probability"],
-                    [indices, bitstrings, [a.real for a in amplitudes], [a.imag for a in amplitudes],
-                     [abs(a) ** 2 for a in amplitudes]])
+                    [indices, bitstrings, amplitudes.real, amplitudes.imag,
+                     [abs(a) ** 2 for a in amplitudes.tolist()]])
         written.append(state_path)
         hist_path = os.path.join(out_dir, f"step_{step:03d}_hist.csv")
         histogram = result.histograms[step]

@@ -8,11 +8,11 @@ evolution driver's phase ramps compensate for.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import exact_int
 from .simulator import StateVector
 
 
@@ -119,17 +119,6 @@ def gaussian_packet(grid: Grid, spec: PacketSpec) -> StateVector:
     return StateVector.from_amplitudes(amps)
 
 
-def _position(q) -> int:
-    """A qubit position as a Python int.  Any integer type is accepted; a
-    bool, a float (even 1.0) or a string is rejected, not truncated."""
-    try:
-        if not isinstance(q, bool):
-            return operator.index(q)
-    except TypeError:
-        pass
-    raise GridError(f"potential qubit position {q!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Step potential of barrier magnitude eta, one Z rotation per entry of
@@ -147,7 +136,8 @@ class PotentialSpec:
     def __post_init__(self):
         if not math.isfinite(self.eta):
             raise GridError(f"eta must be finite, got {self.eta}")
-        object.__setattr__(self, "qubit_positions", tuple(map(_position, self.qubit_positions)))
+        object.__setattr__(self, "qubit_positions", tuple(
+            exact_int(q, GridError, "potential qubit position") for q in self.qubit_positions))
 
     @staticmethod
     def none() -> "PotentialSpec":

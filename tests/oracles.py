@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the tests: gate matrices built from
 explicit Kronecker products and multiplied in order, with no shared code
 against the simulator's stride kernels; the dense position-to-momentum
-kernel; and the explicit swap-test circuit that the closed-form estimator is
-checked against."""
+kernel; the explicit swap-test circuit that the closed-form estimator is
+checked against; and a per-cell CSV writer that the column-wise table writer
+is checked against."""
 import math
 
 import numpy as np
@@ -143,3 +144,21 @@ def swap_test_probability(a: StateVector, b: StateVector) -> float:
     out = run(swap_test_circuit(a.n_qubits), _joint_state(a, b))
     half = 1 << (2 * a.n_qubits)
     return float(np.sum(np.abs(out.amplitudes[:half]) ** 2))
+
+
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # plain-float repr even for numpy scalars
+    return str(value)
+
+
+def reference_write_table(path, header: list[str], columns) -> None:
+    """Row-by-row, cell-by-cell CSV writer: the reference for
+    `analysis.write_table`, which formats column slices and reuses the text
+    of mirrored rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(_reference_cell, row)) + "\n")

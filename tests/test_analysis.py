@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from qpyramid.analysis import (
 from qpyramid.circuit import GateKind, InvalidWidth, count_gates
 from qpyramid.simulator import RandomSource, StateVector, fidelity_exact
 
-from oracles import swap_test_circuit, swap_test_probability
+from oracles import reference_write_table, swap_test_circuit, swap_test_probability
 
 
 def _random_state(n, rng):
@@ -281,16 +283,80 @@ def test_emit_report_empty_rows_headers_only(tmp_path):
     assert len((tmp_path / "fidelity.csv").read_text().splitlines()) == 1
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 3, 7, 9])
+def _palindromes(n_rows):
+    """A float64 column equal to its reverse, bit for bit; the same column one
+    ulp off at its first row; and the same with 0.0 against -0.0 at its first
+    mirrored pair.  Only the first takes the mirrored path."""
+    exact = np.array([math.sqrt(min(i, n_rows - 1 - i) + 0.5) for i in range(n_rows)])
+    ulp, zeros = exact.copy(), exact.copy()
+    if n_rows >= 2:
+        ulp[0] = np.nextafter(ulp[0], 0.0)
+        zeros[[0, -1]] = 0.0, -0.0
+    return exact, ulp, zeros
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 6, 7, 9, 10])
 def test_write_table_chunk_boundaries(tmp_path, monkeypatch, n_rows):
-    # chunks of 3 rows: empty, partial, exact and multi-chunk tables
+    # chunks of 3 rows: empty, partial, exact and multi-chunk tables, odd and
+    # even, with the mirror point inside a chunk and on a chunk boundary
     monkeypatch.setattr(analysis, "TABLE_CHUNK_ROWS", 3)
     floats = [i / 7 for i in range(n_rows)]
     notes = [None if i % 2 else f"r{i}" for i in range(n_rows)]
-    write_table(tmp_path / "t.csv", ["i", "x", "note"], [range(n_rows), floats, notes])
-    expected = ["i,x,note"] + [f"{i},{x!r},{'' if note is None else note}"
-                               for i, x, note in zip(range(n_rows), floats, notes)]
+    mirrored = _palindromes(n_rows)
+    assert [analysis._mirrored(c) for c in mirrored] == [True, n_rows < 2, n_rows < 2]
+    write_table(tmp_path / "t.csv", ["i", "x", "note", "a", "b", "c"],
+                [range(n_rows), floats, notes, *mirrored])
+    expected = ["i,x,note,a,b,c"] + [
+        f"{i},{x!r},{'' if note is None else note},{a!r},{b!r},{c!r}"
+        for i, x, note, a, b, c in zip(range(n_rows), floats, notes,
+                                       *(c.tolist() for c in mirrored))]
     assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+
+
+@st.composite
+def _tables(draw):
+    """A table whose float64 array columns are palindromes, exact or broken at
+    one row by one ulp or at one mirrored pair by the sign of zero, next to
+    range, string, None, integer and numpy-scalar columns."""
+    n = draw(st.integers(0, 40))
+    columns, exact = [range(n)], []
+    for strided in (False, True):
+        half = draw(st.lists(st.floats(allow_nan=False), min_size=(n + 1) // 2,
+                             max_size=(n + 1) // 2))
+        col = np.array(half + half[: n // 2][::-1], dtype=np.float64)
+        flaw = draw(st.sampled_from(["exact", "ulp", "zero"])) if n >= 2 else "exact"
+        r = draw(st.integers(0, n // 2 - 1)) if n >= 2 else 0
+        if flaw == "ulp":
+            col[r] = np.nextafter(col[r], 0.0 if col[r] else 1.0)
+        elif flaw == "zero":
+            col[r], col[n - 1 - r] = 0.0, -0.0
+        if strided:  # a .real view, as encode-ke passes it
+            col = col.astype(complex).real
+        columns.append(col)
+        exact.append(flaw == "exact")
+    ints = draw(st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n))
+    text = draw(st.lists(st.none() | st.text("abc_", max_size=3), min_size=n, max_size=n))
+    columns += [ints, text, np.arange(n) - 3, [np.float64(x) / 3 for x in range(n)]]
+    return columns, exact
+
+
+@settings(max_examples=100)
+@given(_tables(), st.sampled_from([1, 2, 3, 4, 5, 7]))
+def test_write_table_matches_per_cell_reference(table, chunk_rows):
+    columns, exact = table
+    assert [analysis._mirrored(c) for c in columns[1:3]] == exact
+    header = [f"c{k}" for k in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        fast, ref = pathlib.Path(tmp, "fast.csv"), pathlib.Path(tmp, "ref.csv")
+        mp.setattr(analysis, "TABLE_CHUNK_ROWS", chunk_rows)
+        write_table(fast, header, columns)
+        reference_write_table(ref, header, columns)
+        assert fast.read_bytes() == ref.read_bytes()
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "b"], [range(3), [0.5, 1.5]])
 
 
 def test_write_table_numpy_scalars_as_plain_floats(tmp_path):

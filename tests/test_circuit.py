@@ -7,6 +7,7 @@ import pytest
 from qpyramid.circuit import (
     ArityMismatch,
     Circuit,
+    CircuitError,
     DuplicateQubit,
     Gate,
     GateKind,
@@ -144,6 +145,22 @@ def test_json_round_trip_preserves_order_and_values():
     assert [g.kind for g in loaded.gates] == [g.kind for g in circuit.gates]
     assert [g.qubits for g in loaded.gates] == [g.qubits for g in circuit.gates]
     assert loaded.gates[1].angle == circuit.gates[1].angle  # bit-exact round trip
+
+
+def test_non_integer_qubits_and_widths_are_rejected():
+    # int() used to truncate these: True -> qubit 1, 1.9 -> qubit 1, 2.7 -> width 2
+    for bad in (True, 1.9, 1.0, np.float64(1.0), "1"):
+        with pytest.raises(CircuitError):
+            Gate(GateKind.HADAMARD, (bad,))
+        with pytest.raises(InvalidWidth):
+            Circuit(bad)
+    data = json.loads(circuit_to_json(Circuit(3).h(1)))
+    for bad in ({"n_qubits": 2.7}, {"gates": [{"kind": "Hadamard", "qubits": [1.9]}]}):
+        with pytest.raises(CircuitError):
+            circuit_from_json(json.dumps({**data, **bad}))
+    gate = Gate(GateKind.CONTROLLED_NOT, (np.int64(0), np.uint8(2)))
+    assert gate.qubits == (0, 2) and all(type(q) is int for q in gate.qubits)
+    assert type(Circuit(np.int64(3)).n_qubits) is int
 
 
 def test_json_angle_only_for_parametric_kinds():

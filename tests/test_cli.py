@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpyramid import analysis
 from qpyramid.cli import main
 from qpyramid.circuit import circuit_from_json
 
@@ -469,6 +470,34 @@ def test_table_bytes_golden(runner, tmp_path, args, tables):
     assert result.exit_code == 0, result.output
     for name, text in tables.items():
         assert (tmp_path / name).read_text() == text, name
+
+
+# SHA-256 of tables that span several write chunks: the mirror-symmetric
+# float columns of `encode-ke --qubits 16` (65536 rows) and the statevector of
+# `evolve --qubits 14` (16384 rows, no mirror symmetry).  Each command also
+# runs with 5000-row chunks, which put chunk edges inside the mirrored halves;
+# the bytes must not depend on the chunk size.
+_MULTI_CHUNK_GOLDEN = {
+    "encode-ke": (["encode-ke", "--qubits", "16"], {
+        "diagonal.csv": "c962eb996e7f4cd31116ca79748d68b32df98203b6a68c926426d94674849c79",
+        "target.csv": "0958fcbc4c7a2ab3c55dc709d943432c267f7ca8d1f980f1272d9f617e5b51a1",
+        "profile.csv": "957aaf43bfe7fdac9319ae774131a9d8bc8103aadeabf90e78d8fbc27094c3e9",
+    }),
+    "evolve": (["evolve", "--qubits", "14", "--steps", "1", "--trotter-steps", "1"], {
+        "step_001_state.csv": "5f079d1a47f5016ffab85c9e542b45689d76de2c0d68fbcbdb8be73043ccf343",
+    }),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [analysis.TABLE_CHUNK_ROWS, 5000])
+@pytest.mark.parametrize("args, digests", list(_MULTI_CHUNK_GOLDEN.values()),
+                         ids=list(_MULTI_CHUNK_GOLDEN))
+def test_multi_chunk_table_digests(runner, tmp_path, monkeypatch, args, digests, chunk_rows):
+    monkeypatch.setattr(analysis, "TABLE_CHUNK_ROWS", chunk_rows)
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # circuit.json of `encode-ke --qubits 3` for the two interpolating encoders:

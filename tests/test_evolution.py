@@ -379,6 +379,21 @@ def test_export_files_and_determinism(tmp_path):
     assert len(summary) == 3
 
 
+def test_export_probability_is_python_abs_squared(tmp_path):
+    # numpy's |a|^2 routes each differ from Python's abs(a) ** 2 in the last
+    # bit of some entries; the probability column keeps Python's bytes
+    result = evolve_quantum(_config(n=5, total_steps=1, shots=100))
+    export_evolution_result(result, tmp_path)
+    amplitudes = result.states[1].amplitudes
+    python = [abs(a) ** 2 for a in amplitudes.tolist()]
+    for route in (np.abs(amplitudes) ** 2, amplitudes.real ** 2 + amplitudes.imag ** 2,
+                  result.states[1].probabilities()):
+        assert route.tolist() != python
+    rows = (tmp_path / "step_001_state.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [
+        [repr(a.real), repr(a.imag), repr(p)] for a, p in zip(amplitudes.tolist(), python)]
+
+
 def test_config_validation():
     with pytest.raises(GridError):
         _config(mode="other")
