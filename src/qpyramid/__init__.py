@@ -23,9 +23,11 @@ from .circuit import (
 from .simulator import (
     Histogram,
     NotDiagonal,
+    Plan,
     RandomSource,
     StateVector,
     WidthTooLarge,
+    compile_circuit,
     extract_diagonal,
     extract_unitary,
     fidelity_exact,

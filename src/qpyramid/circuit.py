@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -156,13 +157,13 @@ def validation_error(circuit: Circuit) -> CircuitError | None:
     """Return the first invariant violation, or None if the circuit is well formed."""
     if circuit.n_qubits < 1:
         return InvalidWidth(f"n_qubits must be positive, got {circuit.n_qubits}")
-    if not math.isfinite(circuit.global_phase):
-        return CircuitError("global_phase is not finite")
+    if not (isinstance(circuit.global_phase, numbers.Real) and math.isfinite(circuit.global_phase)):
+        return CircuitError(f"global_phase {circuit.global_phase!r} is not a finite number")
     for i, gate in enumerate(circuit.gates):
         if len(gate.qubits) != gate.kind.arity:
             return ArityMismatch(f"gate {i} ({gate.kind.value}) expects {gate.kind.arity} qubits, got {len(gate.qubits)}")
         if gate.kind.parametric:
-            if gate.angle is None or not math.isfinite(gate.angle):
+            if not (isinstance(gate.angle, numbers.Real) and math.isfinite(gate.angle)):
                 return ArityMismatch(f"gate {i} ({gate.kind.value}) requires a finite angle")
         elif gate.angle is not None:
             return ArityMismatch(f"gate {i} ({gate.kind.value}) takes no angle")
@@ -248,10 +249,16 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    data = json.loads(text)
-    kinds = {k.value: k for k in GateKind}
-    gates = [Gate(kinds[g["kind"]], tuple(g["qubits"]), g.get("angle")) for g in data["gates"]]
-    circuit = Circuit(data["n_qubits"], gates, float(data.get("global_phase", 0.0)))
+    """The circuit `circuit_to_json` wrote.  Malformed JSON, a missing field,
+    an unknown gate kind or a value of the wrong type raises CircuitError."""
+    try:
+        data = json.loads(text)
+        gates = [Gate(GateKind(g["kind"]), tuple(g["qubits"]), g.get("angle")) for g in data["gates"]]
+        circuit = Circuit(data["n_qubits"], gates, float(data.get("global_phase", 0.0)))
+    except CircuitError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise CircuitError(f"malformed circuit JSON: {err!r}") from err
     validate(circuit)
     return circuit
 

@@ -44,6 +44,7 @@ from .simulator import (
     Histogram,
     RandomSource,
     StateVector,
+    compile_circuit,
     fidelity_exact,
     index_bitstring,
     run,
@@ -201,10 +202,12 @@ def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
 
 
 def _circuit_states(config: EvolutionConfig) -> Iterator[StateVector]:
-    """Circuit-evolved state at every reported step, initial packet first."""
-    step_circuit = trotter_step_circuit(config)
+    """Circuit-evolved state at every reported step, initial packet first.
+    The substep is compiled once and its plan run trotter_steps times per
+    reported step."""
+    step = compile_circuit(trotter_step_circuit(config))
     initial = gaussian_packet(config.grid, config.packet)
-    return _split_step_states(initial, lambda state: run(step_circuit, state), config)
+    return _split_step_states(initial, lambda state: run(step, state), config)
 
 
 def evolve_quantum(config: EvolutionConfig) -> EvolutionResult:

@@ -1,15 +1,22 @@
 """Dense statevector engine: circuit plans, unitary/diagonal extraction, sampling.
 
 Amplitude arrays are complex128 of length 2^n with qubit 0 as the most
-significant bit of the basis index.  A circuit runs as a plan compiled on
-each call: one in-place FFT per block that is exactly `build_qft(n)` or its
-inverse over the full width (a near miss runs gate by gate), one diagonal op
-per run of phase-type gates, an in-place butterfly per Hadamard, one data
-movement per run of X, same-control CX or Swap gates, and one per controlled
-swap.  Ops act on a rank-n tensor view (one axis per qubit plus a trailing
-batch axis), so the same code drives single states, column-batched unitaries
-and the basis labels that `extract_diagonal` tracks.  Results equal
-gate-by-gate application to rounding, not bit for bit.
+significant bit of the basis index.  A circuit runs as a list of ops: one
+in-place FFT per block that is exactly `build_qft(n)` or its inverse over the
+full width (a near miss runs gate by gate), one diagonal op per run of
+phase-type gates, an in-place butterfly per Hadamard, one data movement per
+run of X, same-control CX or Swap gates, and one per controlled swap.  Ops
+act on a rank-n tensor view (one axis per qubit plus a trailing batch axis),
+so the same code drives single states, column-batched unitaries and the
+basis labels that `extract_diagonal` tracks.  Results equal gate-by-gate
+application to rounding, not bit for bit.
+
+`compile_circuit` validates and compiles a circuit once into an immutable
+`Plan` that holds each diagonal op's finished phase tables, for a circuit
+that runs many times.  `run` takes a `Plan` or a `Circuit`; a `Circuit` is
+validated and compiled on every call, and its phase tables are built one at
+a time as the ops run and dropped after, so a plan costs memory only where
+one is held, and results are bit-identical either way.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; identical seeds give
 bitwise-identical sample streams on every platform.
@@ -17,11 +24,12 @@ bitwise-identical sample streams on every platform.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import PHASE_KINDS, Circuit, CircuitError, GateKind, InvalidWidth, qft_gates, validate
+from .circuit import PHASE_KINDS, Circuit, CircuitError, Gate, GateKind, InvalidWidth, qft_gates, validate
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
@@ -128,7 +136,8 @@ def _phase_table(qubits: list, const, linear: dict, rows: dict) -> np.ndarray:
     the table.  Extended precision keeps the products' error far below one
     complex128 rounding, so each entry is the exponential of its angle sum
     rounded once.  (Where numpy's long double is plain double, as on some
-    non-x86 platforms, entries are off by a few roundings instead.)
+    non-x86 platforms, entries are off by a few roundings instead.)  The
+    result is read-only.
     """
     table = np.empty(1 << len(qubits), dtype=np.clongdouble)
     table[0] = const
@@ -153,18 +162,23 @@ def _phase_table(qubits: list, const, linear: dict, rows: dict) -> np.ndarray:
                 block *= 2
             upper *= lower
         size *= 2
-    return table.astype(np.complex128)
+    table = table.astype(np.complex128)
+    table.flags.writeable = False
+    return table
 
 
-def _diagonal(tensor: np.ndarray, n: int, terms: dict) -> None:
-    """Multiply by exp(i * sum of terms): `terms` maps () to a constant angle,
-    (q,) to the angle of bit q, and (q, r) with q < r to that of b_q b_r.
+def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
+    """The (index, table) halves that `_diagonal` multiplies by to apply
+    exp(i * sum of terms), each built when it is reached: `terms` maps () to
+    a constant angle, (q,) to the angle of bit q, and (q, r) with q < r to
+    that of b_q b_r.
 
     With lo the lowest qubit in a term, the halves where qubit lo is 0 and 1
-    each get a `_phase_table` of the terms that hold there, over only the
-    qubits those terms touch, broadcast over the others.  A half where no term
-    holds is skipped (for a Fourier cascade, the half where the target bit
-    is 0), so a table never has more than 2^(n-1) entries.
+    each get a read-only `_phase_table` of the terms that hold there, over
+    only the qubits those terms touch, shaped to broadcast over the others.
+    A half where no term holds is left out (for a Fourier cascade, the half
+    where the target bit is 0), so a table never has more than 2^(n-1)
+    entries.
     """
     factors = np.exp(1j * np.array(list(terms.values()), dtype=np.longdouble))
     lo = min(q for key in terms for q in key)
@@ -185,8 +199,15 @@ def _diagonal(tensor: np.ndarray, n: int, terms: dict) -> None:
         shape = [1] * (n - lo)  # qubits lo+1..n-1, then the batch axis
         for q in touched:
             shape[q - lo - 1] = 2
-        half = tensor[(slice(None),) * lo + (bit,)]
-        half *= _phase_table(touched, const, linear, rows).reshape(shape)
+        yield (slice(None),) * lo + (bit,), _phase_table(touched, const, linear, rows).reshape(shape)
+
+
+def _diagonal(tensor: np.ndarray, n: int, halves: Iterable[tuple]) -> None:
+    """Multiply each (index, table) half from `_phase_tables` in place."""
+    for index, table in halves:
+        half = tensor[index]
+        half *= table
+        del table  # dropped before a lazy `halves` builds the next one
 
 
 def _hadamard(tensor: np.ndarray, n: int, q: int) -> None:
@@ -200,7 +221,7 @@ def _hadamard(tensor: np.ndarray, n: int, q: int) -> None:
     np.multiply(diff, _SQRT2_INV, out=hi)
 
 
-def _flip(tensor: np.ndarray, n: int, control: int | None, targets: set) -> None:
+def _flip(tensor: np.ndarray, n: int, control: int | None, targets: frozenset) -> None:
     """Flip the target bits, where `control` is 1 if there is a control: a run
     of X gates, or of CX gates sharing their control, as one data movement."""
     if not targets:
@@ -212,9 +233,9 @@ def _flip(tensor: np.ndarray, n: int, control: int | None, targets: set) -> None
     tensor[...] = np.flip(tensor, axes)
 
 
-def _permute(tensor: np.ndarray, n: int, perm: list) -> None:
+def _permute(tensor: np.ndarray, n: int, perm: tuple) -> None:
     """Move qubit axis perm[q] to axis q: a run of Swap gates as one transpose."""
-    tensor[...] = tensor.transpose(perm + [n])
+    tensor[...] = tensor.transpose(perm + (n,))
 
 
 def _cswap(tensor: np.ndarray, n: int, control: int, a: int, b: int) -> None:
@@ -249,18 +270,17 @@ def _fourier_block(gates: list, start: int, n: int) -> tuple[bool, int] | None:
 
 
 def _compile(circuit: Circuit) -> list:
-    """The plan of a validated circuit: a list of (kernel, args) ops.
+    """The ops of a validated circuit: a list of (kernel, args) pairs.
 
     A block of gates that is exactly `build_qft(n)` or `build_qft(n,
     inverse=True)` over the circuit's full width n becomes one `_fourier` op;
     a block that differs by one gate, one angle bit or its width is not
     matched and runs gate by gate.  Each maximal run of
     Phase/ControlledPhase/RotationZ gates becomes one `_diagonal` op holding
-    the run's summed constant, per-qubit and pairwise angles.  Each Hadamard
-    is a `_hadamard` op, a run of X gates or of CX gates with one control is a
-    `_flip`, a run of Swap gates a `_permute`, and each controlled swap a
-    `_cswap`.  The plan is compiled on every call and holds nothing of size
-    2^n, so a circuit edited between calls is never run from a stale plan.
+    the run's summed constant, per-qubit and pairwise angles, which
+    `_finished` turns into its phase tables.  Each Hadamard is a `_hadamard`
+    op, a run of X gates or of CX gates with one control is a `_flip`, a run
+    of Swap gates a `_permute`, and each controlled swap a `_cswap`.
     """
     n = circuit.n_qubits
     gates = circuit.gates
@@ -289,41 +309,81 @@ def _compile(circuit: Circuit) -> list:
             ops.append((_hadamard, qubits))
         elif kind in (GateKind.PAULI_X, GateKind.CONTROLLED_NOT):
             control = qubits[0] if kind is GateKind.CONTROLLED_NOT else None
-            if last_kernel is not _flip or last_args[0] != control:
-                last_args = (control, set())
-                ops.append((_flip, last_args))
-            last_args[1].symmetric_difference_update({qubits[-1]})
+            targets = frozenset()
+            if last_kernel is _flip and last_args[0] == control:
+                targets = ops.pop()[1][1]
+            ops.append((_flip, (control, targets ^ {qubits[-1]})))
         elif kind is GateKind.SWAP:
-            if last_kernel is not _permute:
-                last_args = (list(range(n)),)
-                ops.append((_permute, last_args))
-            perm = last_args[0]
+            perm = list(ops.pop()[1][0] if last_kernel is _permute else range(n))
             a, b = qubits
             perm[a], perm[b] = perm[b], perm[a]
+            ops.append((_permute, (tuple(perm),)))
         else:
             ops.append((_cswap, qubits))
     return ops
 
 
-def _apply_circuit_raw(amplitudes: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Apply a validated circuit to a raw array (any norm, optional trailing
-    batch axes) by executing its plan; returns a new array."""
+def _finished(n: int, ops, tables=iter) -> Iterator[tuple]:
+    """Each of `ops` ready to run, as it is reached: a `_diagonal` op's summed
+    angles become its `_phase_tables`, collected by `tables`, and any other
+    op is passed on as it is.  With `iter` each half table is built only when
+    `_diagonal` multiplies by it and is dropped before the next is built, so
+    no more than one is alive and the allocator reuses its pages instead of
+    faulting in fresh ones; `tuple` builds them all now, for a plan to hold."""
+    for kernel, args in ops:
+        yield (kernel, (tables(_phase_tables(n, *args)),)) if kernel is _diagonal else (kernel, args)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A validated circuit compiled once, to run any number of times: a
+    snapshot of its gates and global phase, and its finished ops, whose
+    phase tables are read-only.  Gates added to the circuit later do not
+    reach the plan.  Each `_diagonal` op keeps up to one statevector's worth
+    of tables for the plan's lifetime."""
+
+    n_qubits: int
+    gates: tuple[Gate, ...]
+    global_phase: float
+    ops: tuple
+
+
+def compile_circuit(circuit: Circuit) -> Plan:
+    """Validate `circuit` and compile it into a `Plan`; raises the typed
+    errors of `validate`."""
+    validate(circuit)
     n = circuit.n_qubits
+    ops = tuple(_finished(n, _compile(circuit), tuple))
+    return Plan(n, tuple(circuit.gates), circuit.global_phase, ops)
+
+
+def _execute(amplitudes: np.ndarray, n: int, ops, global_phase: float) -> np.ndarray:
+    """Apply finished `ops`, then e^{i global_phase}, to a raw array (any
+    norm, optional trailing batch axes); returns a new array.  The one
+    executor: every run and extraction goes through it."""
     out = amplitudes.astype(np.complex128, copy=True)
     tensor = out.reshape([2] * n + [-1])
-    for kernel, args in _compile(circuit):
+    for kernel, args in ops:
         kernel(tensor, n, *args)
-    if circuit.global_phase != 0.0:
-        out *= np.exp(1j * circuit.global_phase)
+    if global_phase != 0.0:
+        out *= np.exp(1j * global_phase)
     return out
 
 
-def run(circuit: Circuit, initial: StateVector) -> StateVector:
-    """Apply all gates in order, then the global phase e^{i*global_phase}."""
-    validate(circuit)
-    if circuit.n_qubits != initial.n_qubits:
-        raise InvalidWidth(f"circuit width {circuit.n_qubits} != state width {initial.n_qubits}")
-    return StateVector(circuit.n_qubits, _apply_circuit_raw(initial.amplitudes, circuit))
+def run(program: Plan | Circuit, initial: StateVector) -> StateVector:
+    """Apply all gates in order, then the global phase e^{i*global_phase}.
+    A `Circuit` is validated and compiled on every call, its ops finished one
+    at a time as they run, so an edited circuit is never run from a stale
+    plan; a `Plan` from `compile_circuit` runs its held ops."""
+    n = program.n_qubits
+    if isinstance(program, Plan):
+        ops = program.ops
+    else:
+        validate(program)
+        ops = _finished(n, _compile(program))
+    if n != initial.n_qubits:
+        raise InvalidWidth(f"circuit width {n} != state width {initial.n_qubits}")
+    return StateVector(n, _execute(initial.amplitudes, n, ops, program.global_phase))
 
 
 def extract_unitary(circuit: Circuit) -> np.ndarray:
@@ -332,26 +392,27 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > UNITARY_MAX_QUBITS:
         raise WidthTooLarge(f"unitary extraction capped at {UNITARY_MAX_QUBITS} qubits, got {n}")
-    dim = 1 << n
-    return _apply_circuit_raw(np.eye(dim, dtype=np.complex128), circuit)
+    ops = _finished(n, _compile(circuit))
+    return _execute(np.eye(1 << n, dtype=np.complex128), n, ops, circuit.global_phase)
 
 
 def extract_diagonal(circuit: Circuit) -> np.ndarray:
     """Main diagonal of a circuit that maps every basis state to itself up to
-    a phase, read off its plan.
+    a phase, read off its ops.
 
-    The plan's data movements (flips, transposes, controlled swaps) run on the
-    basis labels 0..2^n-1 while its diagonal ops are skipped; the circuit is
-    diagonal if every label ends where it started, and its plan applied to the
-    all-ones vector is then the diagonal.  Any Hadamard or Fourier op raises
-    NotDiagonal, even a pair that cancels; use `extract_unitary` for such
-    circuits.
+    The data movements (flips, transposes, controlled swaps) run on the basis
+    labels 0..2^n-1 while the diagonal ops are skipped, before any phase
+    table is built; the circuit is diagonal if every label ends where it
+    started, and the same ops applied to the all-ones vector are then the
+    diagonal.  Any Hadamard or Fourier op raises NotDiagonal, even a pair
+    that cancels; use `extract_unitary` for such circuits.
     """
     validate(circuit)
     n = circuit.n_qubits
+    ops = _compile(circuit)
     labels = np.arange(1 << n)
     tensor = labels.reshape([2] * n + [-1])
-    for kernel, args in _compile(circuit):
+    for kernel, args in ops:
         if kernel in (_hadamard, _fourier):
             raise NotDiagonal("a Hadamard or Fourier transform maps basis states to superpositions")
         if kernel is not _diagonal:
@@ -360,7 +421,7 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
     del labels, tensor  # freed before the ones vector is allocated
     if not in_place:
         raise NotDiagonal("basis states are not mapped to themselves up to phase")
-    return _apply_circuit_raw(np.ones(1 << n, dtype=np.complex128), circuit)
+    return _execute(np.ones(1 << n, dtype=np.complex128), n, _finished(n, ops), circuit.global_phase)
 
 
 def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:

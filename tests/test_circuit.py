@@ -163,6 +163,34 @@ def test_non_integer_qubits_and_widths_are_rejected():
     assert type(Circuit(np.int64(3)).n_qubits) is int
 
 
+@pytest.mark.parametrize("change", [
+    {"gates": [{"kind": "Foo", "qubits": [0]}]},                   # unknown kind
+    {"gates": None},                                              # gates not a list
+    {"gates": [{"kind": "Phase", "qubits": [0], "angle": "0.5"}]},  # string angle
+    {"gates": [{"kind": "Hadamard"}]},                            # missing qubits
+    {"gates": [{"kind": "Hadamard", "qubits": 0}]},               # qubits not a list
+    {"gates": ["Hadamard"]},                                      # gate not an object
+    {"global_phase": "x"},                                        # non-numeric phase
+])
+def test_json_malformed_fields_raise_circuit_error(change):
+    data = json.loads(circuit_to_json(Circuit(2).h(0).p(1, 0.5)))
+    with pytest.raises(CircuitError):
+        circuit_from_json(json.dumps({**data, **change}))
+
+
+@pytest.mark.parametrize("text", ['{"n_qubits": 2}', "[1, 2]", "null", "not json"])
+def test_json_malformed_documents_raise_circuit_error(text):
+    with pytest.raises(CircuitError):
+        circuit_from_json(text)
+
+
+def test_validate_rejects_non_numeric_angles_and_phase():
+    circuit = Circuit(2)
+    circuit.gates.append(Gate(GateKind.PHASE, (0,), "0.5"))
+    assert isinstance(validation_error(circuit), ArityMismatch)
+    assert isinstance(validation_error(Circuit(2, global_phase="0.5")), CircuitError)
+
+
 def test_json_angle_only_for_parametric_kinds():
     data = json.loads(circuit_to_json(Circuit(2).cx(0, 1).p(0, 0.5)))
     assert "angle" not in data["gates"][0]

@@ -30,9 +30,10 @@ from qpyramid.grids import (
 )
 from qpyramid.simulator import (
     StateVector,
-    _compile,
+    _diagonal,
     _fourier,
     _hadamard,
+    compile_circuit,
     extract_unitary,
     fidelity_exact,
     run,
@@ -140,8 +141,9 @@ def test_transform_rejects_unknown_mode():
 @pytest.mark.parametrize("mode", ["centered", "paper"])
 def test_step_runs_both_transforms_as_fourier_ops(mode):
     config = _config(n=6, mode=mode, potential=PotentialSpec.multi_step(0.5, (0, 2)))
-    kernels = [kernel for kernel, _ in _compile(trotter_step_circuit(config))]
+    kernels = [kernel for kernel, _ in compile_circuit(trotter_step_circuit(config)).ops]
     assert kernels.count(_fourier) == 2
+    assert kernels.count(_diagonal) == 5  # the tables a held substep plan keeps
     assert _hadamard not in kernels
 
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +8,19 @@ from hypothesis import strategies as st
 
 from qpyramid import simulator
 from qpyramid.analysis import write_table
-from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth, build_qft
+from qpyramid.circuit import (
+    ArityMismatch,
+    Circuit,
+    CircuitError,
+    DuplicateQubit,
+    Gate,
+    GateKind,
+    IndexOutOfRange,
+    InvalidWidth,
+    build_qft,
+    validate,
+)
 from qpyramid.simulator import (
-    _compile,
     _cswap,
     _diagonal,
     _flip,
@@ -21,6 +32,7 @@ from qpyramid.simulator import (
     RandomSource,
     StateVector,
     WidthTooLarge,
+    compile_circuit,
     extract_diagonal,
     extract_unitary,
     fidelity_exact,
@@ -77,6 +89,8 @@ def test_global_phase_pi_negates():
 def test_run_width_mismatch():
     with pytest.raises(InvalidWidth):
         run(Circuit(3), StateVector.zero_state(2))
+    with pytest.raises(InvalidWidth):
+        run(compile_circuit(Circuit(3).h(0)), StateVector.zero_state(2))
 
 
 # --- golden diagonal structures ---
@@ -223,14 +237,47 @@ def test_extract_unitary_matches_kron_oracle_property(case):
 
 
 def test_run_sees_gates_appended_between_calls():
-    # the plan is compiled per call: nothing from the first run is reused
+    # a bare circuit is compiled per call: nothing from the first run is
+    # reused, while a plan compiled before the edit keeps the old gates
     circuit = Circuit(3).h(0).cp(0, 1, 0.7).p(2, 0.3)
     state = StateVector.from_amplitudes(np.arange(1, 9))
     first = run(circuit, state)
+    plan = compile_circuit(circuit)
     circuit.cp(1, 2, 1.1).x(0).p(0, -0.4)
     second = run(circuit, state)
     np.testing.assert_allclose(second.amplitudes, circuit_unitary(circuit) @ state.amplitudes, atol=1e-13)
     assert np.max(np.abs(second.amplitudes - first.amplitudes)) > 0.1
+    assert len(plan.gates) == 3 and len(circuit.gates) == 6
+    assert np.array_equal(run(plan, state).amplitudes, first.amplitudes)
+
+
+def test_plan_tables_are_read_only():
+    plan = compile_circuit(Circuit(3).p(0, 0.3).cp(1, 2, 0.5).h(0).rz(1, 0.2))
+    tables = [table for kernel, args in plan.ops if kernel is _diagonal for _, table in args[0]]
+    assert len(tables) == 4  # both halves of each of the two diagonal ops
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[...] = 0
+        with pytest.raises(ValueError):
+            table *= 2
+    with pytest.raises(AttributeError):
+        plan.ops = ()
+
+
+@pytest.mark.parametrize("circuit, error", [
+    (Circuit(0), InvalidWidth),
+    (Circuit(2).p(5, 0.3), IndexOutOfRange),
+    (Circuit(2, [Gate(GateKind.CONTROLLED_NOT, (1, 1))]), DuplicateQubit),
+    (Circuit(2, [Gate(GateKind.PHASE, (0,))]), ArityMismatch),
+    (Circuit(2, [Gate(GateKind.PHASE, (0,), float("nan"))]), ArityMismatch),
+    (Circuit(2, global_phase=float("inf")), CircuitError),
+])
+def test_compile_circuit_raises_the_errors_of_validate(circuit, error):
+    with pytest.raises(error) as expected:
+        validate(circuit)
+    with pytest.raises(error) as raised:
+        compile_circuit(circuit)
+    assert type(raised.value) is type(expected.value)
 
 
 @pytest.mark.parametrize("gate", [
@@ -239,7 +286,7 @@ def test_run_sees_gates_appended_between_calls():
 ])
 def test_gate_tensor_kernel_has_no_phase_or_hadamard_branch(gate):
     # phase-type gates run as fused diagonals and H as the plan's butterfly
-    [(kernel, _)] = _compile(Circuit(2, [gate]))
+    [(kernel, _)] = compile_circuit(Circuit(2, [gate])).ops
     assert kernel is (_hadamard if gate.kind is GateKind.HADAMARD else _diagonal)
 
 
@@ -259,16 +306,39 @@ def test_phase_table_covers_only_touched_qubits(monkeypatch):
     state = StateVector.from_amplitudes(np.arange(1, (1 << n) + 1))
     out = run(Circuit(n).cp(0, n - 1, 0.3), state)
     assert sizes == [2]
+    [(kernel, (halves,))] = compile_circuit(Circuit(n).cp(0, n - 1, 0.3)).ops
+    assert kernel is _diagonal and [table.size for _, table in halves] == [2]
     expected = state.amplitudes.copy()
     expected[(1 << (n - 1)) + 1::2] *= np.exp(0.3j)
     np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-15)
+
+
+def test_bare_circuit_builds_one_phase_table_at_a_time(monkeypatch):
+    # each half table is dropped before the next is built, so a bare circuit
+    # never holds more than one table, where a plan holds them all
+    built = []
+    real = simulator._phase_table
+
+    def recording(*args):
+        assert all(ref() is None for ref in built)
+        table = real(*args)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(simulator, "_phase_table", recording)
+    diagonal = Circuit(4).p(0, 0.3).cp(1, 2, 0.5).x(1).rz(1, 0.2).cp(0, 3, 0.1).x(1).p(3, 0.4)
+    circuit = Circuit(4, diagonal.gates + [Gate(GateKind.HADAMARD, (2,))] + diagonal.gates)
+    run(circuit, StateVector.from_amplitudes(np.arange(1, 17)))
+    extract_unitary(circuit)
+    extract_diagonal(diagonal)
+    assert len(built) > 16
 
 
 def test_plan_uses_only_the_five_kernels():
     circuit = (Circuit(3).x(0).h(1).p(2, 0.3).cp(0, 1, 0.4).cx(0, 2).swap(1, 2).cswap(0, 1, 2)
                .rz(1, 0.5))
     assert {gate.kind for gate in circuit.gates} == set(GateKind)
-    kernels = [kernel for kernel, _ in _compile(circuit)]
+    kernels = [kernel for kernel, _ in compile_circuit(circuit).ops]
     assert set(kernels) == {_diagonal, _hadamard, _flip, _permute, _cswap}
     assert kernels.count(_cswap) == 1
 
@@ -278,7 +348,7 @@ def test_plan_runs_each_fourier_block_as_one_op():
     circuit.extend(build_qft(3))
     circuit.cp(0, 1, 0.4).cx(0, 2).swap(1, 2).rz(1, 0.5)
     circuit.extend(build_qft(3, inverse=True))
-    kernels = [kernel for kernel, _ in _compile(circuit)]
+    kernels = [kernel for kernel, _ in compile_circuit(circuit).ops]
     assert set(kernels) == {_diagonal, _hadamard, _flip, _permute, _cswap, _fourier}
     assert kernels.count(_fourier) == 2
     assert kernels.count(_hadamard) == 1
@@ -288,8 +358,8 @@ def test_plan_runs_each_fourier_block_as_one_op():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_build_qft_compiles_to_one_fourier_op(n):
     # test_encoders checks these circuits' unitaries against the dense DFT
-    assert _compile(build_qft(n)) == [(_fourier, (False,))]
-    assert _compile(build_qft(n, inverse=True)) == [(_fourier, (n > 1,))]  # at n = 1 both are one H
+    assert compile_circuit(build_qft(n)).ops == ((_fourier, (False,)),)
+    assert compile_circuit(build_qft(n, inverse=True)).ops == ((_fourier, (n > 1,)),)  # at n = 1 both are one H
 
 
 @st.composite
@@ -310,8 +380,23 @@ def _circuits_with_fourier_blocks(draw):
 @given(_circuits_with_fourier_blocks())
 def test_fourier_blocks_match_kron_oracle(case):
     circuit, blocks = case
-    assert [kernel for kernel, _ in _compile(circuit)].count(_fourier) == blocks
+    assert [kernel for kernel, _ in compile_circuit(circuit).ops].count(_fourier) == blocks
     np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100)
+@given(_circuits_with_fourier_blocks(), st.integers(0, 2**32 - 1))
+def test_plan_runs_bit_identical_to_circuit(case, seed):
+    circuit, _ = case
+    rng = np.random.default_rng(seed)
+    dim = 1 << circuit.n_qubits
+    state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    plan = compile_circuit(circuit)
+    assert np.array_equal(run(plan, state).amplitudes, run(circuit, state).amplitudes)
+    # the benchmark's tracer reads n_qubits and gates off whatever run receives
+    assert plan.n_qubits == circuit.n_qubits
+    assert plan.gates == tuple(circuit.gates)
+    assert plan.global_phase == circuit.global_phase
 
 
 def _one_ulp_off(gates, index):
@@ -336,7 +421,7 @@ def _near_misses(n, inverse):
 def test_fourier_near_misses_run_gate_by_gate(n, inverse):
     for gates in _near_misses(n, inverse):
         circuit = Circuit(n, gates)
-        assert _fourier not in [kernel for kernel, _ in _compile(circuit)]
+        assert _fourier not in [kernel for kernel, _ in compile_circuit(circuit).ops]
         np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
 
 
@@ -353,8 +438,8 @@ def test_fourier_op_agrees_with_gate_level_plan(n, inverse):
     cut = len(head.gates) + len(block) // 2
     first = Circuit(n, circuit.gates[:cut])
     second = Circuit(n, circuit.gates[cut:], global_phase=circuit.global_phase)
-    assert [kernel for kernel, _ in _compile(circuit)].count(_fourier) == 1
-    assert _fourier not in [kernel for kernel, _ in _compile(first) + _compile(second)]
+    assert [kernel for kernel, _ in compile_circuit(circuit).ops].count(_fourier) == 1
+    assert _fourier not in [kernel for kernel, _ in compile_circuit(first).ops + compile_circuit(second).ops]
     dim = 1 << n
     state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     expected = run(second, run(first, state)).amplitudes
