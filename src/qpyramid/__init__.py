@@ -56,12 +56,11 @@ from .encoders import (
     build_qft,
     build_qpa_shell,
     build_qwe_circuit,
-    qate_phase_at,
     solve_qate,
 )
 from .evolution import (
     EvolutionConfig,
-    EvolutionResult,
+    EvolutionStep,
     evolve_classical_oracle,
     evolve_quantum,
     fidelity_sweep,

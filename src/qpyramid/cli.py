@@ -39,7 +39,7 @@ from .encoders import (
 from .evolution import (
     EvolutionConfig,
     evolve_quantum,
-    export_evolution_result,
+    export_evolution,
     fidelity_sweep,
 )
 from .grids import Grid, GridError, PacketSpec, PotentialSpec, kinetic_phase_profile
@@ -302,10 +302,9 @@ def cmd_evolve(out, **params):
     """Evolve the Gaussian packet; write per-step states, histograms, summary."""
     _require_memory(params["qubits"])
     config = _evolution_config(**params)
-    result = evolve_quantum(config)
-    export_evolution_result(result, out)
+    summary = export_evolution(evolve_quantum(config), out)
     _write_manifest()
-    final = result.exact_fidelities[-1]
+    final = summary[-1][1]
     click.echo(f"evolved {config.total_steps} steps; final exact fidelity vs reference: {final:.6f}")
 
 

@@ -97,17 +97,6 @@ def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
     return QateCoefficients(n, *_interpolate_quadratic(theta, n, first=1))
 
 
-def qate_phase_at(coeffs: QateCoefficients, j: int) -> float:
-    """Phase the encoder realizes at half-index j (before the e^{-i...} sign)."""
-    n = coeffs.n_qubits
-    phase = coeffs.a_global
-    phase += sum(a for k, a in coeffs.alpha.items() if _half_bit(j, n, k))
-    phase += sum(
-        b for (k, l), b in coeffs.beta.items() if _half_bit(j, n, k) and _half_bit(j, n, l)
-    )
-    return phase
-
-
 def build_qpa_shell(n: int) -> tuple[Circuit, Circuit]:
     """Left and right CX ladders (control qubit 0, targets 1..n-1).
 

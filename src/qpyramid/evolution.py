@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,17 +85,16 @@ class EvolutionConfig:
                 raise GridError(f"potential qubit position {q} outside width {self.grid.n_qubits}")
 
 
-@dataclass
-class EvolutionResult:
-    """Per reported step (index 0 = initial state): quantum and reference
-    states, sampled histograms, exact fidelities, swap-test reports."""
+@dataclass(frozen=True)
+class EvolutionStep:
+    """One reported step: the circuit-evolved state, the split-step reference,
+    the sampled histogram, their exact fidelity and the swap-test report."""
 
-    config: EvolutionConfig
-    states: list[StateVector] = field(default_factory=list)
-    oracle_states: list[StateVector] = field(default_factory=list)
-    histograms: list[Histogram] = field(default_factory=list)
-    exact_fidelities: list[float] = field(default_factory=list)
-    swap_reports: list[FidelityReport] = field(default_factory=list)
+    state: StateVector
+    reference: StateVector
+    histogram: Histogram
+    exact_fidelity: float
+    swap_report: FidelityReport
 
 
 def _ramp_coefficient(n: int, mode: str) -> float:
@@ -151,10 +150,10 @@ def trotter_step_circuit(config: EvolutionConfig) -> Circuit:
     return step
 
 
-def _split_step_states(initial, substep, config: EvolutionConfig) -> Iterator:
-    """`initial`, then the state after each of the total_steps reported steps,
-    each made of trotter_steps applications of `substep`."""
-    state = initial
+def _split_step_states(state, substep, config: EvolutionConfig) -> Iterator:
+    """`state`, then the state after each of the total_steps reported steps,
+    each made of trotter_steps applications of `substep`.  No earlier state
+    is kept, the initial one included."""
     yield state
     for _ in range(config.total_steps):
         for _ in range(config.trotter_steps):
@@ -168,7 +167,7 @@ def _final_state(states):
     return deque(states, maxlen=1)[0]
 
 
-def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
+def evolve_classical_oracle(config: EvolutionConfig) -> Iterator[np.ndarray]:
     """Split-step reference with the exact centered change of basis,
     regardless of config.mode, applied through the FFT:
 
@@ -176,6 +175,8 @@ def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
 
     with c = (N - 1)/2, which equals the dense kernel exp(-i p_j x_k)/sqrt(N)
     applied to psi without building it; the backward step is its inverse.
+    The arrays are built on the call; the states follow one reported step at
+    a time as the iterator is advanced.
     """
     grid = config.grid
     size = grid.n_samples
@@ -191,6 +192,10 @@ def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
     half_potential = np.exp(-1j * v * delta / 2.0)
     kinetic = np.exp(-1j * p * p * delta / (2.0 * config.mass))
 
+    # each product keeps its operand order and temporaries: numpy's elision
+    # turns `held * temporary` into `temporary * held` from 256 KiB up, and
+    # SIMD complex multiply is not commutative bit for bit, so hoisting the
+    # `.conj()` arrays or multiplying in place would move the state's bytes
     def substep(psi):
         psi = half_potential * psi
         psi = kinetic * forward_ramp * np.fft.fft(ramp * psi, norm="ortho")
@@ -198,7 +203,7 @@ def evolve_classical_oracle(config: EvolutionConfig) -> list[np.ndarray]:
         return half_potential * psi
 
     initial = gaussian_packet(grid, config.packet).amplitudes
-    return list(_split_step_states(initial, substep, config))
+    return _split_step_states(initial, substep, config)
 
 
 def _circuit_states(config: EvolutionConfig) -> Iterator[StateVector]:
@@ -210,21 +215,20 @@ def _circuit_states(config: EvolutionConfig) -> Iterator[StateVector]:
     return _split_step_states(initial, lambda state: run(step, state), config)
 
 
-def evolve_quantum(config: EvolutionConfig) -> EvolutionResult:
+def evolve_quantum(config: EvolutionConfig) -> Iterator[EvolutionStep]:
     """Run the circuit evolution, sampling and comparing against the reference
-    at every reported step.  One seeded stream drives the histogram draw and
-    the swap test, in that order, per step."""
+    at every reported step, and yield one record per step, initial state
+    first.  The substep plan and the reference arrays are built before the
+    first record, and no record is kept once the next one is made.  One
+    seeded stream drives the histogram draw and the swap test, in that order,
+    per step."""
     oracle = evolve_classical_oracle(config)
     rng = RandomSource(config.seed)
-    result = EvolutionResult(config)
     for state, amplitudes in zip(_circuit_states(config), oracle):
         reference = StateVector(config.grid.n_qubits, amplitudes)
-        result.states.append(state)
-        result.oracle_states.append(reference)
-        result.histograms.append(sample(state, config.shots, rng))
-        result.exact_fidelities.append(fidelity_exact(state, reference))
-        result.swap_reports.append(swap_test_estimate(reference, state, config.shots, rng))
-    return result
+        histogram = sample(state, config.shots, rng)
+        yield EvolutionStep(state, reference, histogram, fidelity_exact(state, reference),
+                            swap_test_estimate(reference, state, config.shots, rng))
 
 
 def free_packet_reference(grid: Grid, packet: PacketSpec, time: float, mass: float = 1.0) -> StateVector:
@@ -283,33 +287,35 @@ def fidelity_sweep(template: EvolutionConfig, n_values) -> list[tuple[EvolutionC
     return points
 
 
-def export_evolution_result(result: EvolutionResult, out_dir) -> list[str]:
-    """Per-step statevector and histogram CSVs and a fidelity/norm summary."""
+def export_evolution(records: Iterable[EvolutionStep], out_dir) -> list[list]:
+    """Per-step statevector and histogram CSVs, each pair written as its
+    record arrives, then a fidelity/norm summary; returns the summary rows.
+    The directory is made once the first record exists, so a run that fails
+    before it leaves none."""
     import os
 
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     summary_rows = []
-    n = result.config.grid.n_qubits
-    indices = range(1 << n)
-    bitstrings = [index_bitstring(i, n) for i in indices]
-    for step, state in enumerate(result.states):
-        state_path = os.path.join(out_dir, f"step_{step:03d}_state.csv")
+    for step, record in enumerate(records):
+        state = record.state
+        if step == 0:
+            os.makedirs(out_dir, exist_ok=True)
+            n = state.n_qubits
+            indices = range(1 << n)
+            bitstrings = [index_bitstring(i, n) for i in indices]
         amplitudes = state.amplitudes
         # probability stays Python's abs(a) ** 2: numpy's |a|^2 routes differ in the last bit
-        write_table(state_path, ["index", "bitstring", "real", "imag", "probability"],
+        write_table(os.path.join(out_dir, f"step_{step:03d}_state.csv"),
+                    ["index", "bitstring", "real", "imag", "probability"],
                     [indices, bitstrings, amplitudes.real, amplitudes.imag,
                      [abs(a) ** 2 for a in amplitudes.tolist()]])
-        written.append(state_path)
-        hist_path = os.path.join(out_dir, f"step_{step:03d}_hist.csv")
-        histogram = result.histograms[step]
-        counts = histogram.counts.tolist()
-        write_table(hist_path, ["bitstring", "count", "frequency"],
-                    [bitstrings, counts, [c / histogram.shots for c in counts]])
-        written.append(hist_path)
-        summary_rows.append(
-            [step, result.exact_fidelities[step], result.swap_reports[step].estimated,
-             state.norm()]
-        )
-    written += emit_report(out_dir, "summary", summary_rows)
-    return written
+        # frequency is c / shots correctly rounded, as Python divides ints.
+        # numpy's array division rounds each count to float64 first, so it
+        # agrees only while shots <= 2^53; past that the Python list is kept
+        shots, counts = record.histogram.shots, record.histogram.counts
+        write_table(os.path.join(out_dir, f"step_{step:03d}_hist.csv"),
+                    ["bitstring", "count", "frequency"],
+                    [bitstrings, counts,
+                     counts / shots if shots <= 2**53 else [c / shots for c in counts.tolist()]])
+        summary_rows.append([step, record.exact_fidelity, record.swap_report.estimated, state.norm()])
+    emit_report(out_dir, "summary", summary_rows)
+    return summary_rows

@@ -18,8 +18,13 @@ validated and compiled on every call, and its phase tables are built one at
 a time as the ops run and dropped after, so a plan costs memory only where
 one is held, and results are bit-identical either way.
 
-Randomness comes from numpy's PCG64 via `RandomSource`; identical seeds give
-bitwise-identical sample streams on every platform.
+Randomness comes from numpy's PCG64 via `RandomSource`; a seed fixes the
+stream of draws.  The draws read a state's probabilities, whose bits are bound
+to the platform: `_phase_table` multiplies in long double (x87 80-bit on x86,
+plain double elsewhere), and numpy's SIMD complex multiply is not commutative
+bit for bit, while its temporary elision picks the operand order by array
+size.  Sampled outputs are byte-identical on one platform and numpy build
+only, and the byte goldens of the tests fail on others.
 """
 from __future__ import annotations
 
@@ -128,16 +133,18 @@ class RandomSource:
 def _phase_table(qubits: list, const, linear: dict, rows: dict) -> np.ndarray:
     """const * prod_q linear[q]^b_q * prod_{q<r} rows[q][r]^(b_q b_r) over the
     bits of the ascending `qubits` (the last one least significant), from unit
-    factors in extended precision, rounded once to complex128.
+    factors multiplied in long double and converted to complex128 at the end.
 
     Built one qubit at a time as the new most significant bit: where qubit q is
     1 the table is its lower half times linear[q] times the product of
     rows[q][r]^b_r, which is filled in by doubling, so no exponential runs over
-    the table.  Extended precision keeps the products' error far below one
-    complex128 rounding, so each entry is the exponential of its angle sum
-    rounded once.  (Where numpy's long double is plain double, as on some
-    non-x86 platforms, entries are off by a few roundings instead.)  The
-    result is read-only.
+    the table.  With x87 80-bit long double the products' error stays well
+    below one complex128 rounding, so an entry is nearly always, but not
+    always, the correctly rounded exponential of its angle sum: a few per
+    thousand differ in the last bit, and which ones depends on the order of
+    the products.  Where long double is plain double the entries are off by a
+    few roundings.  So the bytes of the tables, and of every output computed
+    from them, hold for this platform only.  The result is read-only.
     """
     table = np.empty(1 << len(qubits), dtype=np.clongdouble)
     table[0] = const

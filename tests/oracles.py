@@ -2,8 +2,9 @@
 explicit Kronecker products and multiplied in order, with no shared code
 against the simulator's stride kernels; the dense position-to-momentum
 kernel; the explicit swap-test circuit that the closed-form estimator is
-checked against; and a per-cell CSV writer that the column-wise table writer
-is checked against."""
+checked against; the QATE phase at one half-index, summed from the solved
+coefficients; and a per-cell CSV writer that the column-wise table writer is
+checked against."""
 import math
 
 import numpy as np
@@ -113,6 +114,18 @@ def centered_transform_matrix(grid: Grid) -> np.ndarray:
     p = momentum_samples(grid)
     x = position_samples(grid)
     return np.exp(-1j * np.outer(p, x)) / math.sqrt(grid.n_samples)
+
+
+def qate_phase_at(coeffs, j: int) -> float:
+    """Phase the QATE encoder realizes at half-index j (before the e^{-i...}
+    sign): the global angle plus every alpha_k and beta_kl whose bits of j
+    are set, qubit k being bit n-1-k of j."""
+    n = coeffs.n_qubits
+    bit = lambda k: (j >> (n - 1 - k)) & 1
+    phase = coeffs.a_global
+    phase += sum(a for k, a in coeffs.alpha.items() if bit(k))
+    phase += sum(b for (k, l), b in coeffs.beta.items() if bit(k) and bit(l))
+    return phase
 
 
 def swap_test_circuit(n: int) -> Circuit:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qpyramid import analysis
 from qpyramid.cli import main
 from qpyramid.circuit import circuit_from_json
+from qpyramid.simulator import sample
 
 
 @pytest.fixture
@@ -265,6 +266,27 @@ def test_memory_error_exits_3_without_traceback(runner, tmp_path, monkeypatch):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.output == "error: out of memory: Unable to allocate 8.00 GiB\n"
+
+
+def test_failure_after_step_0_keeps_written_steps_and_no_manifest(runner, tmp_path, monkeypatch):
+    # each step's tables are written as the step is made; the manifest comes
+    # last, so its absence marks a run that did not finish
+    calls = []
+
+    def exhausted_on_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate 8.00 GiB")
+        return sample(*args)
+
+    monkeypatch.setattr("qpyramid.evolution.sample", exhausted_on_second_call)
+    out = tmp_path / "ev"
+    result = runner.invoke(main, ["evolve", "--qubits", "3", "--steps", "2", "--shots", "64",
+                                  "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "error: out of memory: Unable to allocate 8.00 GiB\n"
+    assert sorted(p.name for p in out.iterdir()) == ["step_000_hist.csv", "step_000_state.csv"]
 
 
 def test_evolve_multi_step_positions(runner, tmp_path):

@@ -16,7 +16,6 @@ from qpyramid.encoders import (
     build_qft,
     build_qpa_shell,
     build_qwe_circuit,
-    qate_phase_at,
     solve_qate,
 )
 from qpyramid.grids import (
@@ -29,7 +28,7 @@ from qpyramid.grids import (
 )
 from qpyramid.simulator import extract_diagonal, extract_unitary
 
-from oracles import dft_matrix, rz_mat
+from oracles import dft_matrix, qate_phase_at, rz_mat
 
 RNG = np.random.default_rng(2024)
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +8,13 @@ import pytest
 
 from qpyramid.circuit import Circuit, count_gates
 from qpyramid.encoders import build_qate_circuit, solve_qate
+from qpyramid.analysis import FidelityReport
 from qpyramid.evolution import (
     EvolutionConfig,
+    EvolutionStep,
     evolve_classical_oracle,
     evolve_quantum,
-    export_evolution_result,
+    export_evolution,
     fidelity_sweep,
     free_packet_reference,
     momentum_transform_circuit,
@@ -29,6 +33,7 @@ from qpyramid.grids import (
     potential_profile,
 )
 from qpyramid.simulator import (
+    Histogram,
     StateVector,
     _diagonal,
     _fourier,
@@ -179,7 +184,7 @@ def test_step_gate_count_composition():
 
 def test_oracle_momentum_distribution_invariant_without_potential():
     config = _config(n=5, total_steps=3)
-    states = evolve_classical_oracle(config)
+    states = list(evolve_classical_oracle(config))
     kernel = centered_transform_matrix(config.grid)
     reference = np.abs(kernel @ states[0]) ** 2
     for state in states[1:]:
@@ -197,6 +202,18 @@ def test_oracle_symmetric_packet_stays_symmetric():
     for state in evolve_classical_oracle(config):
         probs = np.abs(state) ** 2
         np.testing.assert_allclose(probs, probs[::-1], atol=1e-12)
+
+
+def test_oracle_state_bytes_golden():
+    # SHA-256 of the final oracle state at n = 14, where numpy's temporary
+    # elision starts to evaluate `held * temporary` as `temporary * held`.
+    # SIMD complex multiply is not bit-commutative, so hoisting `ramp.conj()`
+    # out of the substep, or writing `x *= held`, moves the bytes
+    config = EvolutionConfig(Grid(10.0, 14), potential=PotentialSpec.single_step(1.0),
+                             total_steps=1, trotter_steps=2)
+    final = list(evolve_classical_oracle(config))[-1]
+    assert hashlib.sha256(final.tobytes()).hexdigest() == (
+        "bee20a84b6d0ad6c1b8e9ca0b38357b30ee5f2d507d5a8e4c55f7bc2917313dc")
 
 
 def _dense_oracle(config):
@@ -229,9 +246,9 @@ def test_oracle_matches_dense_kernel(n):
 
 
 def test_zero_steps_returns_initial_only():
-    result = evolve_quantum(_config(n=4, total_steps=0))
-    assert len(result.states) == 1
-    assert result.exact_fidelities == [pytest.approx(1.0)]
+    records = list(evolve_quantum(_config(n=4, total_steps=0)))
+    assert len(records) == 1
+    assert records[0].exact_fidelity == pytest.approx(1.0)
 
 
 def test_centered_mode_matches_oracle_for_any_config():
@@ -239,39 +256,52 @@ def test_centered_mode_matches_oracle_for_any_config():
                   PotentialSpec.double_step(0.7), PotentialSpec.multi_step(0.5, (0, 2)))
     for n, potential in zip((4, 5, 6, 7), potentials):
         config = _config(n=n, potential=potential, total_steps=2, trotter_steps=4)
-        result = evolve_quantum(config)
-        for fidelity in result.exact_fidelities:
-            assert fidelity >= 1.0 - 1e-6
+        for record in evolve_quantum(config):
+            assert record.exact_fidelity >= 1.0 - 1e-6
 
 
 def test_kinetic_only_high_fidelity_many_substeps():
     config = _config(n=5, trotter_steps=50)
-    result = evolve_quantum(config)
-    assert result.exact_fidelities[-1] >= 0.999
+    records = list(evolve_quantum(config))
+    assert records[-1].exact_fidelity >= 0.999
 
 
 def test_norm_conserved_every_step():
     config = _config(n=4, potential=PotentialSpec.single_step(1.0), total_steps=3)
-    result = evolve_quantum(config)
-    for state in result.states:
-        assert abs(state.norm() - 1.0) < 1e-9
+    for record in evolve_quantum(config):
+        assert abs(record.state.norm() - 1.0) < 1e-9
 
 
 def test_result_array_lengths():
     config = _config(n=4, total_steps=3)
-    result = evolve_quantum(config)
-    for field in (result.states, result.oracle_states, result.histograms,
-                  result.exact_fidelities, result.swap_reports):
-        assert len(field) == 4
+    records = list(evolve_quantum(config))
+    assert len(records) == 4
+    for record in records:
+        assert record.state.n_qubits == record.reference.n_qubits == 4
+        assert record.histogram.shots == record.swap_report.shots == config.shots
+
+
+def test_stream_keeps_no_earlier_step():
+    # memory stays flat in the step count only if a dropped record is freed
+    config = _config(n=4, total_steps=3, trotter_steps=2)
+    stream = evolve_quantum(config)
+    dead = []
+    for _ in range(2):
+        record = next(stream)
+        dead += [weakref.ref(record.state), weakref.ref(record.reference.amplitudes)]
+        del record
+    record = next(stream)
+    assert [ref() for ref in dead] == [None] * 4
+    assert record.state.n_qubits == 4
 
 
 def test_evolution_deterministic():
     config = _config(n=4, total_steps=2, potential=PotentialSpec.single_step(1.0), shots=500)
-    first = evolve_quantum(config)
-    second = evolve_quantum(config)
-    for hist_a, hist_b in zip(first.histograms, second.histograms):
-        np.testing.assert_array_equal(hist_a.counts, hist_b.counts)
-    assert [r.estimated for r in first.swap_reports] == [r.estimated for r in second.swap_reports]
+    first = list(evolve_quantum(config))
+    second = list(evolve_quantum(config))
+    for a, b in zip(first, second, strict=True):
+        np.testing.assert_array_equal(a.histogram.counts, b.histogram.counts)
+    assert [r.swap_report.estimated for r in first] == [r.swap_report.estimated for r in second]
 
 
 # --- convergence order ---
@@ -291,7 +321,7 @@ def test_free_packet_reference_matches_fine_grid_oracle():
     # independent cross-check of the closed form against a dense split-step run
     grid = Grid(10.0, 10)
     config = _config(n=10, dt=0.4, trotter_steps=1, total_steps=1, shots=1)
-    oracle_final = evolve_classical_oracle(config)[-1]
+    oracle_final = list(evolve_classical_oracle(config))[-1]
     reference = free_packet_reference(grid, PacketSpec(1.0), 0.4)
     assert fidelity_exact(StateVector(10, oracle_final), reference) > 1.0 - 1e-10
 
@@ -321,13 +351,13 @@ def test_potential_without_positions_is_no_potential():
 
 def _old_sweep_exact(config):
     """The sweep's exact fidelity computed through the full evolve_quantum run."""
-    result = evolve_quantum(config)
+    final = list(evolve_quantum(config))[-1]
     if not config.potential.qubit_positions:
         total_time = config.dt * config.total_steps
         reference = free_packet_reference(config.grid, config.packet, total_time, config.mass)
     else:
-        reference = result.oracle_states[-1]
-    return fidelity_exact(reference, result.states[-1])
+        reference = final.reference
+    return fidelity_exact(reference, final.state)
 
 
 @pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
@@ -363,11 +393,10 @@ def test_fidelity_sweep_draws_no_per_step_samples(monkeypatch, potential):
 
 def test_export_files_and_determinism(tmp_path):
     config = _config(n=3, total_steps=1, shots=100)
-    result = evolve_quantum(config)
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
-    export_evolution_result(result, dir_a)
-    export_evolution_result(evolve_quantum(config), dir_b)
+    rows = export_evolution(evolve_quantum(config), dir_a)
+    export_evolution(evolve_quantum(config), dir_b)
     names = sorted(p.name for p in dir_a.iterdir())
     assert names == [
         "step_000_hist.csv", "step_000_state.csv",
@@ -378,22 +407,35 @@ def test_export_files_and_determinism(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
     summary = (dir_a / "summary.csv").read_text().splitlines()
     assert summary[0] == "step,exact_fidelity,swap_fidelity,norm"
-    assert len(summary) == 3
+    assert summary[1:] == [",".join(map(repr, row)) for row in rows]
 
 
 def test_export_probability_is_python_abs_squared(tmp_path):
     # numpy's |a|^2 routes each differ from Python's abs(a) ** 2 in the last
     # bit of some entries; the probability column keeps Python's bytes
-    result = evolve_quantum(_config(n=5, total_steps=1, shots=100))
-    export_evolution_result(result, tmp_path)
-    amplitudes = result.states[1].amplitudes
+    records = list(evolve_quantum(_config(n=5, total_steps=1, shots=100)))
+    export_evolution(records, tmp_path)
+    amplitudes = records[1].state.amplitudes
     python = [abs(a) ** 2 for a in amplitudes.tolist()]
     for route in (np.abs(amplitudes) ** 2, amplitudes.real ** 2 + amplitudes.imag ** 2,
-                  result.states[1].probabilities()):
+                  records[1].state.probabilities()):
         assert route.tolist() != python
     rows = (tmp_path / "step_001_state.csv").read_text().splitlines()[1:]
     assert [row.split(",")[2:] for row in rows] == [
         [repr(a.real), repr(a.imag), repr(p)] for a, p in zip(amplitudes.tolist(), python)]
+
+
+def test_export_frequency_is_python_division(tmp_path):
+    # numpy's counts / shots rounds each count to float64 before dividing,
+    # which differs from Python's correctly rounded c / shots above 2^53 shots
+    shots = 2**60 + 1
+    c = next(c for c in range(shots // 3, shots // 3 + 1000) if np.int64(c) / shots != c / shots)
+    state = StateVector.zero_state(1)
+    record = EvolutionStep(state, state, Histogram(shots, [c, shots - c]), 1.0,
+                           FidelityReport(1.0, 1.0, shots, 0.0))
+    export_evolution([record], tmp_path)
+    rows = (tmp_path / "step_000_hist.csv").read_text().splitlines()[1:]
+    assert rows == [f"0,{c},{c / shots!r}", f"1,{shots - c},{(shots - c) / shots!r}"]
 
 
 def test_config_validation():

@@ -1,0 +1,160 @@
+"""Mutation check: every mutant below must make the tier-1 suite fail.
+
+Each mutant is one textual edit (file, old text, new text) of the package.
+It is applied to a fresh copy of `src/`, `tests/` and `pyproject.toml` in a
+temporary directory, and the suite runs there with `pytest -x`; the working
+tree is never touched.  A mutant whose old text does not occur exactly once
+is reported as stale, so the list cannot silently stop applying.  A fast
+path or a memory guarantee that lands adds its mutant here.
+
+Run from the repository root:
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py fft-ifft-swapped   # the named ones
+
+A mutant counts as killed only when pytest reports failed tests (exit 1);
+any other pytest exit is reported as ERROR.  Exit status 0 when every
+mutant is killed, 1 otherwise.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+SIMULATOR = "src/qpyramid/simulator.py"
+ANALYSIS = "src/qpyramid/analysis.py"
+EVOLUTION = "src/qpyramid/evolution.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+
+
+MUTANTS = [
+    Mutant("phase-table-doubling-fill", SIMULATOR,
+           "upper[block:2 * block] = upper[:block]",
+           "upper[block:2 * block] = lower[:block]"),
+    *[Mutant(f"label-pass-skips-{kernel}", SIMULATOR,
+             "        if kernel is not _diagonal:\n            kernel(tensor, n, *args)",
+             f"        if kernel not in (_diagonal, {kernel}):\n            kernel(tensor, n, *args)")
+      for kernel in ("_permute", "_cswap", "_flip")],
+    Mutant("phase-table-reversed-qubits", SIMULATOR,
+           "touched = sorted(set(linear).union(rows, *rows.values()))",
+           "touched = sorted(set(linear).union(rows, *rows.values()), reverse=True)"),
+    Mutant("fft-ifft-swapped", SIMULATOR,
+           "transform = np.fft.fft if inverse else np.fft.ifft",
+           "transform = np.fft.ifft if inverse else np.fft.fft"),
+    Mutant("fourier-match-ignores-angles", SIMULATOR,
+           "gate.kind is kind and gate.qubits == qubits and gate.angle == angle",
+           "gate.kind is kind and gate.qubits == qubits"),
+    Mutant("plan-reuses-first-diagonal-tables", SIMULATOR,
+           "    for kernel, args in ops:\n        yield (kernel, (tables(",
+           "    first = {}\n"
+           "    for kernel, args in ops:\n"
+           "        if kernel is _diagonal and tables is tuple:\n"
+           "            args = first.setdefault('args', args)\n"
+           "        yield (kernel, (tables("),
+    Mutant("mirror-float-equality", ANALYSIS,
+           "    bits = column.view(np.int64)\n    return np.array_equal(bits, bits[::-1])",
+           "    return np.array_equal(column, column[::-1])"),
+    Mutant("mirror-holds-odd-middle-row", ANALYSIS,
+           "low, half = n // 2, n - n // 2",
+           "low, half = n - n // 2, n - n // 2"),
+    Mutant("mirror-even-off-by-one", ANALYSIS,
+           "low, half = n // 2, n - n // 2",
+           "low, half = n // 2, n // 2 + 1"),
+    Mutant("mirror-drops-odd-middle-row", ANALYSIS,
+           "column[a:min(b, half)]",
+           "column[a:min(b, low)]"),
+    # numpy's temporary elision turns `held * temporary` into `temporary *
+    # held` from 256 KiB up, and SIMD complex multiply is not commutative bit
+    # for bit, so holding the conjugated ramps moves the oracle's bytes
+    Mutant("oracle-hoists-conj", EVOLUTION,
+           "    def substep(psi):\n"
+           "        psi = half_potential * psi\n"
+           "        psi = kinetic * forward_ramp * np.fft.fft(ramp * psi, norm=\"ortho\")\n"
+           "        psi = ramp.conj() * np.fft.ifft(forward_ramp.conj() * psi, norm=\"ortho\")\n",
+           "    ramp_conj, forward_ramp_conj = ramp.conj(), forward_ramp.conj()\n"
+           "\n"
+           "    def substep(psi):\n"
+           "        psi = half_potential * psi\n"
+           "        psi = kinetic * forward_ramp * np.fft.fft(ramp * psi, norm=\"ortho\")\n"
+           "        psi = ramp_conj * np.fft.ifft(forward_ramp_conj * psi, norm=\"ortho\")\n"),
+    Mutant("oracle-in-place-potential", EVOLUTION,
+           "        return half_potential * psi",
+           "        psi *= half_potential\n        return psi"),
+    Mutant("frequency-numpy-division-past-2^53", EVOLUTION,
+           "counts / shots if shots <= 2**53 else",
+           "counts / shots if True else"),
+    Mutant("stream-keeps-previous-record", EVOLUTION,
+           "        yield EvolutionStep(state, reference, histogram, fidelity_exact(state, reference),\n"
+           "                            swap_test_estimate(reference, state, config.shots, rng))",
+           "        record = EvolutionStep(state, reference, histogram, fidelity_exact(state, reference),\n"
+           "                               swap_test_estimate(reference, state, config.shots, rng))\n"
+           "        yield record\n"
+           "        previous = record"),
+    Mutant("stream-keeps-initial-state", EVOLUTION,
+           "def _split_step_states(state, substep, config: EvolutionConfig) -> Iterator:",
+           "def _split_step_states(initial, substep, config: EvolutionConfig) -> Iterator:\n"
+           "    state = initial"),
+]
+
+
+def _apply(mutant: Mutant, root: Path) -> bool:
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return False
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def check(mutant: Mutant) -> str:
+    """'killed', 'SURVIVED', 'STALE' or 'ERROR' for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, root / name)
+        if not _apply(mutant, root):
+            return "STALE"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        suite = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return {0: "SURVIVED", 1: "killed"}.get(suite.returncode, "ERROR")
+
+
+def main(names: list[str]) -> int:
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in [known[name] for name in names] or MUTANTS:
+        start = time.perf_counter()
+        verdict = check(mutant)
+        failed += verdict != "killed"
+        print(f"{verdict:8} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(names) or len(MUTANTS)} mutants, {failed} not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
