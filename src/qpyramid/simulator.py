@@ -16,7 +16,9 @@ application to rounding, not bit for bit.
 that runs many times.  `run` takes a `Plan` or a `Circuit`; a `Circuit` is
 validated and compiled on every call, and its phase tables are built one at
 a time as the ops run and dropped after, so a plan costs memory only where
-one is held, and results are bit-identical either way.
+one is held, and results are bit-identical either way.  A table covers one
+half of the state, over the qubits its terms touch; a wide half of
+one-qubit phases only gets two small Kronecker factor tables instead.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; a seed fixes the
 stream of draws.  The draws read a state's probabilities, whose bits are bound
@@ -39,6 +41,9 @@ from .circuit import PHASE_KINDS, Circuit, CircuitError, Gate, GateKind, Invalid
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
 UNITARY_MAX_QUBITS = 12
+# Widest linear phase half built as one table; below this the extra broadcast
+# multiply of two factor tables costs more than the entries it saves.
+_LINEAR_TABLE_MAX_QUBITS = 10
 
 
 class WidthTooLarge(CircuitError):
@@ -175,7 +180,7 @@ def _phase_table(qubits: list, const, linear: dict, rows: dict) -> np.ndarray:
 
 
 def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
-    """The (index, table) halves that `_diagonal` multiplies by to apply
+    """The (index, table) pairs that `_diagonal` multiplies by to apply
     exp(i * sum of terms), each built when it is reached: `terms` maps () to
     a constant angle, (q,) to the angle of bit q, and (q, r) with q < r to
     that of b_q b_r.
@@ -185,7 +190,12 @@ def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
     only the qubits those terms touch, shaped to broadcast over the others.
     A half where no term holds is left out (for a Fourier cascade, the half
     where the target bit is 0), so a table never has more than 2^(n-1)
-    entries.
+    entries.  A half with no pairwise term is a tensor product of one-qubit
+    phases; if it touches k > `_LINEAR_TABLE_MAX_QUBITS` qubits it gets two
+    tables at the same index instead, one over the first k // 2 of its
+    ascending touched qubits, with the constant, and one over the rest.
+    They hold about 2^(k/2 + 1) entries in place of 2^k, and cost the state
+    one more rounding.
     """
     factors = np.exp(1j * np.array(list(terms.values()), dtype=np.longdouble))
     lo = min(q for key in terms for q in key)
@@ -203,18 +213,23 @@ def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
             else:
                 rows.setdefault(key[0], {})[key[1]] = factor
         touched = sorted(set(linear).union(rows, *rows.values()))
-        shape = [1] * (n - lo)  # qubits lo+1..n-1, then the batch axis
-        for q in touched:
-            shape[q - lo - 1] = 2
-        yield (slice(None),) * lo + (bit,), _phase_table(touched, const, linear, rows).reshape(shape)
+        parts = [(touched, const)]
+        if not rows and len(touched) > _LINEAR_TABLE_MAX_QUBITS:
+            cut = len(touched) // 2
+            parts = [(touched[:cut], const), (touched[cut:], 1)]
+        for qubits, constant in parts:
+            shape = [1] * (n - lo)  # qubits lo+1..n-1, then the batch axis
+            for q in qubits:
+                shape[q - lo - 1] = 2
+            yield (slice(None),) * lo + (bit,), _phase_table(qubits, constant, linear, rows).reshape(shape)
 
 
-def _diagonal(tensor: np.ndarray, n: int, halves: Iterable[tuple]) -> None:
-    """Multiply each (index, table) half from `_phase_tables` in place."""
-    for index, table in halves:
+def _diagonal(tensor: np.ndarray, n: int, tables: Iterable[tuple]) -> None:
+    """Multiply by each (index, table) pair from `_phase_tables` in place."""
+    for index, table in tables:
         half = tensor[index]
         half *= table
-        del table  # dropped before a lazy `halves` builds the next one
+        del table  # dropped before a lazy `tables` builds the next one
 
 
 def _hadamard(tensor: np.ndarray, n: int, q: int) -> None:
@@ -333,7 +348,7 @@ def _compile(circuit: Circuit) -> list:
 def _finished(n: int, ops, tables=iter) -> Iterator[tuple]:
     """Each of `ops` ready to run, as it is reached: a `_diagonal` op's summed
     angles become its `_phase_tables`, collected by `tables`, and any other
-    op is passed on as it is.  With `iter` each half table is built only when
+    op is passed on as it is.  With `iter` each table is built only when
     `_diagonal` multiplies by it and is dropped before the next is built, so
     no more than one is alive and the allocator reuses its pages instead of
     faulting in fresh ones; `tuple` builds them all now, for a plan to hold."""
@@ -346,8 +361,10 @@ class Plan:
     """A validated circuit compiled once, to run any number of times: a
     snapshot of its gates and global phase, and its finished ops, whose
     phase tables are read-only.  Gates added to the circuit later do not
-    reach the plan.  Each `_diagonal` op keeps up to one statevector's worth
-    of tables for the plan's lifetime."""
+    reach the plan.  Each `_diagonal` op with pairwise angles keeps up to
+    one statevector's worth of tables for the plan's lifetime; a half of
+    one-qubit phases over k > `_LINEAR_TABLE_MAX_QUBITS` qubits keeps about
+    2^(k/2 + 1) entries."""
 
     n_qubits: int
     gates: tuple[Gate, ...]

@@ -506,7 +506,7 @@ _MULTI_CHUNK_GOLDEN = {
         "profile.csv": "957aaf43bfe7fdac9319ae774131a9d8bc8103aadeabf90e78d8fbc27094c3e9",
     }),
     "evolve": (["evolve", "--qubits", "14", "--steps", "1", "--trotter-steps", "1"], {
-        "step_001_state.csv": "5f079d1a47f5016ffab85c9e542b45689d76de2c0d68fbcbdb8be73043ccf343",
+        "step_001_state.csv": "2e6aedb0d09a864f129098d171f9a107e54bf3f3b8482428ec83903d8d54fcb7",
     }),
 }
 

@@ -152,6 +152,15 @@ def test_step_runs_both_transforms_as_fourier_ops(mode):
     assert _hadamard not in kernels
 
 
+def test_substep_plan_holds_under_one_statevector_of_tables():
+    # the four ramp ops are one-qubit phases, held as two small factor tables
+    # per half; only the QATE op between its CX ladders holds a full table
+    plan = compile_circuit(trotter_step_circuit(_config(n=16)))
+    held = [sum(table.size for _, table in args[0]) for kernel, args in plan.ops if kernel is _diagonal]
+    assert len(held) == 5
+    assert sum(held) < 1 << 16
+
+
 def test_step_identity_at_zero_dt():
     config = _config(n=4, dt=0.0, trotter_steps=1, potential=PotentialSpec.single_step(1.0))
     unitary = extract_unitary(trotter_step_circuit(config))

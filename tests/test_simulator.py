@@ -1,5 +1,6 @@
 import math
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -218,9 +219,37 @@ def _plan_circuits(draw):
     return random_circuit(n, draw(st.integers(0, 40)), rng, kinds), rng
 
 
-@settings(max_examples=150)
-@given(_plan_circuits())
-def test_run_matches_kron_oracle(case):
+def _record_table_sizes(monkeypatch) -> list:
+    """The sizes of the phase tables built from now on, in build order."""
+    sizes = []
+    real = simulator._phase_table
+
+    def recording(*args):
+        table = real(*args)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(simulator, "_phase_table", recording)
+    return sizes
+
+
+def _wide_phase_run():
+    """P gates on all 12 qubits: each half touches 11 qubits, one more than
+    `_LINEAR_TABLE_MAX_QUBITS`, and is two factor tables over 5 and 6."""
+    return Circuit(12, [Gate(GateKind.PHASE, (q,), 0.1 * q + 0.1) for q in range(12)])
+
+
+@contextmanager
+def _forced_factoring():
+    """Every half of one-qubit phases as two Kronecker factor tables, however
+    narrow, so that circuits at n <= 6 reach the path that otherwise starts
+    above `_LINEAR_TABLE_MAX_QUBITS` touched qubits."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_LINEAR_TABLE_MAX_QUBITS", 0)
+        yield
+
+
+def _check_run_matches_kron_oracle(case):
     circuit, rng = case
     dim = 1 << circuit.n_qubits
     state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
@@ -229,11 +258,57 @@ def test_run_matches_kron_oracle(case):
     np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=150)
+@given(_plan_circuits())
+def test_run_matches_kron_oracle(case):
+    _check_run_matches_kron_oracle(case)
+
+
+@settings(max_examples=150)
+@given(_plan_circuits())
+def test_run_matches_kron_oracle_factored(case):
+    with _forced_factoring():
+        _check_run_matches_kron_oracle(case)
+
+
+def _check_extract_unitary_matches_kron_oracle(case):
+    circuit, _ = case
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+
+
 @settings(max_examples=100)
 @given(_plan_circuits())
 def test_extract_unitary_matches_kron_oracle_property(case):
-    circuit, _ = case
-    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+    _check_extract_unitary_matches_kron_oracle(case)
+
+
+@settings(max_examples=100)
+@given(_plan_circuits())
+def test_extract_unitary_matches_kron_oracle_factored(case):
+    with _forced_factoring():
+        _check_extract_unitary_matches_kron_oracle(case)
+
+
+def test_wide_phase_run_matches_summed_angles(monkeypatch):
+    # both halves of a run of P gates over 14 qubits touch 13 qubits, so each
+    # is applied as factor tables over 6 and 7 of them; the reference sums
+    # every index's angles in long double
+    n = 14
+    rng = np.random.default_rng(14)
+    qubits = list(range(n)) + [int(q) for q in rng.integers(0, n, size=2 * n)]
+    circuit = Circuit(n, global_phase=float(rng.uniform(-math.pi, math.pi)))
+    for q in qubits:
+        circuit.p(q, float(rng.uniform(-math.pi, math.pi)))
+    sizes = _record_table_sizes(monkeypatch)
+    diagonal = extract_diagonal(circuit)
+    assert sizes == [64, 128, 64, 128]
+    angles = np.zeros(n, dtype=np.longdouble)
+    for gate in circuit.gates:
+        angles[gate.qubits[0]] += gate.angle
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    phases = (bits * angles).sum(axis=1) + circuit.global_phase
+    expected = np.exp(1j * phases).astype(np.complex128)
+    np.testing.assert_allclose(diagonal, expected, rtol=0, atol=1e-14)
 
 
 def test_run_sees_gates_appended_between_calls():
@@ -255,6 +330,9 @@ def test_plan_tables_are_read_only():
     plan = compile_circuit(Circuit(3).p(0, 0.3).cp(1, 2, 0.5).h(0).rz(1, 0.2))
     tables = [table for kernel, args in plan.ops if kernel is _diagonal for _, table in args[0]]
     assert len(tables) == 4  # both halves of each of the two diagonal ops
+    [(kernel, (factors,))] = compile_circuit(_wide_phase_run()).ops
+    assert kernel is _diagonal and [table.size for _, table in factors] == [32, 64, 32, 64]
+    tables += [table for _, table in factors]
     for table in tables:
         with pytest.raises(ValueError):
             table[...] = 0
@@ -293,15 +371,7 @@ def test_gate_tensor_kernel_has_no_phase_or_hadamard_branch(gate):
 def test_phase_table_covers_only_touched_qubits(monkeypatch):
     # one CP between the outermost qubits needs a table over qubit n-1 alone,
     # broadcast over the ten qubits between them
-    sizes = []
-    real = simulator._phase_table
-
-    def recording(*args):
-        table = real(*args)
-        sizes.append(table.size)
-        return table
-
-    monkeypatch.setattr(simulator, "_phase_table", recording)
+    sizes = _record_table_sizes(monkeypatch)
     n = 12
     state = StateVector.from_amplitudes(np.arange(1, (1 << n) + 1))
     out = run(Circuit(n).cp(0, n - 1, 0.3), state)
@@ -328,10 +398,20 @@ def test_bare_circuit_builds_one_phase_table_at_a_time(monkeypatch):
     monkeypatch.setattr(simulator, "_phase_table", recording)
     diagonal = Circuit(4).p(0, 0.3).cp(1, 2, 0.5).x(1).rz(1, 0.2).cp(0, 3, 0.1).x(1).p(3, 0.4)
     circuit = Circuit(4, diagonal.gates + [Gate(GateKind.HADAMARD, (2,))] + diagonal.gates)
-    run(circuit, StateVector.from_amplitudes(np.arange(1, 17)))
-    extract_unitary(circuit)
-    extract_diagonal(diagonal)
-    assert len(built) > 16
+    wide = _wide_phase_run()
+
+    def build_all():
+        run(circuit, StateVector.from_amplitudes(np.arange(1, 17)))
+        extract_unitary(circuit)
+        extract_diagonal(diagonal)
+        run(wide, StateVector.from_amplitudes(np.arange(1, 4097)))  # 4 factor tables
+        return len(built)
+
+    whole = build_all()
+    assert whole > 20
+    # factor tables are dropped one at a time too
+    monkeypatch.setattr(simulator, "_LINEAR_TABLE_MAX_QUBITS", 0)
+    assert build_all() - whole > whole
 
 
 def test_plan_uses_only_the_five_kernels():
@@ -384,9 +464,7 @@ def test_fourier_blocks_match_kron_oracle(case):
     np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
 
 
-@settings(max_examples=100)
-@given(_circuits_with_fourier_blocks(), st.integers(0, 2**32 - 1))
-def test_plan_runs_bit_identical_to_circuit(case, seed):
+def _check_plan_runs_bit_identical_to_circuit(case, seed):
     circuit, _ = case
     rng = np.random.default_rng(seed)
     dim = 1 << circuit.n_qubits
@@ -397,6 +475,19 @@ def test_plan_runs_bit_identical_to_circuit(case, seed):
     assert plan.n_qubits == circuit.n_qubits
     assert plan.gates == tuple(circuit.gates)
     assert plan.global_phase == circuit.global_phase
+
+
+@settings(max_examples=100)
+@given(_circuits_with_fourier_blocks(), st.integers(0, 2**32 - 1))
+def test_plan_runs_bit_identical_to_circuit(case, seed):
+    _check_plan_runs_bit_identical_to_circuit(case, seed)
+
+
+@settings(max_examples=100)
+@given(_circuits_with_fourier_blocks(), st.integers(0, 2**32 - 1))
+def test_plan_runs_bit_identical_to_circuit_factored(case, seed):
+    with _forced_factoring():
+        _check_plan_runs_bit_identical_to_circuit(case, seed)
 
 
 def _one_ulp_off(gates, index):

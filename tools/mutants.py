@@ -52,6 +52,15 @@ MUTANTS = [
     Mutant("phase-table-reversed-qubits", SIMULATOR,
            "touched = sorted(set(linear).union(rows, *rows.values()))",
            "touched = sorted(set(linear).union(rows, *rows.values()), reverse=True)"),
+    Mutant("factor-constant-in-both-tables", SIMULATOR,
+           "parts = [(touched[:cut], const), (touched[cut:], 1)]",
+           "parts = [(touched[:cut], const), (touched[cut:], const)]"),
+    Mutant("factoring-splits-pairwise-half", SIMULATOR,
+           "if not rows and len(touched) > _LINEAR_TABLE_MAX_QUBITS:",
+           "if len(touched) > _LINEAR_TABLE_MAX_QUBITS:"),
+    Mutant("factor-drops-lowest-qubit", SIMULATOR,
+           "(touched[cut:], 1)",
+           "(touched[cut + 1:], 1)"),
     Mutant("fft-ifft-swapped", SIMULATOR,
            "transform = np.fft.fft if inverse else np.fft.ifft",
            "transform = np.fft.ifft if inverse else np.fft.fft"),
