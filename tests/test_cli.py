@@ -555,6 +555,49 @@ def test_circuit_json_bytes_golden(runner, tmp_path, method):
     assert hashlib.sha256((tmp_path / "circuit.json").read_bytes()).hexdigest() == digest
 
 
+def _json_lines(*lines):
+    return "\n".join(lines) + "\n"
+
+
+_EVOLVE_DEFAULTS = ('    "d": 10.0,', '    "dt": 0.1,', '    "eta": 1.0,')
+_EVOLVE_TAIL = ('    "seed": 1234,', '    "shots": 10000,', '    "steps": 5,', '    "trotter_steps": 10',
+                '  }', '}')
+# Exact bytes of the JSON documents no other golden pins: parameters sorted
+# by name under "command" and "params", indent 2 and a trailing newline.
+_JSON_GOLDEN = {
+    "evolve-manifest": (["evolve", "--potential", "multi", "--positions", "0,2"], {
+        "manifest.json": _json_lines(
+            '{', '  "command": "evolve",', '  "params": {', *_EVOLVE_DEFAULTS,
+            '    "k0": 1.0,', '    "mass": 1.0,', '    "mode": "centered",', '    "positions": "0,2",',
+            '    "potential": "multi",', '    "qubits": 5,', *_EVOLVE_TAIL),
+    }),
+    "fidelity-manifest": (["fidelity", "--format", "json"], {
+        "manifest.json": _json_lines(
+            '{', '  "command": "fidelity",', '  "params": {', *_EVOLVE_DEFAULTS,
+            '    "format": "json",', '    "k0": 1.0,', '    "mass": 1.0,', '    "mode": "centered",',
+            '    "potential": "none",', '    "qubits": "3..9",', *_EVOLVE_TAIL),
+    }),
+    "error-budget": (["error-budget", "--h", "0.00097", "--l2", "8", "--sigma-g2", "1e-4",
+                      "--t1", "100", "--t2", "100", "--dt", "0.1"], {
+        "error_budget.json": _json_lines(
+            '{', '  "discretization": 9.126730000000001e-10,', '  "gate": 0.0008,',
+            '  "decoherence": 0.002,', '  "readout": 0.0,', '  "total": 0.002800000912673', '}'),
+        "manifest.json": _json_lines(
+            '{', '  "command": "error-budget",', '  "params": {', '    "dt": 0.1,',
+            '    "h": 0.00097,', '    "l2": 8,', '    "sigma_cr2": 0.0,', '    "sigma_g2": 0.0001,',
+            '    "t1": 100.0,', '    "t2": 100.0', '  }', '}'),
+    }),
+}
+
+
+@pytest.mark.parametrize("args, documents", list(_JSON_GOLDEN.values()), ids=list(_JSON_GOLDEN))
+def test_json_document_bytes_golden(runner, tmp_path, args, documents):
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    for name, text in documents.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
 # --- shared behaviour ---
 
 
