@@ -1,11 +1,14 @@
-"""Command-line front end.
+"""Command-line front end, and the only module that writes files.
 
 Commands: encode-ke, evolve, fidelity, metrics, error-budget.  Every parameter
 has a documented default; flags override values from an optional config file
 (plain key=value lines or a previously emitted manifest.json).  The file is
 read into click's default_map, so its values are type- and choice-checked
 exactly like flags.  Outputs carry no timestamps, so identical parameters
-reproduce identical bytes.
+reproduce identical bytes.  Every output file goes through one of two
+writers, `write_table` (CSV) and `write_json`, which make the output directory
+when they write the first file into it, so a run rejected before its first
+file leaves no directory.
 
 Exit codes: 0 success, 2 usage error, 3 validation/infeasible input, 4 I/O.
 """
@@ -15,20 +18,13 @@ import functools
 import json
 import math
 import os
+from collections.abc import Iterable
 
 import click
 import numpy as np
 
-from .analysis import (
-    ErrorBudgetParams,
-    emit_report,
-    error_budget,
-    error_budget_terms,
-    fidelity_row,
-    metrics_row,
-    write_table,
-)
-from .circuit import CircuitError, circuit_to_json
+from .analysis import ErrorBudgetParams, FidelityReport, error_budget, error_budget_terms
+from .circuit import CircuitError, baseline_gate_count, circuit_to_dict, qate_gate_count
 from .encoders import (
     WindowSpec,
     build_direct_diagonal,
@@ -36,14 +32,9 @@ from .encoders import (
     build_qwe_circuit,
     solve_qate,
 )
-from .evolution import (
-    EvolutionConfig,
-    evolve_quantum,
-    export_evolution,
-    fidelity_sweep,
-)
+from .evolution import EvolutionConfig, EvolutionStep, evolve_quantum, fidelity_sweep
 from .grids import Grid, GridError, PacketSpec, PotentialSpec, kinetic_phase_profile
-from .simulator import extract_diagonal
+from .simulator import extract_diagonal, index_bitstring
 
 EXIT_VALIDATION = 3
 EXIT_IO = 4
@@ -187,15 +178,184 @@ def _require_memory(n: int) -> None:
                         f"more than the {physical} bytes of physical memory")
 
 
+TABLE_CHUNK_ROWS = 16384
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # plain-float repr even for numpy scalars
+    return str(value)
+
+
+def _mirrored(column) -> bool:
+    """A float64 array that reads the same reversed, compared bit for bit, so
+    0.0 and -0.0 differ and one ulp breaks the symmetry."""
+    if column.dtype != np.float64 or column.ndim != 1:
+        return False
+    bits = column.view(np.int64)
+    return np.array_equal(bits, bits[::-1])
+
+
+def _mirrored_chunks(column):
+    """Cells of each chunk of a column equal to its reverse.  Only rows below
+    N - N // 2 are formatted; row r of the second half reuses the text of row
+    N-1-r.  The cells of rows below N // 2 are held as one newline-joined
+    string per chunk, which the second half splits again and reverses."""
+    n = len(column)
+    low, half = n // 2, n - n // 2
+    held = []   # joined text of rows [0, low), one string per chunk
+    spare = []  # cells of the last split string not yet reused
+    for a in range(0, n, TABLE_CHUNK_ROWS):
+        b = min(a + TABLE_CHUNK_ROWS, n)
+        cells = list(map(repr, column[a:min(b, half)].tolist()))
+        if a < low:
+            held.append("\n".join(cells[:low - a]))
+        need = b - max(a, half)
+        while need > 0:
+            if not spare:
+                spare = held.pop().split("\n")
+            k = min(need, len(spare))
+            cells += reversed(spare[-k:])
+            del spare[-k:]
+            need -= k
+        yield cells
+
+
+def _column_chunks(column):
+    """The cells of one column, TABLE_CHUNK_ROWS rows at a time."""
+    if isinstance(column, np.ndarray):
+        if _mirrored(column):
+            return _mirrored_chunks(column)
+        cells = lambda a, b: map(repr, column[a:b].tolist())
+    elif isinstance(column, range):
+        cells = lambda a, b: map(str, column[a:b])
+    else:
+        cells = lambda a, b: map(_format_cell, column[a:b])
+    return (cells(a, a + TABLE_CHUNK_ROWS) for a in range(0, len(column), TABLE_CHUNK_ROWS))
+
+
+def write_table(path, header: list[str], columns) -> None:
+    """CSV table with one sequence per column: floats in shortest round-trip
+    repr, None as an empty cell.  Each chunk of TABLE_CHUNK_ROWS rows is
+    formatted column by column and written at once, so no string of the whole
+    table is built.  A float64 array column equal to its reverse, bit for bit,
+    is formatted once per mirrored pair of rows.  The file's directory is
+    made if it does not exist."""
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError("table columns differ in length")
+    chunks = [_column_chunks(column) for column in columns]
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for cells in zip(*chunks):
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_json(path, document) -> None:
+    """`document` as JSON with indent 2, keys in the order given, and a
+    trailing newline.  Like `write_table`, it makes the file's directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(document, fh, indent=2)
+        fh.write("\n")
+
+
+REPORT_HEADERS = {
+    "metrics": ["n", "qate_1q", "qate_2q", "qate_total", "baseline_total",
+                "depth_ours", "depth_paper_ref", "depth_baseline_paper_ref"],
+    "fidelity": ["n", "mode", "Nt", "exact", "swap_estimate", "std_error",
+                 "reference", "deviation_note"],
+    "summary": ["step", "exact_fidelity", "swap_fidelity", "norm"],
+}
+
+# Reference circuit depths reported for qubit sizes 3..6 (informational columns
+# in metrics output; our own depth metric is ASAP layering and is not asserted
+# against these).
+QATE_DEPTH_REFERENCE = {3: 9, 4: 18, 5: 22, 6: 36}
+BASELINE_DEPTH_REFERENCE = {3: 16, 4: 24, 5: 32, 6: 40}
+
+FIDELITY_REFERENCE = {3: 0.73, 9: 0.99}  # published anchor points, qualitative
+FIDELITY_REFERENCE_BAND = 0.15
+
+
+def emit_report(out_dir, section: str, rows, fmt: str = "csv") -> list[str]:
+    """Write one report table, whose columns REPORT_HEADERS[section] names;
+    deterministic byte-for-byte.
+
+    csv format writes `<section>.csv`; json writes report.json holding
+    {section: [one object per row]}.  Returns the list of paths written.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    header = REPORT_HEADERS[section]
+    if fmt == "csv":
+        path = os.path.join(out_dir, f"{section}.csv")
+        write_table(path, header, zip(*rows))
+    else:
+        path = os.path.join(out_dir, "report.json")
+        write_json(path, {section: [dict(zip(header, row)) for row in rows]})
+    return [path]
+
+
+def metrics_row(n: int) -> list:
+    """One metrics table row comparing encoder cost against the reference count."""
+    m = qate_gate_count(n)
+    return [
+        n, m.one_qubit_count, m.two_qubit_count, m.total, baseline_gate_count(n),
+        m.depth, QATE_DEPTH_REFERENCE.get(n), BASELINE_DEPTH_REFERENCE.get(n),
+    ]
+
+
+def fidelity_row(n: int, mode: str, trotter_steps: int, report: FidelityReport) -> list:
+    reference = FIDELITY_REFERENCE.get(n)
+    note = None
+    if reference is not None and abs(report.exact - reference) > FIDELITY_REFERENCE_BAND:
+        note = f"deviates from reference {reference} by {abs(report.exact - reference):.3f}"
+    return [n, mode, trotter_steps, report.exact, report.estimated, report.std_error,
+            reference, note]
+
+
+def export_evolution(records: Iterable[EvolutionStep], out_dir) -> list[list]:
+    """Per-step statevector and histogram CSVs, each pair written as its
+    record arrives, then a fidelity/norm summary; returns the summary rows.
+    A run that fails before its first record writes no file and so makes no
+    directory."""
+    summary_rows = []
+    bitstrings = []
+    for step, record in enumerate(records):
+        state = record.state
+        indices = range(1 << state.n_qubits)
+        if len(bitstrings) != len(indices):
+            bitstrings = [index_bitstring(i, state.n_qubits) for i in indices]
+        amplitudes = state.amplitudes
+        # probability stays Python's abs(a) ** 2: numpy's |a|^2 routes differ in the last bit
+        write_table(os.path.join(out_dir, f"step_{step:03d}_state.csv"),
+                    ["index", "bitstring", "real", "imag", "probability"],
+                    [indices, bitstrings, amplitudes.real, amplitudes.imag,
+                     [abs(a) ** 2 for a in amplitudes.tolist()]])
+        # frequency is c / shots correctly rounded, as Python divides ints.
+        # numpy's array division rounds each count to float64 first, so it
+        # agrees only while shots <= 2^53; past that the Python list is kept
+        shots, counts = record.histogram.shots, record.histogram.counts
+        write_table(os.path.join(out_dir, f"step_{step:03d}_hist.csv"),
+                    ["bitstring", "count", "frequency"],
+                    [bitstrings, counts,
+                     counts / shots if shots <= 2**53 else [c / shots for c in counts.tolist()]])
+        summary_rows.append([step, record.exact_fidelity, record.swap_report.estimated, state.norm()])
+    emit_report(out_dir, "summary", summary_rows)
+    return summary_rows
+
+
 def _write_manifest() -> None:
     """manifest.json: the command and every resolved parameter but `out`,
-    readable back through --config."""
+    sorted by name, readable back through --config."""
     ctx = click.get_current_context()
-    params = {k: v for k, v in ctx.params.items() if v is not None and k != "out"}
-    os.makedirs(ctx.params["out"], exist_ok=True)
-    with open(os.path.join(ctx.params["out"], "manifest.json"), "w") as fh:
-        json.dump({"command": ctx.info_name, "params": params}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    params = {k: ctx.params[k] for k in sorted(ctx.params) if ctx.params[k] is not None and k != "out"}
+    write_json(os.path.join(ctx.params["out"], "manifest.json"), {"command": ctx.info_name, "params": params})
 
 
 def _options(*options):
@@ -280,9 +440,7 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
     diagonal = extract_diagonal(circuit)
     target = np.exp(-1j * profile.thetas)
 
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "circuit.json"), "w") as fh:
-        fh.write(circuit_to_json(circuit) + "\n")
+    write_json(os.path.join(out, "circuit.json"), circuit_to_dict(circuit))
     for name, values in (("diagonal.csv", diagonal), ("target.csv", target)):
         write_table(os.path.join(out, name), ["index", "re", "im", "phase"],
                     [range(len(values)), values.real, values.imag, np.angle(values)])
@@ -363,10 +521,7 @@ def cmd_error_budget(h, l2, sigma_g2, t1, t2, dt, sigma_cr2, out):
     total = error_budget(params)
     click.echo(f"total: {total!r}")
     if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "error_budget.json"), "w") as fh:
-            json.dump({**terms, "total": total}, fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(out, "error_budget.json"), {**terms, "total": total})
         _write_manifest()
 
 

@@ -1,5 +1,6 @@
 """Split-step time evolution of a wave packet on the simulator, plus the
-classical split-step reference.
+classical split-step reference.  Pure computation: the records
+`evolve_quantum` yields are written to files by `cli.export_evolution`.
 
 Each substep applies V-half, position->momentum transform, the kinetic
 diagonal, the inverse transform, and V-half again (symmetric second-order
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import FidelityReport, emit_report, swap_test_estimate, write_table
+from .analysis import FidelityReport, swap_test_estimate
 from .circuit import Circuit, InvalidWidth, wrap_angle
 from .encoders import build_potential_circuit, build_qate_circuit, build_qft, solve_qate
 from .grids import (
@@ -46,7 +47,6 @@ from .simulator import (
     StateVector,
     compile_circuit,
     fidelity_exact,
-    index_bitstring,
     run,
     sample,
 )
@@ -285,37 +285,3 @@ def fidelity_sweep(template: EvolutionConfig, n_values) -> list[tuple[EvolutionC
         report = swap_test_estimate(reference, _final_state(_circuit_states(config)), config.shots, rng)
         points.append((config, report))
     return points
-
-
-def export_evolution(records: Iterable[EvolutionStep], out_dir) -> list[list]:
-    """Per-step statevector and histogram CSVs, each pair written as its
-    record arrives, then a fidelity/norm summary; returns the summary rows.
-    The directory is made once the first record exists, so a run that fails
-    before it leaves none."""
-    import os
-
-    summary_rows = []
-    for step, record in enumerate(records):
-        state = record.state
-        if step == 0:
-            os.makedirs(out_dir, exist_ok=True)
-            n = state.n_qubits
-            indices = range(1 << n)
-            bitstrings = [index_bitstring(i, n) for i in indices]
-        amplitudes = state.amplitudes
-        # probability stays Python's abs(a) ** 2: numpy's |a|^2 routes differ in the last bit
-        write_table(os.path.join(out_dir, f"step_{step:03d}_state.csv"),
-                    ["index", "bitstring", "real", "imag", "probability"],
-                    [indices, bitstrings, amplitudes.real, amplitudes.imag,
-                     [abs(a) ** 2 for a in amplitudes.tolist()]])
-        # frequency is c / shots correctly rounded, as Python divides ints.
-        # numpy's array division rounds each count to float64 first, so it
-        # agrees only while shots <= 2^53; past that the Python list is kept
-        shots, counts = record.histogram.shots, record.histogram.counts
-        write_table(os.path.join(out_dir, f"step_{step:03d}_hist.csv"),
-                    ["bitstring", "count", "frequency"],
-                    [bitstrings, counts,
-                     counts / shots if shots <= 2**53 else [c / shots for c in counts.tolist()]])
-        summary_rows.append([step, record.exact_fidelity, record.swap_report.estimated, state.norm()])
-    emit_report(out_dir, "summary", summary_rows)
-    return summary_rows

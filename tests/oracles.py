@@ -169,7 +169,7 @@ def _reference_cell(value) -> str:
 
 def reference_write_table(path, header: list[str], columns) -> None:
     """Row-by-row, cell-by-cell CSV writer: the reference for
-    `analysis.write_table`, which formats column slices and reuses the text
+    `cli.write_table`, which formats column slices and reuses the text
     of mirrored rows."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qpyramid.analysis import emit_report, fidelity_row, swap_test_estimate
+from qpyramid.analysis import swap_test_estimate
 from qpyramid.circuit import Circuit, GateKind, baseline_gate_count, count_gates, qate_gate_count
+from qpyramid.cli import emit_report, fidelity_row
 from qpyramid.cli import main as cli_main
 from qpyramid.encoders import WindowSpec, build_qate_circuit, build_qwe_circuit, solve_qate
 from qpyramid.evolution import (

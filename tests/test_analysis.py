@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpyramid import analysis
+from qpyramid import cli
 from qpyramid.analysis import (
     ErrorBudgetParams,
     FidelityReport,
-    emit_report,
     error_budget,
     error_budget_terms,
-    fidelity_row,
-    metrics_row,
     swap_test_estimate,
-    write_table,
 )
+from qpyramid.cli import emit_report, fidelity_row, metrics_row, write_table
 from qpyramid.circuit import GateKind, InvalidWidth, count_gates
 from qpyramid.simulator import RandomSource, StateVector, fidelity_exact
 
@@ -299,11 +296,11 @@ def _palindromes(n_rows):
 def test_write_table_chunk_boundaries(tmp_path, monkeypatch, n_rows):
     # chunks of 3 rows: empty, partial, exact and multi-chunk tables, odd and
     # even, with the mirror point inside a chunk and on a chunk boundary
-    monkeypatch.setattr(analysis, "TABLE_CHUNK_ROWS", 3)
+    monkeypatch.setattr(cli, "TABLE_CHUNK_ROWS", 3)
     floats = [i / 7 for i in range(n_rows)]
     notes = [None if i % 2 else f"r{i}" for i in range(n_rows)]
     mirrored = _palindromes(n_rows)
-    assert [analysis._mirrored(c) for c in mirrored] == [True, n_rows < 2, n_rows < 2]
+    assert [cli._mirrored(c) for c in mirrored] == [True, n_rows < 2, n_rows < 2]
     write_table(tmp_path / "t.csv", ["i", "x", "note", "a", "b", "c"],
                 [range(n_rows), floats, notes, *mirrored])
     expected = ["i,x,note,a,b,c"] + [
@@ -344,11 +341,11 @@ def _tables(draw):
 @given(_tables(), st.sampled_from([1, 2, 3, 4, 5, 7]))
 def test_write_table_matches_per_cell_reference(table, chunk_rows):
     columns, exact = table
-    assert [analysis._mirrored(c) for c in columns[1:3]] == exact
+    assert [cli._mirrored(c) for c in columns[1:3]] == exact
     header = [f"c{k}" for k in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         fast, ref = pathlib.Path(tmp, "fast.csv"), pathlib.Path(tmp, "ref.csv")
-        mp.setattr(analysis, "TABLE_CHUNK_ROWS", chunk_rows)
+        mp.setattr(cli, "TABLE_CHUNK_ROWS", chunk_rows)
         write_table(fast, header, columns)
         reference_write_table(ref, header, columns)
         assert fast.read_bytes() == ref.read_bytes()
@@ -362,6 +359,14 @@ def test_write_table_rejects_ragged_columns(tmp_path):
 def test_write_table_numpy_scalars_as_plain_floats(tmp_path):
     write_table(tmp_path / "t.csv", ["x"], [[np.float64(0.1), np.float64(1e-300)]])
     assert (tmp_path / "t.csv").read_text() == "x\n0.1\n1e-300\n"
+
+
+def test_writers_make_the_directory_and_take_a_bare_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_table("t.csv", ["x"], [[1]])
+    cli.write_json(pathlib.Path("a", "b", "d.json"), {"z": 1, "a": [None]})
+    assert (tmp_path / "t.csv").read_text() == "x\n1\n"
+    assert (tmp_path / "a" / "b" / "d.json").read_text() == '{\n  "z": 1,\n  "a": [\n    null\n  ]\n}\n'
 
 
 def test_emit_report_json(tmp_path):

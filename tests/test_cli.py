@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpyramid import analysis
+from qpyramid import cli
 from qpyramid.cli import main
 from qpyramid.circuit import circuit_from_json
 from qpyramid.simulator import sample
@@ -511,11 +511,11 @@ _MULTI_CHUNK_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [analysis.TABLE_CHUNK_ROWS, 5000])
+@pytest.mark.parametrize("chunk_rows", [cli.TABLE_CHUNK_ROWS, 5000])
 @pytest.mark.parametrize("args, digests", list(_MULTI_CHUNK_GOLDEN.values()),
                          ids=list(_MULTI_CHUNK_GOLDEN))
 def test_multi_chunk_table_digests(runner, tmp_path, monkeypatch, args, digests, chunk_rows):
-    monkeypatch.setattr(analysis, "TABLE_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(cli, "TABLE_CHUNK_ROWS", chunk_rows)
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     for name, digest in digests.items():

@@ -9,12 +9,12 @@ import pytest
 from qpyramid.circuit import Circuit, count_gates
 from qpyramid.encoders import build_qate_circuit, solve_qate
 from qpyramid.analysis import FidelityReport
+from qpyramid.cli import export_evolution
 from qpyramid.evolution import (
     EvolutionConfig,
     EvolutionStep,
     evolve_classical_oracle,
     evolve_quantum,
-    export_evolution,
     fidelity_sweep,
     free_packet_reference,
     momentum_transform_circuit,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpyramid.analysis import write_table
+from qpyramid.cli import write_table
 from qpyramid.grids import (
     Grid,
     GridError,

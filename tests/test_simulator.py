@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpyramid import simulator
-from qpyramid.analysis import write_table
+from qpyramid.cli import write_table
 from qpyramid.circuit import (
     ArityMismatch,
     Circuit,
