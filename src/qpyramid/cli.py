@@ -26,6 +26,7 @@ import numpy as np
 from .analysis import ErrorBudgetParams, FidelityReport, error_budget, error_budget_terms
 from .circuit import CircuitError, baseline_gate_count, circuit_to_dict, qate_gate_count
 from .encoders import (
+    InfeasibleWindow,
     WindowSpec,
     build_direct_diagonal,
     build_qate_circuit,
@@ -118,11 +119,13 @@ def _parse_qubit_range(text: str) -> range:
     return range(first, last + 1)
 
 
-def _parse_window(text: str) -> frozenset[int]:
+def _parse_window(text: str) -> range | list[int]:
+    """Half-indices in ascending order: `a..b` as a range, which holds no
+    elements, or comma-separated integers."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return frozenset(range(int(lo), int(hi) + 1))
-    return frozenset(int(part) for part in text.split(","))
+        return range(int(lo), int(hi) + 1)
+    return sorted(int(part) for part in text.split(","))
 
 
 def _parse_positions(text: str) -> tuple[int, ...]:
@@ -168,14 +171,30 @@ def _potential_spec(kind: str, eta: float, positions: str | None) -> PotentialSp
     return _POTENTIALS[kind](eta, qubits[0])
 
 
-def _require_memory(n: int) -> None:
-    """Refuse, before anything is allocated, a width whose single statevector
-    (16 * 2^n bytes) exceeds the physical memory.  The shift is capped so an
-    absurd n does not build a huge integer."""
+# A command's peak resident memory, estimated before anything is allocated:
+# the interpreter with the package loaded, plus so many statevectors (16 bytes
+# per amplitude) of the widest register, or for `metrics` so many bytes per
+# gate of the widest encoder template.  Fitted to the VmHWM of child processes
+# at n = 14..20 (`metrics` at n = 200..1000) and rounded up.
+_PROCESS_BYTES = 48 << 20
+_STATEVECTORS = {"encode-ke": 6, "evolve": 24, "fidelity": 10}
+_TEMPLATE_GATE_BYTES = 256
+
+
+def _require_memory(n: int, nbytes: int) -> None:
+    """Refuse the running command at width n, before it allocates anything,
+    when its estimated peak of `nbytes` exceeds the physical memory."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n >= 1 and 16 << min(n, 64) > physical:
-        raise GridError(f"one statevector of {n} qubits needs 2^{n + 4} bytes, "
-                        f"more than the {physical} bytes of physical memory")
+    if nbytes > physical:
+        raise GridError(f"{click.get_current_context().info_name} at {n} qubits needs about "
+                        f"{nbytes / 2**30:.3g} GiB, more than the {physical / 2**30:.3g} GiB "
+                        f"of physical memory")
+
+
+def _statevector_bytes(command: str, n: int) -> int:
+    """Estimated peak of `command` at width n.  The shift is capped so an
+    absurd n does not build a huge integer."""
+    return _PROCESS_BYTES + _STATEVECTORS[command] * (16 << min(max(n, 0), 64))
 
 
 TABLE_CHUNK_ROWS = 16384
@@ -425,7 +444,7 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
     for name, value in (("window", window), ("cp-budget", cp_budget)):
         if value is not None and method != "qwe":
             raise click.BadParameter(f"only --method qwe takes it, not {method}", param_hint=f"'--{name}'")
-    _require_memory(qubits)
+    _require_memory(qubits, _statevector_bytes("encode-ke", qubits))
     grid = Grid(d, qubits)
     profile = kinetic_phase_profile(grid, dt, mass)
     if method == "qate":
@@ -435,7 +454,11 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
     else:
         if window is None:
             raise click.UsageError("--window is required for method qwe")
-        spec = WindowSpec(_parse_window(window), cp_budget)
+        # bounds first: a range is checked at its ends, before its set is built
+        indices, half_size = _parse_window(window), 1 << (qubits - 1)
+        if indices and not (0 <= indices[0] and indices[-1] < half_size):
+            raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
+        spec = WindowSpec(frozenset(indices), cp_budget)
         circuit = build_qwe_circuit(qubits, profile.first_half(), spec)
     diagonal = extract_diagonal(circuit)
     target = np.exp(-1j * profile.thetas)
@@ -458,7 +481,7 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
 @_guarded
 def cmd_evolve(out, **params):
     """Evolve the Gaussian packet; write per-step states, histograms, summary."""
-    _require_memory(params["qubits"])
+    _require_memory(params["qubits"], _statevector_bytes("evolve", params["qubits"]))
     config = _evolution_config(**params)
     summary = export_evolution(evolve_quantum(config), out)
     _write_manifest()
@@ -476,7 +499,7 @@ def cmd_evolve(out, **params):
 def cmd_fidelity(qubits, out, format, **params):
     """Sweep qubit counts, swap-testing each final state against the reference."""
     n_values = _parse_qubit_range(qubits)
-    _require_memory(n_values[-1])
+    _require_memory(n_values[-1], _statevector_bytes("fidelity", n_values[-1]))
     template = _evolution_config(n_values[0], **params)
     rows = [
         fidelity_row(config.grid.n_qubits, config.mode, config.trotter_steps, report)
@@ -495,7 +518,10 @@ def cmd_fidelity(qubits, out, format, **params):
 @_guarded
 def cmd_metrics(qubits, out, format):
     """Gate-count and depth table against the reference construction."""
-    rows = [metrics_row(n) for n in _parse_qubit_range(qubits)]
+    n_values = _parse_qubit_range(qubits)
+    widest = max(n_values[-1], 1)
+    _require_memory(widest, _PROCESS_BYTES + _TEMPLATE_GATE_BYTES * (widest - 1) * (widest + 4) // 2)
+    rows = [metrics_row(n) for n in n_values]
     emit_report(out, "metrics", rows, fmt=format)
     _write_manifest()
     click.echo(f"wrote metrics for n in {qubits} to {out}")

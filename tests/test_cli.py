@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -10,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpyramid
 from qpyramid import cli
 from qpyramid.cli import main
 from qpyramid.circuit import circuit_from_json
@@ -266,6 +271,87 @@ def test_memory_error_exits_3_without_traceback(runner, tmp_path, monkeypatch):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.output == "error: out of memory: Unable to allocate 8.00 GiB\n"
+
+
+def _run_capped(args, out, prelude=""):
+    """The CLI in a child process whose address space is capped at 1 GiB, so
+    a guard that does not fire ends in a MemoryError there instead of taking
+    the host's memory.  `prelude` runs in the child before the command."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = prelude + "import sys\nfrom qpyramid.cli import main\nmain(sys.argv[1:])\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qpyramid.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args, "--out", str(out)], env=env,
+                          capture_output=True, text=True, preexec_fn=cap, timeout=300)
+
+
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _first_rejected_width(command):
+    """The narrowest width whose estimated peak exceeds physical memory."""
+    return next(n for n in range(1, 64) if cli._statevector_bytes(command, n) > _physical_memory())
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_window_bounds_are_checked_before_the_set_is_built(tmp_path, source):
+    # 10^8 indices as a set take several GB; the range is checked at its ends
+    window = ["--window", "0..100000000"]
+    if source == "config":
+        (tmp_path / "run.conf").write_text("window=0..100000000\n")
+        window = ["--config", str(tmp_path / "run.conf")]
+    result = _run_capped(["encode-ke", "--qubits", "4", "--method", "qwe", *window], tmp_path / "x")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        3, "", "error: window indices must lie in [0, 8)\n")
+    assert not (tmp_path / "x").exists()
+
+
+def _assert_refused(result, command, n, out):
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {command} at {n} qubits needs about ")
+    assert result.stderr.endswith(" of physical memory\n")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qubits", ["1000000", "3..1000000"])
+def test_metrics_guard_exits_3_before_building_the_template(tmp_path, qubits):
+    # the 5 * 10^11-gate template would take about 10^14 bytes
+    result = _run_capped(["metrics", "--qubits", qubits], tmp_path / "x")
+    _assert_refused(result, "metrics", 1000000, tmp_path / "x")
+
+
+@pytest.mark.parametrize("command", sorted(cli._STATEVECTORS))
+def test_footprint_guard_exits_3_at_the_first_width_past_memory(tmp_path, command):
+    """The narrowest width whose estimated peak exceeds physical memory is
+    refused before anything is allocated, although one statevector of it
+    would fit."""
+    n = _first_rejected_width(command)
+    assert 16 << n <= _physical_memory()
+    args = [command, "--qubits", str(n)] + (["--steps", "0"] if command == "evolve" else [])
+    _assert_refused(_run_capped(args, tmp_path / "x"), command, n, tmp_path / "x")
+
+
+_REPORT_PEAK = """import atexit, sys
+def _report_peak():
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmHWM:")).split()[1], file=sys.stderr)
+atexit.register(_report_peak)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("args", [["encode-ke", "--qubits", "16"],
+                                  ["evolve", "--qubits", "16", "--steps", "2"]],
+                         ids=lambda args: args[0])
+def test_memory_guard_figure_bounds_the_measured_peak(tmp_path, args):
+    result = _run_capped(args, tmp_path / "x", prelude=_REPORT_PEAK)
+    assert result.returncode == 0, result.stderr
+    peak = int(result.stderr) * 1024
+    assert peak <= cli._statevector_bytes(args[0], 16)
 
 
 def test_failure_after_step_0_keeps_written_steps_and_no_manifest(runner, tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 SIMULATOR = "src/qpyramid/simulator.py"
-ANALYSIS = "src/qpyramid/analysis.py"
+CLI = "src/qpyramid/cli.py"
 EVOLUTION = "src/qpyramid/evolution.py"
 
 
@@ -74,16 +74,16 @@ MUTANTS = [
            "        if kernel is _diagonal and tables is tuple:\n"
            "            args = first.setdefault('args', args)\n"
            "        yield (kernel, (tables("),
-    Mutant("mirror-float-equality", ANALYSIS,
+    Mutant("mirror-float-equality", CLI,
            "    bits = column.view(np.int64)\n    return np.array_equal(bits, bits[::-1])",
            "    return np.array_equal(column, column[::-1])"),
-    Mutant("mirror-holds-odd-middle-row", ANALYSIS,
+    Mutant("mirror-holds-odd-middle-row", CLI,
            "low, half = n // 2, n - n // 2",
            "low, half = n - n // 2, n - n // 2"),
-    Mutant("mirror-even-off-by-one", ANALYSIS,
+    Mutant("mirror-even-off-by-one", CLI,
            "low, half = n // 2, n - n // 2",
            "low, half = n // 2, n // 2 + 1"),
-    Mutant("mirror-drops-odd-middle-row", ANALYSIS,
+    Mutant("mirror-drops-odd-middle-row", CLI,
            "column[a:min(b, half)]",
            "column[a:min(b, low)]"),
     # numpy's temporary elision turns `held * temporary` into `temporary *
@@ -103,7 +103,7 @@ MUTANTS = [
     Mutant("oracle-in-place-potential", EVOLUTION,
            "        return half_potential * psi",
            "        psi *= half_potential\n        return psi"),
-    Mutant("frequency-numpy-division-past-2^53", EVOLUTION,
+    Mutant("frequency-numpy-division-past-2^53", CLI,
            "counts / shots if shots <= 2**53 else",
            "counts / shots if True else"),
     Mutant("stream-keeps-previous-record", EVOLUTION,
@@ -117,6 +117,17 @@ MUTANTS = [
            "def _split_step_states(state, substep, config: EvolutionConfig) -> Iterator:",
            "def _split_step_states(initial, substep, config: EvolutionConfig) -> Iterator:\n"
            "    state = initial"),
+    Mutant("manifest-params-unsorted", CLI,
+           "params = {k: ctx.params[k] for k in sorted(ctx.params) if",
+           "params = {k: ctx.params[k] for k in ctx.params if"),
+    # the window's set is built only after its ends are checked; without the
+    # check a huge range exhausts memory before the encoder rejects it
+    Mutant("window-bounds-unchecked", CLI,
+           "if indices and not (0 <= indices[0] and indices[-1] < half_size):",
+           "if False:"),
+    Mutant("export-makes-directory-before-first-record", CLI,
+           "    summary_rows = []\n    bitstrings = []\n",
+           "    os.makedirs(out_dir, exist_ok=True)\n    summary_rows = []\n    bitstrings = []\n"),
 ]
 
 
