@@ -201,29 +201,20 @@ def count_gates(circuit: Circuit) -> GateMetrics:
     return GateMetrics(counts[0], counts[1], counts[2], sum(counts), depth)
 
 
-def _qate_template(n: int) -> list[Gate]:
-    """Canonical gate order of the pyramid encoder: left CX ladder, per-qubit
-    phases, all controlled-phase pairs (lexicographic), right CX ladder."""
-    gates = [Gate(GateKind.CONTROLLED_NOT, (0, k)) for k in range(1, n)]
-    gates += [Gate(GateKind.PHASE, (k,), 0.0) for k in range(1, n)]
-    gates += [
-        Gate(GateKind.CONTROLLED_PHASE, (k, l), 0.0)
-        for k in range(1, n)
-        for l in range(k + 1, n)
-    ]
-    gates += [Gate(GateKind.CONTROLLED_NOT, (0, k)) for k in range(1, n)]
-    return gates
-
-
 def qate_gate_count(n: int) -> GateMetrics:
-    """Predicted metrics of the pyramid encoder for `n` qubits.
+    """Metrics of `build_qate_circuit` for `n` qubits, in closed form.
 
     1q = n-1 phase gates; 2q = C(n-1,2) controlled phases + 2(n-1) ladder CX.
-    Depth is the ASAP depth of the canonical gate order.
+    ASAP depth is 2n: the left ladder runs in series on qubit 0, so qubit k
+    ends at layer k; its phase lands at k+1, CP(k, l) at k+l+1, and the right
+    ladder's CX(0, k) at n+k+1, the last at 2n.  At n = 2 there is no pair, so
+    the circuit is ladder, phase, ladder: depth 3.
     """
+    n = exact_int(n, InvalidWidth, "n")
     if n < 2:
         raise InvalidWidth(f"pyramid encoder needs n >= 2, got {n}")
-    return count_gates(Circuit(n, _qate_template(n)))
+    one_qubit, two_qubit = n - 1, math.comb(n - 1, 2) + 2 * (n - 1)
+    return GateMetrics(one_qubit, two_qubit, 0, one_qubit + two_qubit, 2 * n if n > 2 else 3)
 
 
 def baseline_gate_count(n: int) -> int:

@@ -174,11 +174,11 @@ def _potential_spec(kind: str, eta: float, positions: str | None) -> PotentialSp
 # A command's peak resident memory, estimated before anything is allocated:
 # the interpreter with the package loaded, plus so many statevectors (16 bytes
 # per amplitude) of the widest register, or for `metrics` so many bytes per
-# gate of the widest encoder template.  Fitted to the VmHWM of child processes
-# at n = 14..20 (`metrics` at n = 200..1000) and rounded up.
+# report row, csv or json.  Fitted to the VmHWM of child processes at
+# n = 14..20 (`metrics` at 10^5 and 10^6 rows) and rounded up.
 _PROCESS_BYTES = 48 << 20
 _STATEVECTORS = {"encode-ke": 6, "evolve": 24, "fidelity": 10}
-_TEMPLATE_GATE_BYTES = 256
+_REPORT_ROW_BYTES = 768
 
 
 def _require_memory(n: int, nbytes: int) -> None:
@@ -519,8 +519,7 @@ def cmd_fidelity(qubits, out, format, **params):
 def cmd_metrics(qubits, out, format):
     """Gate-count and depth table against the reference construction."""
     n_values = _parse_qubit_range(qubits)
-    widest = max(n_values[-1], 1)
-    _require_memory(widest, _PROCESS_BYTES + _TEMPLATE_GATE_BYTES * (widest - 1) * (widest + 4) // 2)
+    _require_memory(n_values[-1], _PROCESS_BYTES + _REPORT_ROW_BYTES * len(n_values))
     rows = [metrics_row(n) for n in n_values]
     emit_report(out, "metrics", rows, fmt=format)
     _write_manifest()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, InvalidWidth, build_qft, wrap_angle
+from .circuit import Circuit, CircuitError, InvalidWidth, build_qft, exact_int, wrap_angle
 from .grids import GridError, PhaseProfile, PotentialSpec
 
 _EXACT_TOL = 1e-9
@@ -115,8 +115,8 @@ def build_qpa_shell(n: int) -> tuple[Circuit, Circuit]:
 
 def build_qate_circuit(n: int, coeffs: QateCoefficients) -> Circuit:
     """ladder . [Phase(k, -alpha[k]); CPhase(k, l, -beta[(k,l)])] . ladder,
-    global phase -a_global.  Gate order matches the canonical template, so the
-    counts agree with qate_gate_count(n) for every coefficient set."""
+    global phase -a_global.  The gate order does not depend on the coefficients,
+    so the counts agree with qate_gate_count(n) for every coefficient set."""
     if coeffs.n_qubits != n:
         raise InvalidWidth(f"coefficients sized for n={coeffs.n_qubits}, circuit wants n={n}")
     left, right = build_qpa_shell(n)
@@ -134,11 +134,14 @@ class WindowSpec:
     cp_budget: int | None = None  # None -> n-1 at build time
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", frozenset(
+            exact_int(i, InfeasibleWindow, "window index") for i in self.indices))
         if not self.indices:
             raise InfeasibleWindow("window needs at least one index")
-        if self.cp_budget is not None and self.cp_budget < 0:
-            raise InfeasibleWindow("cp_budget must be nonnegative")
+        if self.cp_budget is not None:
+            object.__setattr__(self, "cp_budget", exact_int(self.cp_budget, InfeasibleWindow, "cp_budget"))
+            if self.cp_budget < 0:
+                raise InfeasibleWindow("cp_budget must be nonnegative")
 
 
 def _lstsq_residual(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.ndarray, float]:

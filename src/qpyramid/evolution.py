@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import FidelityReport, swap_test_estimate
-from .circuit import Circuit, InvalidWidth, wrap_angle
+from .circuit import Circuit, InvalidWidth, exact_int, wrap_angle
 from .encoders import build_potential_circuit, build_qate_circuit, build_qft, solve_qate
 from .grids import (
     Grid,
@@ -70,6 +70,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise GridError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("trotter_steps", "total_steps", "shots"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), GridError, name))
         if self.trotter_steps < 1:
             raise GridError("trotter_steps must be >= 1")
         if self.total_steps < 0:

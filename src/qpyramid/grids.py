@@ -30,6 +30,7 @@ class Grid:
     def __post_init__(self):
         if not (math.isfinite(self.d) and self.d > 0):
             raise GridError(f"half-range d must be finite and positive, got {self.d}")
+        object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, GridError, "n_qubits"))
         if self.n_qubits < 1:
             raise GridError(f"n_qubits must be positive, got {self.n_qubits}")
 

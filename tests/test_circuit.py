@@ -11,6 +11,7 @@ from qpyramid.circuit import (
     DuplicateQubit,
     Gate,
     GateKind,
+    GateMetrics,
     IndexOutOfRange,
     InvalidWidth,
     baseline_gate_count,
@@ -22,7 +23,7 @@ from qpyramid.circuit import (
     validation_error,
     wrap_angle,
 )
-from qpyramid.encoders import build_qate_circuit, solve_qate
+from qpyramid.encoders import QateCoefficients, build_qate_circuit, solve_qate
 from qpyramid.grids import PhaseProfile
 
 from oracles import random_circuit
@@ -114,6 +115,11 @@ def test_qate_count_formula_values(n, expected_1q, expected_2q):
     assert metrics.total == expected_1q + expected_2q
 
 
+def _zero_coefficients(n):
+    pairs = [(k, l) for k in range(1, n) for l in range(k + 1, n)]
+    return QateCoefficients(n, 0.0, dict.fromkeys(range(1, n), 0.0), dict.fromkeys(pairs, 0.0))
+
+
 def test_qate_count_matches_built_circuit():
     # formula cross-checked against counting an actually built encoder
     for n in range(2, 11):
@@ -123,11 +129,26 @@ def test_qate_count_matches_built_circuit():
         assert built == predicted
         assert built.one_qubit_count == n - 1
         assert built.two_qubit_count == math.comb(n - 1, 2) + 2 * (n - 1)
+    # wider encoders from all-zero coefficients, which need no 2^(n-1) profile
+    for n in [*range(2, 65), 200]:
+        assert count_gates(build_qate_circuit(n, _zero_coefficients(n))) == qate_gate_count(n)
+
+
+def test_qate_count_builds_no_circuit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("qate_gate_count built or counted a circuit")
+
+    for name in ("count_gates", "Circuit", "Gate"):
+        monkeypatch.setattr(f"qpyramid.circuit.{name}", refuse)
+    n = 10**6
+    two_qubit = math.comb(n - 1, 2) + 2 * (n - 1)
+    assert qate_gate_count(n) == GateMetrics(n - 1, two_qubit, 0, n - 1 + two_qubit, 2 * n)
 
 
 def test_qate_count_invalid_width():
-    with pytest.raises(InvalidWidth):
-        qate_gate_count(1)
+    for n in (1, 0, -3, 2.5, 2.0, True, "3"):
+        with pytest.raises(InvalidWidth):
+            qate_gate_count(n)
 
 
 def test_baseline_counts():

@@ -317,11 +317,20 @@ def _assert_refused(result, command, n, out):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("qubits", ["1000000", "3..1000000"])
-def test_metrics_guard_exits_3_before_building_the_template(tmp_path, qubits):
-    # the 5 * 10^11-gate template would take about 10^14 bytes
-    result = _run_capped(["metrics", "--qubits", qubits], tmp_path / "x")
-    _assert_refused(result, "metrics", 1000000, tmp_path / "x")
+def test_metrics_row_at_a_million_qubits_is_arithmetic(tmp_path):
+    # the encoder at this width has 5 * 10^11 gates; its row needs none of them
+    result = _run_capped(["metrics", "--qubits", "1000000"], tmp_path / "x")
+    assert result.returncode == 0, result.stderr
+    n = 1000000
+    two_qubit = math.comb(n - 1, 2) + 2 * (n - 1)
+    assert (tmp_path / "x" / "metrics.csv").read_text().splitlines()[1] == (
+        f"{n},{n - 1},{two_qubit},{n - 1 + two_qubit},{3 * n + math.comb(n, 2)},{2 * n},,")
+
+
+def test_metrics_guard_exits_3_when_the_rows_exceed_memory(tmp_path):
+    # 10^11 rows of about 768 bytes each fit in no host's memory
+    result = _run_capped(["metrics", "--qubits", "3..100000000000"], tmp_path / "x")
+    _assert_refused(result, "metrics", 100000000000, tmp_path / "x")
 
 
 @pytest.mark.parametrize("command", sorted(cli._STATEVECTORS))

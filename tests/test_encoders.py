@@ -309,6 +309,19 @@ def test_qwe_all_contiguous_small_windows(n):
     assert built > 0
 
 
+def test_window_spec_rejects_non_integers():
+    # 1.7 and True used to be truncated to 1
+    for indices in ({1.7}, {True}, {1.0}, {1.7, True}, {"3"}):
+        with pytest.raises(InfeasibleWindow):
+            WindowSpec(frozenset(indices))
+    for budget in (1.5, 2.0, True):
+        with pytest.raises(InfeasibleWindow):
+            WindowSpec(frozenset({1}), cp_budget=budget)
+    spec = WindowSpec(frozenset({np.int64(3)}), cp_budget=np.int64(2))
+    assert spec.indices == {3} and spec.cp_budget == 2
+    assert all(type(i) is int for i in spec.indices) and type(spec.cp_budget) is int
+
+
 def test_qwe_index_out_of_range():
     profile = _random_half_profile(4)
     with pytest.raises(InfeasibleWindow):

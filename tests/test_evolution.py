@@ -464,3 +464,7 @@ def test_config_validation():
         _config(trotter_steps=0)
     with pytest.raises(GridError):
         _config(shots=0)
+    for field in ("trotter_steps", "total_steps", "shots"):
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(GridError):
+                _config(**{field: bad})

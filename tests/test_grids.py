@@ -32,6 +32,10 @@ def test_grid_rejects_bad_parameters():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(GridError):
             Grid(bad, 5)
+    # non-integer widths used to build (True as 1 qubit) or fail later
+    for bad in (True, 2.5, 5.0, "5"):
+        with pytest.raises(GridError):
+            Grid(10.0, bad)
 
 
 def test_position_endpoints():

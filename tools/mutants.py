@@ -32,6 +32,7 @@ COPIED = ("src", "tests", "pyproject.toml")
 SIMULATOR = "src/qpyramid/simulator.py"
 CLI = "src/qpyramid/cli.py"
 EVOLUTION = "src/qpyramid/evolution.py"
+CIRCUIT = "src/qpyramid/circuit.py"
 
 
 class Mutant(NamedTuple):
@@ -128,6 +129,13 @@ MUTANTS = [
     Mutant("export-makes-directory-before-first-record", CLI,
            "    summary_rows = []\n    bitstrings = []\n",
            "    os.makedirs(out_dir, exist_ok=True)\n    summary_rows = []\n    bitstrings = []\n"),
+    # the encoder's counts are stated in closed form, not counted off a gate list
+    Mutant("qate-depth-2n-at-n2", CIRCUIT,
+           "2 * n if n > 2 else 3",
+           "2 * n"),
+    Mutant("qate-2q-single-ladder", CIRCUIT,
+           "two_qubit = n - 1, math.comb(n - 1, 2) + 2 * (n - 1)",
+           "two_qubit = n - 1, math.comb(n - 1, 2) + (n - 1)"),
 ]
 
 
