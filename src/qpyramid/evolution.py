@@ -47,6 +47,7 @@ from .simulator import (
     StateVector,
     compile_circuit,
     fidelity_exact,
+    inner_product,
     run,
     sample,
 )
@@ -270,7 +271,7 @@ def splitting_infidelity(config: EvolutionConfig) -> float:
     state = _final_state(_circuit_states(config))
     fine = replace(config, trotter_steps=16 * config.trotter_steps)
     reference = _final_state(evolve_classical_oracle(fine))
-    overlap = abs(np.vdot(reference, state.amplitudes))
+    overlap = abs(inner_product(reference, state.amplitudes))
     return float(math.sqrt(max(0.0, 2.0 * (1.0 - overlap))))
 
 

@@ -91,7 +91,7 @@ class StateVector:
         n = int(round(math.log2(amps.shape[0])))
         if 1 << n != amps.shape[0]:
             raise InvalidWidth(f"amplitude count {amps.shape[0]} is not a power of two")
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         if not (math.isfinite(norm) and norm > 0):
             raise ValueError(f"cannot scale amplitudes of norm {norm} to unit norm")
         return StateVector(n, amps / norm)
@@ -100,7 +100,12 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
+
+
+def _norm(amplitudes: np.ndarray) -> float:
+    """The 2-norm, summed by numpy's pairwise `np.sum` (see `inner_product`)."""
+    return math.sqrt(np.sum(amplitudes.real ** 2 + amplitudes.imag ** 2))
 
 
 @dataclass
@@ -463,7 +468,14 @@ def fidelity_exact(a: StateVector, b: StateVector) -> float:
     about a fifth of random unit states."""
     if a.n_qubits != b.n_qubits:
         raise InvalidWidth(f"state widths differ: {a.n_qubits} vs {b.n_qubits}")
-    return min(1.0, float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2))
+    return min(1.0, abs(inner_product(a.amplitudes, b.amplitudes)) ** 2)
+
+
+def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b>, summed by numpy's pairwise `np.sum`.  BLAS reductions
+    (`np.vdot`, `np.linalg.norm`) split the sum over their threads, so their
+    bits would depend on the BLAS thread count."""
+    return complex(np.sum(np.conj(a) * b))
 
 
 def index_bitstring(index: int, n_qubits: int) -> str:

@@ -222,7 +222,7 @@ def test_oracle_state_bytes_golden():
                              total_steps=1, trotter_steps=2)
     final = list(evolve_classical_oracle(config))[-1]
     assert hashlib.sha256(final.tobytes()).hexdigest() == (
-        "bee20a84b6d0ad6c1b8e9ca0b38357b30ee5f2d507d5a8e4c55f7bc2917313dc")
+        "347cd0bfd8a4fa8c8c7f8885e1de4597409537033cfaa0518a30660b10b301a6")
 
 
 def _dense_oracle(config):
