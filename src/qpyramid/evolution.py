@@ -71,7 +71,7 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise GridError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("trotter_steps", "total_steps", "shots"):
+        for name in ("trotter_steps", "total_steps", "shots", "seed"):
             object.__setattr__(self, name, exact_int(getattr(self, name), GridError, name))
         if self.trotter_steps < 1:
             raise GridError("trotter_steps must be >= 1")
@@ -81,6 +81,8 @@ class EvolutionConfig:
             raise GridError(f"dt must be finite and nonnegative, got {self.dt}")
         if self.shots < 1:
             raise GridError("shots must be positive")
+        if self.seed < 0:
+            raise GridError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise GridError(f"mass must be finite and positive, got {self.mass}")
         for q in self.potential.qubit_positions:

@@ -464,7 +464,10 @@ def test_config_validation():
         _config(trotter_steps=0)
     with pytest.raises(GridError):
         _config(shots=0)
-    for field in ("trotter_steps", "total_steps", "shots"):
+    for field in ("trotter_steps", "total_steps", "shots", "seed"):
         for bad in (2.5, 2.0, True):
             with pytest.raises(GridError):
                 _config(**{field: bad})
+    with pytest.raises(GridError):
+        _config(seed=-1)
+    assert _config(seed=np.uint64(2**63)).seed == 2**63 and type(_config(seed=np.int8(0)).seed) is int
