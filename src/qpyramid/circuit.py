@@ -97,12 +97,15 @@ class Gate:
 class Circuit:
     """Ordered gate list over `n_qubits` wires plus a global phase (radians).
 
-    Built with the fluent helpers below; treated as immutable once constructed.
+    Built with the fluent helpers below.  `simulator.run` keeps the plan it
+    compiles in `_plan` and reuses it while the width, global phase and gates
+    still equal the plan's snapshot, so an edited circuit is recompiled.
     """
 
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     global_phase: float = 0.0
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.n_qubits = exact_int(self.n_qubits, InvalidWidth, "n_qubits")

@@ -2,7 +2,7 @@
 
 Amplitude arrays are complex128 of length 2^n with qubit 0 as the most
 significant bit of the basis index.  A circuit runs as a list of ops: one
-in-place FFT per block that is exactly `build_qft(n)` or its inverse over the
+Fourier op per block that is exactly `build_qft(n)` or its inverse over the
 full width (a near miss runs gate by gate), one diagonal op per run of
 phase-type gates, an in-place butterfly per Hadamard, one data movement per
 run of X, same-control CX or Swap gates, and one per controlled swap.  Ops
@@ -11,14 +11,19 @@ so the same code drives single states, column-batched unitaries and the
 basis labels that `extract_diagonal` tracks.  Results equal gate-by-gate
 application to rounding, not bit for bit.
 
+A Fourier op is one in-place numpy FFT below `_SPLIT_FOURIER_MIN_QUBITS`
+and two passes of short batched FFTs from there on (see `_fourier`).
+
 `compile_circuit` validates and compiles a circuit once into an immutable
-`Plan` that holds each diagonal op's finished phase tables, for a circuit
-that runs many times.  `run` takes a `Plan` or a `Circuit`; a `Circuit` is
-validated and compiled on every call, and its phase tables are built one at
-a time as the ops run and dropped after, so a plan costs memory only where
-one is held, and results are bit-identical either way.  A table covers one
-half of the state, over the qubits its terms touch; a wide half of
-one-qubit phases only gets two small Kronecker factor tables instead.
+`Plan` that holds each op's finished tables: the phase tables of a diagonal
+op and the twiddle factors of a split Fourier op.  `run` takes a `Plan` or a
+`Circuit`; it keeps the plan it compiles for a `Circuit` on the circuit
+itself and reuses it while the circuit still equals the plan's snapshot, so
+a Trotter loop compiles its substep once.  `extract_unitary` and
+`extract_diagonal` hold no plan: they build each phase table as the ops run
+and drop it after.  A table covers one half of the state, over the qubits
+its terms touch; a wide half of one-qubit phases only gets two small
+Kronecker factor tables instead.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; a seed fixes the
 stream of draws.  The draws read a state's probabilities, whose bits are bound
@@ -26,7 +31,9 @@ to the platform: `_phase_table` multiplies in long double (x87 80-bit on x86,
 plain double elsewhere), and numpy's SIMD complex multiply is not commutative
 bit for bit, while its temporary elision picks the operand order by array
 size.  Sampled outputs are byte-identical on one platform and numpy build
-only, and the byte goldens of the tests fail on others.
+only, and the byte goldens of the tests fail on others.  Norms and inner
+products are numpy's pairwise sums, not BLAS reductions, whose bits depend
+on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -44,6 +51,12 @@ UNITARY_MAX_QUBITS = 12
 # Widest linear phase half built as one table; below this the extra broadcast
 # multiply of two factor tables costs more than the entries it saves.
 _LINEAR_TABLE_MAX_QUBITS = 10
+# Narrowest Fourier op run as two passes of short FFTs.  From 2^13 entries a
+# one-call FFT's two state-size scratch arrays pass glibc's 128 KiB mmap
+# threshold and are faulted in afresh; the split was faster from n = 13 on
+# and slower below it (one CPU, numpy 2.4: 123 vs 136 us at n = 13, 60 vs
+# 55 us at n = 12).
+_SPLIT_FOURIER_MIN_QUBITS = 13
 
 
 class WidthTooLarge(CircuitError):
@@ -271,14 +284,58 @@ def _cswap(tensor: np.ndarray, n: int, control: int, a: int, b: int) -> None:
     v[1, 0, 1], v[1, 1, 0] = v[1, 1, 0].copy(), v[1, 0, 1].copy()
 
 
-def _fourier(tensor: np.ndarray, n: int, inverse: bool) -> None:
+def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twiddle factors omega^{ab}, omega = e^{2 pi i/2^n}, at row a and
+    column b of the (R, C) = (2^floor(n/2), 2^ceil(n/2)) view of a 2^n state
+    index, as two read-only Kronecker factor tables over the high and low
+    bits of a = h L + l, L = 2^ceil(log2(R)/2): omega^{h L b} shaped
+    (R/L, 1, C, 1) and omega^{l b} shaped (1, L, C, 1).  They hold about
+    2^(3n/4 + 1) entries in place of 2^n and cost the state one more
+    rounding; an inverse op multiplies by their conjugates.  Every exponent
+    is below 2^n and is reduced in integers to (-2^(n-1), 2^(n-1)], so every
+    angle lies in (-pi, pi]."""
+    size, cols = 1 << n, 1 << (n + 1) // 2
+    low = 1 << (n // 2 + 1) // 2
+    high = (1 << n // 2) // low
+    tables = []
+    for step, count, shape in ((low, high, (high, 1, cols, 1)), (1, low, (1, low, cols, 1))):
+        exponents = np.multiply.outer(step * np.arange(count), np.arange(cols))
+        exponents[exponents > size // 2] -= size
+        table = np.exp(2j * math.pi / size * exponents).reshape(shape)
+        table.flags.writeable = False
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _fourier(tensor: np.ndarray, n: int, inverse: bool, twiddles: tuple | None) -> np.ndarray | None:
     """The Fourier transform omega^{jk}/sqrt(2^n), omega = e^{2 pi i/2^n}
     (numpy's orthonormal `ifft`), or with `inverse` its conjugate transpose
-    (`fft`), over the 2^n state index of each batch column, written back in
-    place; numpy's scratch copy of the input is the one temporary."""
-    flat = tensor.reshape(1 << n, -1)
+    (`fft`), over the 2^n state index of each batch column.
+
+    Without `twiddles` it is one numpy call written back in place, whose
+    temporaries are numpy's two scratch arrays of one statevector each.  With
+    the `_twiddles` of width n it is Bailey's four-step FFT over the (R, C)
+    view j = a C + b of the index: length-R transforms over a in place, a
+    multiply by omega^{+-ab}, then length-C transforms over b, written
+    through a transposed view into a fresh state-size buffer, since output
+    k = a + R m lands at row m, column a.  numpy's scratch is then a few
+    rows.  That buffer is returned, for `_execute` to adopt as the state.
+    """
     transform = np.fft.fft if inverse else np.fft.ifft
-    transform(flat, axis=0, norm="ortho", out=flat)
+    if twiddles is None:
+        flat = tensor.reshape(1 << n, -1)
+        transform(flat, axis=0, norm="ortho", out=flat)
+        return None
+    high, low = twiddles
+    rows, cols = high.shape[0] * low.shape[1], high.shape[2]
+    grid = tensor.reshape(rows, cols, -1)
+    transform(grid, axis=0, norm="ortho", out=grid)
+    factored = grid.reshape(high.shape[0], low.shape[1], cols, -1)
+    for table in twiddles:
+        factored *= table.conj() if inverse else table
+    out = np.empty((cols, rows, grid.shape[2]), dtype=np.complex128)
+    transform(grid, axis=1, norm="ortho", out=out.transpose(1, 0, 2))
+    return out.reshape(tensor.shape)
 
 
 def _fourier_block(gates: list, start: int, n: int) -> tuple[bool, int] | None:
@@ -352,24 +409,36 @@ def _compile(circuit: Circuit) -> list:
 
 def _finished(n: int, ops, tables=iter) -> Iterator[tuple]:
     """Each of `ops` ready to run, as it is reached: a `_diagonal` op's summed
-    angles become its `_phase_tables`, collected by `tables`, and any other
-    op is passed on as it is.  With `iter` each table is built only when
-    `_diagonal` multiplies by it and is dropped before the next is built, so
-    no more than one is alive and the allocator reuses its pages instead of
-    faulting in fresh ones; `tuple` builds them all now, for a plan to hold."""
+    angles become its `_phase_tables`, collected by `tables`; every
+    `_fourier` op gets the same `_twiddles` from `_SPLIT_FOURIER_MIN_QUBITS`
+    on, built when the first is reached, and None below; any other op is
+    passed on as it is.  With `iter` each phase table is built only
+    when `_diagonal` multiplies by it and is dropped before the next is
+    built, so no more than one is alive and the allocator reuses its pages
+    instead of faulting in fresh ones; `tuple` builds them all now, for a
+    plan to hold."""
+    twiddles = None
     for kernel, args in ops:
-        yield (kernel, (tables(_phase_tables(n, *args)),)) if kernel is _diagonal else (kernel, args)
+        if kernel is _diagonal:
+            yield kernel, (tables(_phase_tables(n, *args)),)
+        elif kernel is _fourier:
+            if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:
+                twiddles = _twiddles(n)
+            yield kernel, (*args, twiddles)
+        else:
+            yield kernel, args
 
 
 @dataclass(frozen=True)
 class Plan:
     """A validated circuit compiled once, to run any number of times: a
-    snapshot of its gates and global phase, and its finished ops, whose
-    phase tables are read-only.  Gates added to the circuit later do not
+    snapshot of its width, gates and global phase, and its finished ops,
+    whose tables are read-only.  Gates added to the circuit later do not
     reach the plan.  Each `_diagonal` op with pairwise angles keeps up to
     one statevector's worth of tables for the plan's lifetime; a half of
     one-qubit phases over k > `_LINEAR_TABLE_MAX_QUBITS` qubits keeps about
-    2^(k/2 + 1) entries."""
+    2^(k/2 + 1) entries.  From `_SPLIT_FOURIER_MIN_QUBITS` on, the Fourier
+    ops share one pair of twiddle tables of about 2^(3n/4 + 1) entries."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -389,30 +458,44 @@ def compile_circuit(circuit: Circuit) -> Plan:
 def _execute(amplitudes: np.ndarray, n: int, ops, global_phase: float) -> np.ndarray:
     """Apply finished `ops`, then e^{i global_phase}, to a raw array (any
     norm, optional trailing batch axes); returns a new array.  The one
-    executor: every run and extraction goes through it."""
-    out = amplitudes.astype(np.complex128, copy=True)
-    tensor = out.reshape([2] * n + [-1])
+    executor: every run and extraction goes through it.  Each kernel works
+    in place, except that a split Fourier op returns the buffer it wrote,
+    which becomes the state; nothing else holds the one it replaces, so that
+    is freed at once."""
+    tensor = amplitudes.astype(np.complex128, copy=True).reshape([2] * n + [-1])
     for kernel, args in ops:
-        kernel(tensor, n, *args)
+        moved = kernel(tensor, n, *args)
+        if moved is not None:
+            tensor = moved
+    out = tensor.reshape(amplitudes.shape)
     if global_phase != 0.0:
         out *= np.exp(1j * global_phase)
     return out
 
 
+def _held_plan(circuit: Circuit) -> Plan:
+    """The plan `run` keeps on `circuit`, compiled again first unless its
+    snapshot still equals the circuit's width, global phase and gates."""
+    plan = circuit._plan
+    if plan is None or (plan.n_qubits, plan.global_phase, plan.gates) != (
+            circuit.n_qubits, circuit.global_phase, tuple(circuit.gates)):
+        circuit._plan = None  # the stale plan is freed before the new one is built
+        plan = circuit._plan = compile_circuit(circuit)
+    return plan
+
+
 def run(program: Plan | Circuit, initial: StateVector) -> StateVector:
     """Apply all gates in order, then the global phase e^{i*global_phase}.
-    A `Circuit` is validated and compiled on every call, its ops finished one
-    at a time as they run, so an edited circuit is never run from a stale
-    plan; a `Plan` from `compile_circuit` runs its held ops."""
-    n = program.n_qubits
-    if isinstance(program, Plan):
-        ops = program.ops
-    else:
-        validate(program)
-        ops = _finished(n, _compile(program))
+    A `Plan` from `compile_circuit` runs its held ops.  A `Circuit` runs the
+    plan kept on it: the first call validates and compiles it, and a later
+    call reuses that plan while the circuit's width, global phase and gates
+    still equal its snapshot, so an edited circuit is never run from a stale
+    plan.  The plan lives as long as the circuit."""
+    plan = program if isinstance(program, Plan) else _held_plan(program)
+    n = plan.n_qubits
     if n != initial.n_qubits:
         raise InvalidWidth(f"circuit width {n} != state width {initial.n_qubits}")
-    return StateVector(n, _execute(initial.amplitudes, n, ops, program.global_phase))
+    return StateVector(n, _execute(initial.amplitudes, n, plan.ops, plan.global_phase))
 
 
 def extract_unitary(circuit: Circuit) -> np.ndarray:

@@ -602,7 +602,7 @@ _MULTI_CHUNK_GOLDEN = {
         "profile.csv": "957aaf43bfe7fdac9319ae774131a9d8bc8103aadeabf90e78d8fbc27094c3e9",
     }),
     "evolve": (["evolve", "--qubits", "14", "--steps", "1", "--trotter-steps", "1"], {
-        "step_001_state.csv": "07484d057defa642e9d86047f728b3905b9eda81a1b9116f409d91ecf1fb7141",
+        "step_001_state.csv": "129078012b3b06ca2c0a7ec68d0f4bb7630c8c85d230e673916c48b53f3ba9c8",
     }),
 }
 

@@ -154,11 +154,14 @@ def test_step_runs_both_transforms_as_fourier_ops(mode):
 
 def test_substep_plan_holds_under_one_statevector_of_tables():
     # the four ramp ops are one-qubit phases, held as two small factor tables
-    # per half; only the QATE op between its CX ladders holds a full table
+    # per half; only the QATE op between its CX ladders holds a full table,
+    # and the two Fourier ops share one pair of small twiddle tables
     plan = compile_circuit(trotter_step_circuit(_config(n=16)))
     held = [sum(table.size for _, table in args[0]) for kernel, args in plan.ops if kernel is _diagonal]
     assert len(held) == 5
-    assert sum(held) < 1 << 16
+    forward, inverse = [args[1] for kernel, args in plan.ops if kernel is _fourier]
+    assert forward is inverse
+    assert sum(held) + sum(table.size for table in forward) < 1 << 16
 
 
 def test_step_identity_at_zero_dt():

@@ -1,3 +1,4 @@
+import gc
 import math
 import weakref
 from contextlib import contextmanager
@@ -19,6 +20,7 @@ from qpyramid.circuit import (
     IndexOutOfRange,
     InvalidWidth,
     build_qft,
+    qft_gates,
     validate,
 )
 from qpyramid.simulator import (
@@ -30,6 +32,7 @@ from qpyramid.simulator import (
     _permute,
     Histogram,
     NotDiagonal,
+    Plan,
     RandomSource,
     StateVector,
     WidthTooLarge,
@@ -312,8 +315,9 @@ def test_wide_phase_run_matches_summed_angles(monkeypatch):
 
 
 def test_run_sees_gates_appended_between_calls():
-    # a bare circuit is compiled per call: nothing from the first run is
-    # reused, while a plan compiled before the edit keeps the old gates
+    # the plan kept on the circuit no longer matches its gates after the
+    # edit, so the second run recompiles, while a plan compiled before the
+    # edit keeps the old gates
     circuit = Circuit(3).h(0).cp(0, 1, 0.7).p(2, 0.3)
     state = StateVector.from_amplitudes(np.arange(1, 9))
     first = run(circuit, state)
@@ -384,8 +388,8 @@ def test_phase_table_covers_only_touched_qubits(monkeypatch):
 
 
 def test_bare_circuit_builds_one_phase_table_at_a_time(monkeypatch):
-    # each half table is dropped before the next is built, so a bare circuit
-    # never holds more than one table, where a plan holds them all
+    # extraction holds no plan: each half table is dropped before the next is
+    # built, so no more than one is alive, where a plan holds them all
     built = []
     real = simulator._phase_table
 
@@ -401,14 +405,13 @@ def test_bare_circuit_builds_one_phase_table_at_a_time(monkeypatch):
     wide = _wide_phase_run()
 
     def build_all():
-        run(circuit, StateVector.from_amplitudes(np.arange(1, 17)))
         extract_unitary(circuit)
         extract_diagonal(diagonal)
-        run(wide, StateVector.from_amplitudes(np.arange(1, 4097)))  # 4 factor tables
+        extract_diagonal(wide)  # 4 factor tables
         return len(built)
 
     whole = build_all()
-    assert whole > 20
+    assert whole > 15
     # factor tables are dropped one at a time too
     monkeypatch.setattr(simulator, "_LINEAR_TABLE_MAX_QUBITS", 0)
     assert build_all() - whole > whole
@@ -437,31 +440,58 @@ def test_plan_runs_each_fourier_block_as_one_op():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_build_qft_compiles_to_one_fourier_op(n):
-    # test_encoders checks these circuits' unitaries against the dense DFT
-    assert compile_circuit(build_qft(n)).ops == ((_fourier, (False,)),)
-    assert compile_circuit(build_qft(n, inverse=True)).ops == ((_fourier, (n > 1,)),)  # at n = 1 both are one H
+    # test_encoders checks these circuits' unitaries against the dense DFT;
+    # below the split cut-off an op holds no twiddle table
+    assert compile_circuit(build_qft(n)).ops == ((_fourier, (False, None)),)
+    assert compile_circuit(build_qft(n, inverse=True)).ops == ((_fourier, (n > 1, None)),)  # at n = 1 both are one H
 
 
 @st.composite
-def _circuits_with_fourier_blocks(draw):
-    """random_circuit segments at 2 <= n <= 6 with one to three whole Fourier
-    blocks, forward or inverse, between them; returns (circuit, blocks)."""
-    n = draw(st.integers(2, 6))
+def _circuits_with_fourier_blocks(draw, narrowest=2):
+    """random_circuit segments at narrowest <= n <= 6 with one to three whole
+    Fourier blocks, forward or inverse, between them; returns (circuit,
+    blocks).  At n = 1 a block is one Hadamard, so the segments have none."""
+    n = draw(st.integers(narrowest, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    circuit = random_circuit(n, int(rng.integers(0, 12)), rng)
+    kinds = [kind for kind in GateKind if n > 1 or kind is not GateKind.HADAMARD]
+    circuit = random_circuit(n, int(rng.integers(0, 12)), rng, kinds)
     blocks = draw(st.integers(1, 3))
     for _ in range(blocks):
         circuit.extend(build_qft(n, inverse=draw(st.booleans())))
-        circuit.extend(random_circuit(n, int(rng.integers(0, 12)), rng))
+        circuit.extend(random_circuit(n, int(rng.integers(0, 12)), rng, kinds))
     return circuit, blocks
+
+
+@contextmanager
+def _forced_split():
+    """Every Fourier op as the two-pass split transform, however narrow, so
+    that circuits at n <= 6 reach the path that otherwise starts at
+    `_SPLIT_FOURIER_MIN_QUBITS`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_SPLIT_FOURIER_MIN_QUBITS", 0)
+        yield
+
+
+def _check_fourier_blocks_match_kron_oracle(case):
+    circuit, blocks = case
+    assert [kernel for kernel, _ in compile_circuit(circuit).ops].count(_fourier) == blocks
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100)
 @given(_circuits_with_fourier_blocks())
 def test_fourier_blocks_match_kron_oracle(case):
-    circuit, blocks = case
-    assert [kernel for kernel, _ in compile_circuit(circuit).ops].count(_fourier) == blocks
-    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
+    _check_fourier_blocks_match_kron_oracle(case)
+
+
+@settings(max_examples=100)
+@given(_circuits_with_fourier_blocks(narrowest=1))
+def test_fourier_blocks_match_kron_oracle_split(case):
+    # extract_unitary runs the split ops over 2^n batched columns at once
+    with _forced_split():
+        assert all(twiddles is not None for kernel, (*_, twiddles) in compile_circuit(case[0]).ops
+                   if kernel is _fourier)
+        _check_fourier_blocks_match_kron_oracle(case)
 
 
 def _check_plan_runs_bit_identical_to_circuit(case, seed):
@@ -487,6 +517,13 @@ def test_plan_runs_bit_identical_to_circuit(case, seed):
 @given(_circuits_with_fourier_blocks(), st.integers(0, 2**32 - 1))
 def test_plan_runs_bit_identical_to_circuit_factored(case, seed):
     with _forced_factoring():
+        _check_plan_runs_bit_identical_to_circuit(case, seed)
+
+
+@settings(max_examples=100)
+@given(_circuits_with_fourier_blocks(narrowest=1), st.integers(0, 2**32 - 1))
+def test_plan_runs_bit_identical_to_circuit_split(case, seed):
+    with _forced_split():
         _check_plan_runs_bit_identical_to_circuit(case, seed)
 
 
@@ -535,6 +572,111 @@ def test_fourier_op_agrees_with_gate_level_plan(n, inverse):
     state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     expected = run(second, run(first, state)).amplitudes
     np.testing.assert_allclose(run(circuit, state).amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_split_fourier_op_matches_numpy_fft(n, inverse):
+    rng = np.random.default_rng(n)
+    dim = 1 << n
+    state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    [(kernel, (_, twiddles))] = compile_circuit(build_qft(n, inverse)).ops
+    assert kernel is _fourier and sum(table.size for table in twiddles) <= 2 ** (0.75 * n + 1.5)
+    for table in twiddles:
+        with pytest.raises(ValueError):
+            table[...] = 0
+    expected = (np.fft.fft if inverse else np.fft.ifft)(state.amplitudes, norm="ortho")
+    np.testing.assert_allclose(run(build_qft(n, inverse), state).amplitudes, expected, rtol=0, atol=1e-15)
+
+
+def _record_fft_lengths(monkeypatch) -> list:
+    """The transform length of every numpy fft and ifft call from now on."""
+    lengths = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def recording(a, *args, real=real, axis=-1, **kwargs):
+            lengths.append(a.shape[axis])
+            return real(a, *args, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    return lengths
+
+
+@pytest.mark.parametrize("n", [12, 13, 14, 17])
+def test_fourier_op_past_the_cut_off_transforms_at_most_a_row(monkeypatch, n):
+    circuit = Circuit(n)
+    circuit.extend(build_qft(n))
+    circuit.extend(build_qft(n, inverse=True))
+    state = StateVector.zero_state(n)
+    lengths = _record_fft_lengths(monkeypatch)
+    run(circuit, state)
+    if n < simulator._SPLIT_FOURIER_MIN_QUBITS:
+        assert lengths == [1 << n] * 2
+    else:
+        assert lengths == [1 << n // 2, 1 << (n + 1) // 2] * 2
+
+
+def test_run_keeps_one_plan_on_the_circuit(monkeypatch):
+    compiled = []
+    real = simulator.compile_circuit
+
+    def counting(circuit):
+        compiled.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(simulator, "compile_circuit", counting)
+    circuit = Circuit(3).h(0).cp(0, 1, 0.7).p(2, 0.3).swap(0, 2)
+    circuit.extend(build_qft(3))
+    state = StateVector.from_amplitudes(np.arange(1, 9) + 0.5j)
+    first, second = run(circuit, state), run(circuit, state)
+    assert len(compiled) == 1 and isinstance(circuit._plan, Plan)
+    assert circuit._plan.gates == tuple(circuit.gates)
+    reference = run(real(circuit), state).amplitudes
+    assert np.array_equal(first.amplitudes, reference) and np.array_equal(second.amplitudes, reference)
+
+
+def _state_of(n):
+    return StateVector.from_amplitudes(np.exp(1j * np.arange(1 << n)) * np.arange(1, (1 << n) + 1))
+
+
+def _replace_gate(circuit):
+    circuit.gates[1] = Gate(GateKind.CONTROLLED_PHASE, (0, 1), 0.8)
+
+
+def _edit_phase(circuit):
+    circuit.global_phase = 0.4
+
+
+def _widen(circuit):
+    circuit.n_qubits = 4
+
+
+@pytest.mark.parametrize("edit", [_replace_gate, _edit_phase, _widen])
+def test_run_recompiles_an_edited_circuit(edit):
+    # each edit keeps the gate count, so only the snapshot tells it apart
+    circuit = Circuit(3, global_phase=0.1).h(0).cp(0, 1, 0.7).p(2, 0.3)
+    before = run(circuit, _state_of(3))
+    stale = weakref.ref(circuit._plan)
+    edit(circuit)
+    state = _state_of(circuit.n_qubits)
+    after = run(circuit, state)
+    gc.collect()
+    assert stale() is None and circuit._plan.gates == tuple(circuit.gates)
+    np.testing.assert_allclose(after.amplitudes, circuit_unitary(circuit) @ state.amplitudes,
+                               rtol=0, atol=1e-13)
+    if circuit.n_qubits == 3:
+        assert np.max(np.abs(after.amplitudes - before.amplitudes)) > 0.05
+
+
+def test_plan_dies_with_its_circuit():
+    circuit = Circuit(13)
+    circuit.extend(build_qft(13))
+    run(circuit, StateVector.zero_state(13))
+    plan = weakref.ref(circuit._plan)
+    del circuit
+    gc.collect()
+    assert plan() is None
 
 
 def test_extract_diagonal_accepts_controlled_swaps_that_cancel():

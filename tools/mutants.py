@@ -69,12 +69,36 @@ MUTANTS = [
            "gate.kind is kind and gate.qubits == qubits and gate.angle == angle",
            "gate.kind is kind and gate.qubits == qubits"),
     Mutant("plan-reuses-first-diagonal-tables", SIMULATOR,
-           "    for kernel, args in ops:\n        yield (kernel, (tables(",
+           "    for kernel, args in ops:\n        if kernel is _diagonal:\n            yield kernel, (tables(",
            "    first = {}\n"
            "    for kernel, args in ops:\n"
-           "        if kernel is _diagonal and tables is tuple:\n"
-           "            args = first.setdefault('args', args)\n"
-           "        yield (kernel, (tables("),
+           "        if kernel is _diagonal:\n"
+           "            if tables is tuple:\n"
+           "                args = first.setdefault('args', args)\n"
+           "            yield kernel, (tables("),
+    # `run` keeps a circuit's plan only while the circuit equals its snapshot
+    Mutant("memo-compares-gate-count", SIMULATOR,
+           "(plan.n_qubits, plan.global_phase, plan.gates) != (\n"
+           "            circuit.n_qubits, circuit.global_phase, tuple(circuit.gates))",
+           "(plan.n_qubits, plan.global_phase, len(plan.gates)) != (\n"
+           "            circuit.n_qubits, circuit.global_phase, len(circuit.gates))"),
+    Mutant("memo-ignores-global-phase", SIMULATOR,
+           "(plan.n_qubits, plan.global_phase, plan.gates) != (\n"
+           "            circuit.n_qubits, circuit.global_phase, tuple(circuit.gates))",
+           "(plan.n_qubits, plan.gates) != (\n"
+           "            circuit.n_qubits, tuple(circuit.gates))"),
+    # the two-pass Fourier op from _SPLIT_FOURIER_MIN_QUBITS on
+    Mutant("split-twiddle-wrong-sign", SIMULATOR,
+           "factored *= table.conj() if inverse else table",
+           "factored *= table if inverse else table.conj()"),
+    Mutant("split-second-pass-in-place", SIMULATOR,
+           "    transform(grid, axis=1, norm=\"ortho\", out=out.transpose(1, 0, 2))\n"
+           "    return out.reshape(tensor.shape)",
+           "    transform(grid, axis=1, norm=\"ortho\", out=grid)\n"
+           "    return None"),
+    Mutant("split-never-reached", SIMULATOR,
+           "if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:",
+           "if twiddles is None and n >= 64:"),
     Mutant("mirror-float-equality", CLI,
            "    bits = column.view(np.int64)\n    return np.array_equal(bits, bits[::-1])",
            "    return np.array_equal(column, column[::-1])"),
