@@ -20,7 +20,6 @@ from qpyramid.circuit import (
     IndexOutOfRange,
     InvalidWidth,
     build_qft,
-    qft_gates,
     validate,
 )
 from qpyramid.simulator import (
@@ -41,6 +40,7 @@ from qpyramid.simulator import (
     extract_unitary,
     fidelity_exact,
     index_bitstring,
+    inner_product,
     run,
     sample,
 )
@@ -787,6 +787,17 @@ def test_fidelity_exact_is_a_probability(n, seed, same):
     a, b = (StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
             for _ in range(2))
     assert 0.0 <= fidelity_exact(a, a if same else b) <= 1.0
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 18), st.integers(0, 2**32 - 1))
+def test_pairwise_sums_match_blas_to_rounding(n, seed):
+    # the BLAS reductions sum in another order, so only rounding may differ
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) for _ in range(2))
+    assert abs(inner_product(a, b) - np.vdot(a, b)) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
+    assert StateVector.from_amplitudes(a).norm() == pytest.approx(1.0, abs=1e-15)
+    assert simulator._norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
 
 
 def test_fidelity_width_mismatch():
