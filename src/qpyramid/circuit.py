@@ -36,14 +36,30 @@ class InvalidWidth(CircuitError):
 
 
 def exact_int(value, error: type[ValueError], what: str) -> int:
-    """`value` as a Python int.  Any integer type is accepted; a bool, a float
-    (even 1.0) or a string raises `error`, instead of being truncated."""
+    """`value` as a Python int, for every integer input: any integer type is
+    accepted; a bool, a float (even 1.0) or a string raises `error`."""
     try:
         if not isinstance(value, bool):
             return operator.index(value)
     except TypeError:
         pass
     raise error(f"{what} {value!r} is not an integer")
+
+
+def is_finite_real(value) -> bool:
+    """Whether `value` is a finite real number and not a bool."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def finite_real(value, error: type[ValueError], what: str) -> float:
+    """`value` as a Python float, for every real input: a bool, a string or
+    other non-real, NaN or an infinity raises `error`.  The caller checks the sign."""
+    if is_finite_real(value):
+        return float(value)
+    raise error(f"{what} must be a finite real number, got {value!r}")
 
 
 class GateKind(Enum):
@@ -160,13 +176,13 @@ def validation_error(circuit: Circuit) -> CircuitError | None:
     """Return the first invariant violation, or None if the circuit is well formed."""
     if circuit.n_qubits < 1:
         return InvalidWidth(f"n_qubits must be positive, got {circuit.n_qubits}")
-    if not (isinstance(circuit.global_phase, numbers.Real) and math.isfinite(circuit.global_phase)):
+    if not is_finite_real(circuit.global_phase):
         return CircuitError(f"global_phase {circuit.global_phase!r} is not a finite number")
     for i, gate in enumerate(circuit.gates):
         if len(gate.qubits) != gate.kind.arity:
             return ArityMismatch(f"gate {i} ({gate.kind.value}) expects {gate.kind.arity} qubits, got {len(gate.qubits)}")
         if gate.kind.parametric:
-            if not (isinstance(gate.angle, numbers.Real) and math.isfinite(gate.angle)):
+            if not is_finite_real(gate.angle):
                 return ArityMismatch(f"gate {i} ({gate.kind.value}) requires a finite angle")
         elif gate.angle is not None:
             return ArityMismatch(f"gate {i} ({gate.kind.value}) takes no angle")
@@ -222,6 +238,7 @@ def qate_gate_count(n: int) -> GateMetrics:
 
 def baseline_gate_count(n: int) -> int:
     """Reference total gate count 3n + C(n,2) of the prior step-by-step construction."""
+    n = exact_int(n, InvalidWidth, "n")
     if n < 1:
         raise InvalidWidth(f"n must be positive, got {n}")
     return 3 * n + math.comb(n, 2)
@@ -248,7 +265,8 @@ def circuit_from_json(text: str) -> Circuit:
     try:
         data = json.loads(text)
         gates = [Gate(GateKind(g["kind"]), tuple(g["qubits"]), g.get("angle")) for g in data["gates"]]
-        circuit = Circuit(data["n_qubits"], gates, float(data.get("global_phase", 0.0)))
+        phase = finite_real(data.get("global_phase", 0.0), CircuitError, "global_phase")
+        circuit = Circuit(data["n_qubits"], gates, phase)
     except CircuitError:
         raise
     except (KeyError, TypeError, ValueError) as err:
@@ -276,6 +294,7 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
     """Fourier transform circuit whose matrix is omega^{jk}/sqrt(2^n) with
     omega = e^{2 pi i / 2^n} under the big-endian convention; `inverse` gives
     the conjugate transpose."""
+    n = exact_int(n, InvalidWidth, "n")
     if n < 1:
         raise InvalidWidth(f"transform needs n >= 1, got {n}")
     return Circuit(n, [Gate(kind, qubits, angle) for kind, qubits, angle in qft_gates(n, inverse)])

@@ -179,16 +179,26 @@ def _potential_spec(kind: str, eta: float, positions: str | None) -> PotentialSp
 _PROCESS_BYTES = 48 << 20
 _STATEVECTORS = {"encode-ke": 6, "evolve": 24, "fidelity": 10}
 _REPORT_ROW_BYTES = 768
+# The cgroup v2 memory limit of this process, read only.  A missing or
+# unreadable file, or "max", sets no limit.
+CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
 def _require_memory(n: int, nbytes: int) -> None:
     """Refuse the running command at width n, before it allocates anything,
-    when its estimated peak of `nbytes` exceeds the physical memory."""
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > physical:
+    when its estimated peak of `nbytes` exceeds the physical memory or a
+    lower cgroup memory limit."""
+    limit, where = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "of physical memory"
+    try:
+        with open(CGROUP_MEMORY_MAX) as fh:
+            cgroup = int(fh.read())
+    except (OSError, ValueError):
+        cgroup = limit
+    if cgroup < limit:
+        limit, where = cgroup, f"cgroup memory limit ({CGROUP_MEMORY_MAX})"
+    if nbytes > limit:
         raise GridError(f"{click.get_current_context().info_name} at {n} qubits needs about "
-                        f"{nbytes / 2**30:.3g} GiB, more than the {physical / 2**30:.3g} GiB "
-                        f"of physical memory")
+                        f"{nbytes / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB {where}")
 
 
 def _statevector_bytes(command: str, n: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, InvalidWidth, build_qft, exact_int, wrap_angle
+from .circuit import Circuit, CircuitError, InvalidWidth, build_qft, exact_int, finite_real, wrap_angle
 from .grids import GridError, PhaseProfile, PotentialSpec
 
 _EXACT_TOL = 1e-9
@@ -44,15 +44,17 @@ class QateCoefficients:
     beta: dict[tuple[int, int], float]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, InvalidWidth, "n_qubits"))
         n = self.n_qubits
         if sorted(self.alpha) != list(range(1, n)):
             raise InvalidWidth(f"alpha must cover qubits 1..{n - 1}")
         expected_pairs = [(k, l) for k in range(1, n) for l in range(k + 1, n)]
         if sorted(self.beta) != expected_pairs:
             raise InvalidWidth(f"beta must cover all qubit pairs of 1..{n - 1}")
-        values = [self.a_global, *self.alpha.values(), *self.beta.values()]
-        if not all(math.isfinite(v) for v in values):
-            raise CircuitError("coefficients must be finite")
+        object.__setattr__(self, "a_global", finite_real(self.a_global, CircuitError, "a_global"))
+        for name in ("alpha", "beta"):  # new dicts in the same order, which sets the gate order
+            object.__setattr__(self, name, {key: finite_real(value, CircuitError, name)
+                                            for key, value in getattr(self, name).items()})
 
 
 def _interpolate_quadratic(

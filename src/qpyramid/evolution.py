@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import FidelityReport, swap_test_estimate
-from .circuit import Circuit, InvalidWidth, exact_int, wrap_angle
+from .circuit import Circuit, InvalidWidth, exact_int, finite_real, wrap_angle
 from .encoders import build_potential_circuit, build_qate_circuit, build_qft, solve_qate
 from .grids import (
     Grid,
@@ -73,18 +73,20 @@ class EvolutionConfig:
             raise GridError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("trotter_steps", "total_steps", "shots", "seed"):
             object.__setattr__(self, name, exact_int(getattr(self, name), GridError, name))
+        for name in ("dt", "mass"):
+            object.__setattr__(self, name, finite_real(getattr(self, name), GridError, name))
         if self.trotter_steps < 1:
             raise GridError("trotter_steps must be >= 1")
         if self.total_steps < 0:
             raise GridError("total_steps must be >= 0")
-        if not (math.isfinite(self.dt) and self.dt >= 0):
-            raise GridError(f"dt must be finite and nonnegative, got {self.dt}")
+        if self.dt < 0:
+            raise GridError(f"dt must be nonnegative, got {self.dt}")
         if self.shots < 1:
             raise GridError("shots must be positive")
         if self.seed < 0:
             raise GridError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise GridError(f"mass must be finite and positive, got {self.mass}")
+        if self.mass <= 0:
+            raise GridError(f"mass must be positive, got {self.mass}")
         for q in self.potential.qubit_positions:
             if not 0 <= q < self.grid.n_qubits:
                 raise GridError(f"potential qubit position {q} outside width {self.grid.n_qubits}")

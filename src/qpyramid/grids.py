@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import exact_int
+from .circuit import exact_int, finite_real
 from .simulator import StateVector
 
 
@@ -28,8 +28,9 @@ class Grid:
     n_qubits: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.d) and self.d > 0):
-            raise GridError(f"half-range d must be finite and positive, got {self.d}")
+        object.__setattr__(self, "d", finite_real(self.d, GridError, "half-range d"))
+        if self.d <= 0:
+            raise GridError(f"half-range d must be positive, got {self.d}")
         object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, GridError, "n_qubits"))
         if self.n_qubits < 1:
             raise GridError(f"n_qubits must be positive, got {self.n_qubits}")
@@ -94,6 +95,7 @@ def kinetic_phase_profile(grid: Grid, dt: float, mass: float = 1.0) -> PhaseProf
 
     The encoders emit diag(e^{-i theta}), so the sign lives at gate construction.
     """
+    mass, dt = finite_real(mass, GridError, "mass"), finite_real(dt, GridError, "dt")
     if mass <= 0:
         raise GridError(f"mass must be positive, got {mass}")
     if dt < 0:
@@ -109,8 +111,7 @@ class PacketSpec:
     k0: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.k0):
-            raise GridError("k0 must be finite")
+        object.__setattr__(self, "k0", finite_real(self.k0, GridError, "k0"))
 
 
 def gaussian_packet(grid: Grid, spec: PacketSpec) -> StateVector:
@@ -135,8 +136,7 @@ class PotentialSpec:
     qubit_positions: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not math.isfinite(self.eta):
-            raise GridError(f"eta must be finite, got {self.eta}")
+        object.__setattr__(self, "eta", finite_real(self.eta, GridError, "eta"))
         object.__setattr__(self, "qubit_positions", tuple(
             exact_int(q, GridError, "potential qubit position") for q in self.qubit_positions))
 

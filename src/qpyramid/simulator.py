@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import PHASE_KINDS, Circuit, CircuitError, Gate, GateKind, InvalidWidth, qft_gates, validate
+from .circuit import PHASE_KINDS, Circuit, CircuitError, Gate, GateKind, InvalidWidth, exact_int, qft_gates, validate
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
@@ -75,6 +75,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        self.n_qubits = exact_int(self.n_qubits, InvalidWidth, "n_qubits")
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if self.amplitudes.shape[0] != 1 << self.n_qubits:
             raise InvalidWidth(
@@ -86,13 +87,11 @@ class StateVector:
 
     @staticmethod
     def zero_state(n_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return StateVector(n_qubits, amps)
+        return StateVector.basis_state(n_qubits, 0)
 
     @staticmethod
     def basis_state(n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+        amps = np.zeros(1 << exact_int(n_qubits, InvalidWidth, "n_qubits"), dtype=np.complex128)
         amps[index] = 1.0
         return StateVector(n_qubits, amps)
 
@@ -129,6 +128,7 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
+        self.shots = exact_int(self.shots, ValueError, "shots")
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.shots < 1:
             raise ValueError("shots must be positive")
@@ -538,6 +538,7 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
 
 def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:
     """Multinomial draw from |amplitude|^2; deterministic given the seed."""
+    shots = exact_int(shots, ValueError, "shots")
     if shots < 1:
         raise ValueError("shots must be positive")
     probs = state.probabilities()

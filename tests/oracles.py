@@ -1,17 +1,17 @@
 """Independent brute-force oracles for the tests: gate matrices built from
 explicit Kronecker products and multiplied in order, with no shared code
 against the simulator's stride kernels; the dense position-to-momentum
-kernel; the explicit swap-test circuit that the closed-form estimator is
-checked against; the QATE phase at one half-index, summed from the solved
-coefficients; and a per-cell CSV writer that the column-wise table writer is
-checked against."""
+kernel; the explicit swap-test circuit and its numpy-only simulation, which
+the closed-form estimator is checked against; the QATE phase at one
+half-index, summed from the solved coefficients; and a per-cell CSV writer
+that the column-wise table writer is checked against."""
 import math
 
 import numpy as np
 
 from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
 from qpyramid.grids import Grid, momentum_samples, position_samples
-from qpyramid.simulator import StateVector, run
+from qpyramid.simulator import StateVector
 
 I2 = np.eye(2, dtype=complex)
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,19 +144,28 @@ def swap_test_circuit(n: int) -> Circuit:
     return circuit
 
 
-def _joint_state(a: StateVector, b: StateVector) -> StateVector:
-    amps = np.kron(np.array([1.0, 0.0], dtype=np.complex128),
-                   np.kron(a.amplitudes, b.amplitudes))
-    return StateVector(2 * a.n_qubits + 1, amps)
+def _hadamard_on_ancilla(joint: np.ndarray) -> np.ndarray:
+    """H on the most significant qubit: the two halves become their sum and
+    difference over sqrt(2)."""
+    zero, one = np.split(joint, 2)
+    return np.concatenate([zero + one, zero - one]) / math.sqrt(2)
 
 
 def swap_test_probability(a: StateVector, b: StateVector) -> float:
-    """Pr(ancilla=0) read off the simulated swap-test circuit (no sampling)."""
+    """Pr(ancilla=0) of `swap_test_circuit`, simulated with numpy alone on the
+    2^(2n+1) joint vector |0>|a>|b>: H on the ancilla, the controlled swap
+    as an index permutation, then H.  Swapping every register pair exchanges
+    the two register values, so where the ancilla is 1 the amplitude at
+    index i * 2^n + j moves to index j * 2^n + i."""
     if a.n_qubits != b.n_qubits:
         raise InvalidWidth("swap test requires equal register widths")
-    out = run(swap_test_circuit(a.n_qubits), _joint_state(a, b))
-    half = 1 << (2 * a.n_qubits)
-    return float(np.sum(np.abs(out.amplitudes[:half]) ** 2))
+    size = 1 << a.n_qubits
+    joint = np.concatenate([np.kron(a.amplitudes, b.amplitudes), np.zeros(size * size, dtype=complex)])
+    joint = _hadamard_on_ancilla(joint)
+    i, j = np.divmod(np.arange(size * size), size)
+    joint[size * size + j * size + i] = joint[size * size:].copy()
+    joint = _hadamard_on_ancilla(joint)
+    return float(np.sum(np.abs(joint[:size * size]) ** 2))
 
 
 def _reference_cell(value) -> str:

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpyramid.analysis import ErrorBudgetParams, swap_test_estimate
 from qpyramid.circuit import (
     ArityMismatch,
     Circuit,
@@ -15,16 +18,21 @@ from qpyramid.circuit import (
     IndexOutOfRange,
     InvalidWidth,
     baseline_gate_count,
+    build_qft,
     circuit_from_json,
     circuit_to_json,
     count_gates,
+    finite_real,
+    is_finite_real,
     qate_gate_count,
     validate,
     validation_error,
     wrap_angle,
 )
 from qpyramid.encoders import QateCoefficients, build_qate_circuit, solve_qate
-from qpyramid.grids import PhaseProfile
+from qpyramid.evolution import EvolutionConfig
+from qpyramid.grids import Grid, GridError, PacketSpec, PhaseProfile, PotentialSpec, kinetic_phase_profile
+from qpyramid.simulator import Histogram, RandomSource, StateVector, sample
 
 from oracles import random_circuit
 
@@ -228,3 +236,79 @@ def test_wrap_angle_range():
         wrapped = wrap_angle(float(value))
         assert -math.pi < wrapped <= math.pi
         assert math.isclose(math.cos(wrapped), math.cos(value), abs_tol=1e-12)
+
+
+# --- numeric inputs ---
+
+_GRID = Grid(10.0, 3)
+_ONE = StateVector.zero_state(1)
+_ALPHA, _BETA = {1: 0.2, 2: 0.3}, {(1, 2): 0.4}
+
+# (build from the one value under test, the error it must raise, the kind of
+# field): "real" takes any finite real number, "time" also takes +inf, and
+# "integer" takes integers only.
+_NUMERIC_FIELDS = {
+    "Grid.d": (lambda v: Grid(v, 3), GridError, "real"),
+    "Grid.n_qubits": (lambda v: Grid(10.0, v), GridError, "integer"),
+    "PacketSpec.k0": (lambda v: PacketSpec(v), GridError, "real"),
+    "PotentialSpec.eta": (lambda v: PotentialSpec(v, (0,)), GridError, "real"),
+    "EvolutionConfig.dt": (lambda v: EvolutionConfig(_GRID, dt=v), GridError, "real"),
+    "EvolutionConfig.mass": (lambda v: EvolutionConfig(_GRID, mass=v), GridError, "real"),
+    "kinetic_phase_profile.dt": (lambda v: kinetic_phase_profile(_GRID, v), GridError, "real"),
+    "kinetic_phase_profile.mass": (lambda v: kinetic_phase_profile(_GRID, 0.1, v), GridError, "real"),
+    **{f"ErrorBudgetParams.{name}": (lambda v, name=name: ErrorBudgetParams(**{"h": 1e-3, name: v}),
+                                     ValueError, kind)
+       for name, kind in [("h", "real"), ("dt", "real"), ("gate_variance", "real"), ("readout_variance", "real"),
+                          ("t1", "time"), ("t2", "time"), ("l2_gates", "integer")]},
+    "QateCoefficients.n_qubits": (lambda v: QateCoefficients(v, 0.1, _ALPHA, _BETA), InvalidWidth, "integer"),
+    "QateCoefficients.a_global": (lambda v: QateCoefficients(3, v, _ALPHA, _BETA), CircuitError, "real"),
+    "QateCoefficients.alpha": (lambda v: QateCoefficients(3, 0.1, {1: 0.2, 2: v}, _BETA), CircuitError, "real"),
+    "QateCoefficients.beta": (lambda v: QateCoefficients(3, 0.1, _ALPHA, {(1, 2): v}), CircuitError, "real"),
+    "Circuit.global_phase": (lambda v: validate(Circuit(1, global_phase=v)), CircuitError, "real"),
+    "Gate.angle": (lambda v: validate(Circuit(1).p(0, v)), CircuitError, "real"),
+    "Histogram.shots": (lambda v: Histogram(v, [1, 0]), ValueError, "integer"),
+    "sample.shots": (lambda v: sample(_ONE, v, RandomSource(1)), ValueError, "integer"),
+    "swap_test_estimate.shots": (lambda v: swap_test_estimate(_ONE, _ONE, v, RandomSource(1)), ValueError,
+                                 "integer"),
+    "StateVector.n_qubits": (lambda v: StateVector(v, [1.0, 0.0]), InvalidWidth, "integer"),
+    "StateVector.zero_state": (lambda v: StateVector.zero_state(v), InvalidWidth, "integer"),
+    "baseline_gate_count": (lambda v: baseline_gate_count(v), InvalidWidth, "integer"),
+    "build_qft": (lambda v: build_qft(v), InvalidWidth, "integer"),
+}
+_NAMED = {"real": [True, "1", math.nan, math.inf, -math.inf],
+          "time": [True, "1", math.nan, -math.inf],
+          "integer": [True, "1", math.nan, math.inf, -math.inf, 1.5]}
+_NOT_A_NUMBER = st.one_of(st.sampled_from([False, np.True_, None, 1j, np.nan, np.float32("-inf")]), st.text(max_size=3))
+_DRAWN = {"real": st.one_of(_NOT_A_NUMBER, st.sampled_from([10**400, -10**400])),
+          "time": _NOT_A_NUMBER,
+          "integer": st.one_of(_NOT_A_NUMBER, st.floats(), st.sampled_from([np.float64(2.0), "2"]))}
+
+
+@pytest.mark.parametrize("field", sorted(_NUMERIC_FIELDS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_numeric_field_raises_its_own_error_on_what_is_not_a_number_of_its_kind(field, data):
+    """A bool, a string, NaN or an infinity (or any float, for an integer
+    field) raises the type's own error, never a bare TypeError, and builds
+    nothing; an int past the float range fails a real field too.  A time
+    constant of +inf, which means no decoherence, is the one accepted
+    infinity."""
+    build, error, kind = _NUMERIC_FIELDS[field]
+    for bad in [*_NAMED[kind], data.draw(_DRAWN[kind], label="bad")]:
+        with pytest.raises(error):
+            build(bad)
+    if kind == "time":
+        build(math.inf)
+
+
+def test_finite_real_returns_a_python_float_of_any_real_type():
+    for value in (3, np.int64(3), np.float32(0.5), np.float64(-2.25), 1e308):
+        assert type(finite_real(value, GridError, "x")) is float and finite_real(value, GridError, "x") == value
+    assert not is_finite_real(10**400) and is_finite_real(10**300)
+    assert type(Grid(10, 3).d) is float and Grid(10, 3).d == 10.0
+    assert type(EvolutionConfig(_GRID, dt=np.float64(0.1)).dt) is float
+    coefficients = QateCoefficients(np.int64(3), np.float32(0.5), _ALPHA, {(1, 2): 1})
+    assert type(coefficients.n_qubits) is int and type(coefficients.beta[(1, 2)]) is float
+    assert list(coefficients.alpha) == [1, 2] and coefficients.alpha is not _ALPHA
+    params = ErrorBudgetParams(np.float64(1e-3), t1=np.inf, t2=50)
+    assert (params.t1, params.t2) == (math.inf, 50.0) and type(params.t2) is float

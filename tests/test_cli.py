@@ -334,6 +334,31 @@ def test_metrics_guard_exits_3_when_the_rows_exceed_memory(tmp_path):
     _assert_refused(result, "metrics", 100000000000, tmp_path / "x")
 
 
+def test_memory_guard_obeys_a_cgroup_limit_below_physical_memory(runner, tmp_path, monkeypatch):
+    limit = tmp_path / "memory.max"
+    limit.write_text("1048576\n")  # 1 MiB, less than the interpreter alone
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_MAX", str(limit))
+    result = runner.invoke(main, ["metrics", "--qubits", "3", "--out", str(tmp_path / "x")])
+    assert result.exit_code == 3
+    assert result.output == ("error: metrics at 3 qubits needs about 0.0469 GiB, more than the "
+                             f"0.000977 GiB cgroup memory limit ({limit})\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("content", ["max\n", f"{1 << 62}\n", "", None],
+                         ids=["max", "above-physical", "empty", "missing"])
+def test_memory_guard_without_a_lower_cgroup_limit_uses_physical_memory(runner, tmp_path, monkeypatch,
+                                                                          content):
+    limit = tmp_path / "memory.max"
+    if content is not None:
+        limit.write_text(content)
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_MAX", str(limit))
+    assert runner.invoke(main, ["metrics", "--qubits", "3", "--out", str(tmp_path / "x")]).exit_code == 0
+    result = runner.invoke(main, ["metrics", "--qubits", "3..100000000000", "--out", str(tmp_path / "y")])
+    assert result.exit_code == 3
+    assert result.output.endswith(" of physical memory\n")
+
+
 @pytest.mark.parametrize("command", sorted(cli._STATEVECTORS))
 def test_footprint_guard_exits_3_at_the_first_width_past_memory(tmp_path, command):
     """The narrowest width whose estimated peak exceeds physical memory is

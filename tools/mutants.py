@@ -160,6 +160,16 @@ MUTANTS = [
     Mutant("qate-2q-single-ladder", CIRCUIT,
            "two_qubit = n - 1, math.comb(n - 1, 2) + 2 * (n - 1)",
            "two_qubit = n - 1, math.comb(n - 1, 2) + (n - 1)"),
+    # every real input goes through the one checked conversion
+    Mutant("finite-real-accepts-bool", CIRCUIT,
+           "not isinstance(value, bool) and isinstance(value, numbers.Real)",
+           "isinstance(value, numbers.Real)"),
+    Mutant("finite-real-accepts-nan", CIRCUIT,
+           "isinstance(value, numbers.Real) and math.isfinite(value)",
+           "isinstance(value, numbers.Real)"),
+    Mutant("memory-guard-ignores-cgroup", CLI,
+           "    if cgroup < limit:\n",
+           "    if cgroup < 0:\n"),
 ]
 
 
