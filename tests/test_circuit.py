@@ -250,7 +250,7 @@ _ALPHA, _BETA = {1: 0.2, 2: 0.3}, {(1, 2): 0.4}
 _NUMERIC_FIELDS = {
     "Grid.d": (lambda v: Grid(v, 3), GridError, "real"),
     "Grid.n_qubits": (lambda v: Grid(10.0, v), GridError, "integer"),
-    "PacketSpec.k0": (lambda v: PacketSpec(v), GridError, "real"),
+    "PacketSpec.k0": (PacketSpec, GridError, "real"),
     "PotentialSpec.eta": (lambda v: PotentialSpec(v, (0,)), GridError, "real"),
     "EvolutionConfig.dt": (lambda v: EvolutionConfig(_GRID, dt=v), GridError, "real"),
     "EvolutionConfig.mass": (lambda v: EvolutionConfig(_GRID, mass=v), GridError, "real"),
@@ -271,14 +271,15 @@ _NUMERIC_FIELDS = {
     "swap_test_estimate.shots": (lambda v: swap_test_estimate(_ONE, _ONE, v, RandomSource(1)), ValueError,
                                  "integer"),
     "StateVector.n_qubits": (lambda v: StateVector(v, [1.0, 0.0]), InvalidWidth, "integer"),
-    "StateVector.zero_state": (lambda v: StateVector.zero_state(v), InvalidWidth, "integer"),
-    "baseline_gate_count": (lambda v: baseline_gate_count(v), InvalidWidth, "integer"),
-    "build_qft": (lambda v: build_qft(v), InvalidWidth, "integer"),
+    "StateVector.zero_state": (StateVector.zero_state, InvalidWidth, "integer"),
+    "baseline_gate_count": (baseline_gate_count, InvalidWidth, "integer"),
+    "build_qft": (build_qft, InvalidWidth, "integer"),
 }
 _NAMED = {"real": [True, "1", math.nan, math.inf, -math.inf],
           "time": [True, "1", math.nan, -math.inf],
           "integer": [True, "1", math.nan, math.inf, -math.inf, 1.5]}
-_NOT_A_NUMBER = st.one_of(st.sampled_from([False, np.True_, None, 1j, np.nan, np.float32("-inf")]), st.text(max_size=3))
+_NOT_A_NUMBER = st.one_of(st.sampled_from([False, np.True_, None, 1j, np.nan, np.float32("-inf")]),
+                          st.text(max_size=3))
 _DRAWN = {"real": st.one_of(_NOT_A_NUMBER, st.sampled_from([10**400, -10**400])),
           "time": _NOT_A_NUMBER,
           "integer": st.one_of(_NOT_A_NUMBER, st.floats(), st.sampled_from([np.float64(2.0), "2"]))}
