@@ -76,10 +76,6 @@ class GateKind(Enum):
     def arity(self) -> int:
         return _ARITY[self]
 
-    @property
-    def parametric(self) -> bool:
-        return self in PHASE_KINDS
-
 
 # the diagonal kinds, the only ones that take an angle
 PHASE_KINDS = frozenset((GateKind.PHASE, GateKind.CONTROLLED_PHASE, GateKind.ROTATION_Z))
@@ -181,7 +177,7 @@ def validation_error(circuit: Circuit) -> CircuitError | None:
     for i, gate in enumerate(circuit.gates):
         if len(gate.qubits) != gate.kind.arity:
             return ArityMismatch(f"gate {i} ({gate.kind.value}) expects {gate.kind.arity} qubits, got {len(gate.qubits)}")
-        if gate.kind.parametric:
+        if gate.kind in PHASE_KINDS:
             if not is_finite_real(gate.angle):
                 return ArityMismatch(f"gate {i} ({gate.kind.value}) requires a finite angle")
         elif gate.angle is not None:

@@ -20,9 +20,9 @@ op and the twiddle factors of a split Fourier op.  `run` takes a `Plan` or a
 `Circuit`; it keeps the plan it compiles for a `Circuit` on the circuit
 itself and reuses it while the circuit still equals the plan's snapshot, so
 a Trotter loop compiles its substep once.  `extract_unitary` and
-`extract_diagonal` hold no plan: they build each phase table as the ops run
-and drop it after.  A table covers one half of the state, over the qubits
-its terms touch; a wide half of one-qubit phases only gets two small
+`extract_diagonal` run a plan of their own, so every reading of a circuit
+is one `compile_circuit`.  A table covers one half of the state, over the
+qubits its terms touch; a wide half of one-qubit phases only gets two small
 Kronecker factor tables instead.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; a seed fixes the
@@ -38,7 +38,7 @@ on the BLAS thread count.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +92,9 @@ class StateVector:
     @staticmethod
     def basis_state(n_qubits: int, index: int) -> "StateVector":
         amps = np.zeros(1 << exact_int(n_qubits, InvalidWidth, "n_qubits"), dtype=np.complex128)
+        index = exact_int(index, ValueError, "index")
+        if not 0 <= index < amps.shape[0]:
+            raise ValueError(f"index must be in [0, {amps.shape[0]}), got {index}")
         amps[index] = 1.0
         return StateVector(n_qubits, amps)
 
@@ -144,6 +147,9 @@ class RandomSource:
     _generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.seed = exact_int(self.seed, ValueError, "seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._generator = np.random.Generator(np.random.PCG64(self.seed))
 
     def multinomial(self, trials: int, probabilities: np.ndarray) -> np.ndarray:
@@ -199,9 +205,8 @@ def _phase_table(qubits: list, const, linear: dict, rows: dict) -> np.ndarray:
 
 def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
     """The (index, table) pairs that `_diagonal` multiplies by to apply
-    exp(i * sum of terms), each built when it is reached: `terms` maps () to
-    a constant angle, (q,) to the angle of bit q, and (q, r) with q < r to
-    that of b_q b_r.
+    exp(i * sum of terms): `terms` maps () to a constant angle, (q,) to the
+    angle of bit q, and (q, r) with q < r to that of b_q b_r.
 
     With lo the lowest qubit in a term, the halves where qubit lo is 0 and 1
     each get a read-only `_phase_table` of the terms that hold there, over
@@ -242,12 +247,11 @@ def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
             yield (slice(None),) * lo + (bit,), _phase_table(qubits, constant, linear, rows).reshape(shape)
 
 
-def _diagonal(tensor: np.ndarray, n: int, tables: Iterable[tuple]) -> None:
+def _diagonal(tensor: np.ndarray, n: int, tables: tuple) -> None:
     """Multiply by each (index, table) pair from `_phase_tables` in place."""
     for index, table in tables:
         half = tensor[index]
         half *= table
-        del table  # dropped before a lazy `tables` builds the next one
 
 
 def _hadamard(tensor: np.ndarray, n: int, q: int) -> None:
@@ -362,9 +366,10 @@ def _compile(circuit: Circuit) -> list:
     matched and runs gate by gate.  Each maximal run of
     Phase/ControlledPhase/RotationZ gates becomes one `_diagonal` op holding
     the run's summed constant, per-qubit and pairwise angles, which
-    `_finished` turns into its phase tables.  Each Hadamard is a `_hadamard`
-    op, a run of X gates or of CX gates with one control is a `_flip`, a run
-    of Swap gates a `_permute`, and each controlled swap a `_cswap`.
+    `compile_circuit` turns into its phase tables.  Each Hadamard is a
+    `_hadamard` op, a run of X gates or of CX gates with one control is a
+    `_flip`, a run of Swap gates a `_permute`, and each controlled swap a
+    `_cswap`.
     """
     n = circuit.n_qubits
     gates = circuit.gates
@@ -407,28 +412,6 @@ def _compile(circuit: Circuit) -> list:
     return ops
 
 
-def _finished(n: int, ops, tables=iter) -> Iterator[tuple]:
-    """Each of `ops` ready to run, as it is reached: a `_diagonal` op's summed
-    angles become its `_phase_tables`, collected by `tables`; every
-    `_fourier` op gets the same `_twiddles` from `_SPLIT_FOURIER_MIN_QUBITS`
-    on, built when the first is reached, and None below; any other op is
-    passed on as it is.  With `iter` each phase table is built only
-    when `_diagonal` multiplies by it and is dropped before the next is
-    built, so no more than one is alive and the allocator reuses its pages
-    instead of faulting in fresh ones; `tuple` builds them all now, for a
-    plan to hold."""
-    twiddles = None
-    for kernel, args in ops:
-        if kernel is _diagonal:
-            yield kernel, (tables(_phase_tables(n, *args)),)
-        elif kernel is _fourier:
-            if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:
-                twiddles = _twiddles(n)
-            yield kernel, (*args, twiddles)
-        else:
-            yield kernel, args
-
-
 @dataclass(frozen=True)
 class Plan:
     """A validated circuit compiled once, to run any number of times: a
@@ -448,11 +431,22 @@ class Plan:
 
 def compile_circuit(circuit: Circuit) -> Plan:
     """Validate `circuit` and compile it into a `Plan`; raises the typed
-    errors of `validate`."""
+    errors of `validate`.  A `_diagonal` op's summed angles become the tuple
+    of its `_phase_tables`; every `_fourier` op gets the same `_twiddles`
+    from `_SPLIT_FOURIER_MIN_QUBITS` on, built when the first is reached,
+    and None below."""
     validate(circuit)
     n = circuit.n_qubits
-    ops = tuple(_finished(n, _compile(circuit), tuple))
-    return Plan(n, tuple(circuit.gates), circuit.global_phase, ops)
+    ops, twiddles = [], None
+    for kernel, args in _compile(circuit):
+        if kernel is _diagonal:
+            args = (tuple(_phase_tables(n, *args)),)
+        elif kernel is _fourier:
+            if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:
+                twiddles = _twiddles(n)
+            args = (*args, twiddles)
+        ops.append((kernel, args))
+    return Plan(n, tuple(circuit.gates), circuit.global_phase, tuple(ops))
 
 
 def _execute(amplitudes: np.ndarray, n: int, ops, global_phase: float) -> np.ndarray:
@@ -504,27 +498,26 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > UNITARY_MAX_QUBITS:
         raise WidthTooLarge(f"unitary extraction capped at {UNITARY_MAX_QUBITS} qubits, got {n}")
-    ops = _finished(n, _compile(circuit))
-    return _execute(np.eye(1 << n, dtype=np.complex128), n, ops, circuit.global_phase)
+    plan = compile_circuit(circuit)
+    return _execute(np.eye(1 << n, dtype=np.complex128), n, plan.ops, plan.global_phase)
 
 
 def extract_diagonal(circuit: Circuit) -> np.ndarray:
     """Main diagonal of a circuit that maps every basis state to itself up to
     a phase, read off its ops.
 
-    The data movements (flips, transposes, controlled swaps) run on the basis
-    labels 0..2^n-1 while the diagonal ops are skipped, before any phase
-    table is built; the circuit is diagonal if every label ends where it
-    started, and the same ops applied to the all-ones vector are then the
-    diagonal.  Any Hadamard or Fourier op raises NotDiagonal, even a pair
-    that cancels; use `extract_unitary` for such circuits.
+    The circuit is compiled once.  The plan's data movements (flips,
+    transposes, controlled swaps) run on the basis labels 0..2^n-1 while its
+    diagonal ops are skipped; the circuit is diagonal if every label ends
+    where it started, and the same ops applied to the all-ones vector are
+    then the diagonal.  Any Hadamard or Fourier op raises NotDiagonal, even
+    a pair that cancels; use `extract_unitary` for such circuits.
     """
-    validate(circuit)
-    n = circuit.n_qubits
-    ops = _compile(circuit)
+    plan = compile_circuit(circuit)
+    n = plan.n_qubits
     labels = np.arange(1 << n)
     tensor = labels.reshape([2] * n + [-1])
-    for kernel, args in ops:
+    for kernel, args in plan.ops:
         if kernel in (_hadamard, _fourier):
             raise NotDiagonal("a Hadamard or Fourier transform maps basis states to superpositions")
         if kernel is not _diagonal:
@@ -533,7 +526,7 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
     del labels, tensor  # freed before the ones vector is allocated
     if not in_place:
         raise NotDiagonal("basis states are not mapped to themselves up to phase")
-    return _execute(np.ones(1 << n, dtype=np.complex128), n, _finished(n, ops), circuit.global_phase)
+    return _execute(np.ones(1 << n, dtype=np.complex128), n, plan.ops, plan.global_phase)
 
 
 def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from qpyramid.circuit import Circuit, Gate, GateKind, InvalidWidth
+from qpyramid.circuit import PHASE_KINDS, Circuit, Gate, GateKind, InvalidWidth
 from qpyramid.grids import Grid, momentum_samples, position_samples
 from qpyramid.simulator import StateVector
 
@@ -103,7 +103,7 @@ def random_circuit(n: int, n_gates: int, rng: np.random.Generator, kinds=None) -
         if kind.arity > n:
             continue
         qubits = tuple(int(q) for q in rng.choice(n, size=kind.arity, replace=False))
-        angle = float(rng.uniform(-np.pi, np.pi)) if kind.parametric else None
+        angle = float(rng.uniform(-np.pi, np.pi)) if kind in PHASE_KINDS else None
         circuit.gates.append(Gate(kind, qubits, angle))
     return circuit
 

@@ -272,6 +272,9 @@ _NUMERIC_FIELDS = {
                                  "integer"),
     "StateVector.n_qubits": (lambda v: StateVector(v, [1.0, 0.0]), InvalidWidth, "integer"),
     "StateVector.zero_state": (StateVector.zero_state, InvalidWidth, "integer"),
+    "StateVector.basis_state.n_qubits": (lambda v: StateVector.basis_state(v, 0), InvalidWidth, "integer"),
+    "StateVector.basis_state.index": (lambda v: StateVector.basis_state(2, v), ValueError, "integer"),
+    "RandomSource.seed": (RandomSource, ValueError, "integer"),
     "baseline_gate_count": (baseline_gate_count, InvalidWidth, "integer"),
     "build_qft": (build_qft, InvalidWidth, "integer"),
 }
@@ -300,6 +303,18 @@ def test_numeric_field_raises_its_own_error_on_what_is_not_a_number_of_its_kind(
             build(bad)
     if kind == "time":
         build(math.inf)
+
+
+def test_integer_fields_reject_what_is_out_of_range():
+    # numpy would wrap -1 to the last basis state
+    for index in (-1, 4):
+        with pytest.raises(ValueError, match="index"):
+            StateVector.basis_state(2, index)
+    assert StateVector.basis_state(2, np.int64(3)).amplitudes[3] == 1.0
+    with pytest.raises(ValueError, match="seed"):
+        RandomSource(-1)
+    assert type(RandomSource(np.int64(7)).seed) is int
+    assert RandomSource(np.int64(7)).binomial(1000, 0.5) == RandomSource(7).binomial(1000, 0.5)
 
 
 def test_finite_real_returns_a_python_float_of_any_real_type():

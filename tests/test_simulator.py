@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qpyramid import simulator
 from qpyramid.cli import write_table
 from qpyramid.circuit import (
+    PHASE_KINDS,
     ArityMismatch,
     Circuit,
     CircuitError,
@@ -190,7 +191,7 @@ def _permuting_and_phase_circuits(draw):
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(kinds))
         qubits = tuple(draw(st.permutations(range(n)))[:kind.arity])
-        angle = draw(st.floats(-math.pi, math.pi)) if kind.parametric else None
+        angle = draw(st.floats(-math.pi, math.pi)) if kind in PHASE_KINDS else None
         gates.append(Gate(kind, qubits, angle))
     if draw(st.booleans()):
         gates += [gate for gate in reversed(gates) if gate.kind in _PERMUTING]
@@ -385,36 +386,6 @@ def test_phase_table_covers_only_touched_qubits(monkeypatch):
     expected = state.amplitudes.copy()
     expected[(1 << (n - 1)) + 1::2] *= np.exp(0.3j)
     np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-15)
-
-
-def test_bare_circuit_builds_one_phase_table_at_a_time(monkeypatch):
-    # extraction holds no plan: each half table is dropped before the next is
-    # built, so no more than one is alive, where a plan holds them all
-    built = []
-    real = simulator._phase_table
-
-    def recording(*args):
-        assert all(ref() is None for ref in built)
-        table = real(*args)
-        built.append(weakref.ref(table))
-        return table
-
-    monkeypatch.setattr(simulator, "_phase_table", recording)
-    diagonal = Circuit(4).p(0, 0.3).cp(1, 2, 0.5).x(1).rz(1, 0.2).cp(0, 3, 0.1).x(1).p(3, 0.4)
-    circuit = Circuit(4, diagonal.gates + [Gate(GateKind.HADAMARD, (2,))] + diagonal.gates)
-    wide = _wide_phase_run()
-
-    def build_all():
-        extract_unitary(circuit)
-        extract_diagonal(diagonal)
-        extract_diagonal(wide)  # 4 factor tables
-        return len(built)
-
-    whole = build_all()
-    assert whole > 15
-    # factor tables are dropped one at a time too
-    monkeypatch.setattr(simulator, "_LINEAR_TABLE_MAX_QUBITS", 0)
-    assert build_all() - whole > whole
 
 
 def test_plan_uses_only_the_five_kernels():
@@ -617,23 +588,49 @@ def test_fourier_op_past_the_cut_off_transforms_at_most_a_row(monkeypatch, n):
         assert lengths == [1 << n // 2, 1 << (n + 1) // 2] * 2
 
 
-def test_run_keeps_one_plan_on_the_circuit(monkeypatch):
+def _count_compiles(monkeypatch) -> list:
+    """Patch `simulator.compile_circuit` to record each circuit it compiles."""
     compiled = []
-    real = simulator.compile_circuit
 
     def counting(circuit):
         compiled.append(circuit)
-        return real(circuit)
+        return compile_circuit(circuit)
 
     monkeypatch.setattr(simulator, "compile_circuit", counting)
+    return compiled
+
+
+def test_run_keeps_one_plan_on_the_circuit(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
     circuit = Circuit(3).h(0).cp(0, 1, 0.7).p(2, 0.3).swap(0, 2)
     circuit.extend(build_qft(3))
     state = StateVector.from_amplitudes(np.arange(1, 9) + 0.5j)
     first, second = run(circuit, state), run(circuit, state)
     assert len(compiled) == 1 and isinstance(circuit._plan, Plan)
     assert circuit._plan.gates == tuple(circuit.gates)
-    reference = run(real(circuit), state).amplitudes
+    reference = run(compile_circuit(circuit), state).amplitudes
     assert np.array_equal(first.amplitudes, reference) and np.array_equal(second.amplitudes, reference)
+
+
+def test_each_extraction_compiles_the_circuit_once(monkeypatch):
+    # both extractions run a plan from compile_circuit and keep none on the circuit
+    compiled = _count_compiles(monkeypatch)
+    circuit = Circuit(3).x(0).cp(0, 1, 0.7).h(2).p(2, 0.3).rz(1, 0.2).swap(0, 2)
+    circuit.extend(build_qft(3))
+    extract_unitary(circuit)
+    assert compiled == [circuit]
+    diagonal = Circuit(3).cx(0, 1).cswap(2, 0, 1).cp(0, 2, 0.7).rz(1, 0.2).cswap(2, 0, 1).cx(0, 1)
+    np.testing.assert_allclose(extract_diagonal(diagonal), np.diag(circuit_unitary(diagonal)),
+                               rtol=0, atol=1e-14)
+    assert compiled == [circuit, diagonal]
+    with pytest.raises(NotDiagonal):
+        extract_diagonal(circuit)
+    assert compiled == [circuit, diagonal, circuit]
+    assert circuit._plan is None and diagonal._plan is None
+    # the width cap is checked before anything is compiled
+    with pytest.raises(WidthTooLarge):
+        extract_unitary(Circuit(13).h(0))
+    assert len(compiled) == 3
 
 
 def _state_of(n):

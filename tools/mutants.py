@@ -4,7 +4,9 @@ Each mutant is one textual edit (file, old text, new text) of the package.
 It is applied to a fresh copy of `src/`, `tests/` and `pyproject.toml` in a
 temporary directory, and the suite runs there with `pytest -x`; the working
 tree is never touched.  A mutant whose old text does not occur exactly once
-is reported as stale, so the list cannot silently stop applying.  A fast
+is reported as stale, so the list cannot silently stop applying;
+`tests/test_mutants.py` checks the same in the tier-1 suite.  That test is
+deleted from each copy, since every mutant removes its own anchor.  A fast
 path or a memory guarantee that lands adds its mutant here.
 
 Run from the repository root:
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
+ANCHOR_TEST = "tests/test_mutants.py"
 SIMULATOR = "src/qpyramid/simulator.py"
 CLI = "src/qpyramid/cli.py"
 EVOLUTION = "src/qpyramid/evolution.py"
@@ -69,13 +72,14 @@ MUTANTS = [
            "gate.kind is kind and gate.qubits == qubits and gate.angle == angle",
            "gate.kind is kind and gate.qubits == qubits"),
     Mutant("plan-reuses-first-diagonal-tables", SIMULATOR,
-           "    for kernel, args in ops:\n        if kernel is _diagonal:\n            yield kernel, (tables(",
-           "    first = {}\n"
-           "    for kernel, args in ops:\n"
+           "    ops, twiddles = [], None\n"
+           "    for kernel, args in _compile(circuit):\n"
            "        if kernel is _diagonal:\n"
-           "            if tables is tuple:\n"
-           "                args = first.setdefault('args', args)\n"
-           "            yield kernel, (tables("),
+           "            args = (tuple(_phase_tables(n, *args)),)",
+           "    ops, twiddles, first = [], None, {}\n"
+           "    for kernel, args in _compile(circuit):\n"
+           "        if kernel is _diagonal:\n"
+           "            args = first.setdefault('tables', (tuple(_phase_tables(n, *args)),))"),
     # `run` keeps a circuit's plan only while the circuit equals its snapshot
     Mutant("memo-compares-gate-count", SIMULATOR,
            "(plan.n_qubits, plan.global_phase, plan.gates) != (\n"
@@ -192,6 +196,7 @@ def check(mutant: Mutant) -> str:
                 shutil.copytree(source, root / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(source, root / name)
+        (root / ANCHOR_TEST).unlink()
         if not _apply(mutant, root):
             return "STALE"
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
