@@ -12,7 +12,12 @@ basis labels that `extract_diagonal` tracks.  Results equal gate-by-gate
 application to rounding, not bit for bit.
 
 A Fourier op is one in-place numpy FFT below `_SPLIT_FOURIER_MIN_QUBITS`
-and two passes of short batched FFTs from there on (see `_fourier`).
+and two in-place passes of short batched FFTs from there on (see
+`_fourier`).  A split op on natural input leaves the state in a rotated
+qubit layout, and one on rotated input brings it back; `compile_circuit`
+compiles the ops in between on the rotated axes and closes a plan that
+ends rotated with one transpose.  No op allocates a state-size buffer that
+becomes the state: a run updates one copy of its input in place.
 
 `compile_circuit` validates and compiles a circuit once into an immutable
 `Plan` that holds each op's finished tables: the phase tables of a diagonal
@@ -75,7 +80,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.n_qubits = exact_int(self.n_qubits, InvalidWidth, "n_qubits")
+        self.n_qubits = _width(self.n_qubits)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if self.amplitudes.shape[0] != 1 << self.n_qubits:
             raise InvalidWidth(
@@ -91,7 +96,7 @@ class StateVector:
 
     @staticmethod
     def basis_state(n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << exact_int(n_qubits, InvalidWidth, "n_qubits"), dtype=np.complex128)
+        amps = np.zeros(1 << _width(n_qubits), dtype=np.complex128)
         index = exact_int(index, ValueError, "index")
         if not 0 <= index < amps.shape[0]:
             raise ValueError(f"index must be in [0, {amps.shape[0]}), got {index}")
@@ -116,6 +121,15 @@ class StateVector:
 
     def norm(self) -> float:
         return _norm(self.amplitudes)
+
+
+def _width(n_qubits) -> int:
+    """A state's qubit count as a Python int; a non-integer or a negative
+    count raises InvalidWidth."""
+    n = exact_int(n_qubits, InvalidWidth, "n_qubits")
+    if n < 0:
+        raise InvalidWidth(f"n_qubits must be >= 0, got {n}")
+    return n
 
 
 def _norm(amplitudes: np.ndarray) -> float:
@@ -311,35 +325,36 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def _fourier(tensor: np.ndarray, n: int, inverse: bool, twiddles: tuple | None) -> np.ndarray | None:
+def _fourier(tensor: np.ndarray, n: int, inverse: bool, rotated: bool, twiddles: tuple | None) -> None:
     """The Fourier transform omega^{jk}/sqrt(2^n), omega = e^{2 pi i/2^n}
     (numpy's orthonormal `ifft`), or with `inverse` its conjugate transpose
-    (`fft`), over the 2^n state index of each batch column.
+    (`fft`), over the 2^n state index of each batch column, in place.
 
-    Without `twiddles` it is one numpy call written back in place, whose
-    temporaries are numpy's two scratch arrays of one statevector each.  With
-    the `_twiddles` of width n it is Bailey's four-step FFT over the (R, C)
-    view j = a C + b of the index: length-R transforms over a in place, a
-    multiply by omega^{+-ab}, then length-C transforms over b, written
-    through a transposed view into a fresh state-size buffer, since output
-    k = a + R m lands at row m, column a.  numpy's scratch is then a few
-    rows.  That buffer is returned, for `_execute` to adopt as the state.
+    Without `twiddles` it is one numpy call, whose temporaries are numpy's
+    two scratch arrays of one statevector each.  With the `_twiddles` of
+    width n it is Bailey's four-step FFT over the (R, C) view of the index,
+    whose scratch is a few rows: length-R transforms down the columns, a
+    multiply by omega^{+-ab} at row a, column b, and length-C transforms
+    along the rows, all written back in place.  On natural input, j = a C +
+    b, the columns go first, and output k1 + R k2 lands at row k1, column
+    k2: the rotated layout, in which logical qubit q sits at axis (q +
+    floor(n/2)) mod n.  On `rotated` input, j = b R + a, the rows go first
+    and the output comes back in natural order.
     """
     transform = np.fft.fft if inverse else np.fft.ifft
     if twiddles is None:
         flat = tensor.reshape(1 << n, -1)
         transform(flat, axis=0, norm="ortho", out=flat)
-        return None
+        return
     high, low = twiddles
     rows, cols = high.shape[0] * low.shape[1], high.shape[2]
     grid = tensor.reshape(rows, cols, -1)
-    transform(grid, axis=0, norm="ortho", out=grid)
+    first, second = (1, 0) if rotated else (0, 1)
+    transform(grid, axis=first, norm="ortho", out=grid)
     factored = grid.reshape(high.shape[0], low.shape[1], cols, -1)
     for table in twiddles:
         factored *= table.conj() if inverse else table
-    out = np.empty((cols, rows, grid.shape[2]), dtype=np.complex128)
-    transform(grid, axis=1, norm="ortho", out=out.transpose(1, 0, 2))
-    return out.reshape(tensor.shape)
+    transform(grid, axis=second, norm="ortho", out=grid)
 
 
 def _fourier_block(gates: list, start: int, n: int) -> tuple[bool, int] | None:
@@ -369,7 +384,8 @@ def _compile(circuit: Circuit) -> list:
     `compile_circuit` turns into its phase tables.  Each Hadamard is a
     `_hadamard` op, a run of X gates or of CX gates with one control is a
     `_flip`, a run of Swap gates a `_permute`, and each controlled swap a
-    `_cswap`.
+    `_cswap`.  The ops name logical qubits; `compile_circuit` maps them to
+    the rotated layout where a split Fourier op has left it.
     """
     n = circuit.n_qubits
     gates = circuit.gates
@@ -421,7 +437,10 @@ class Plan:
     one statevector's worth of tables for the plan's lifetime; a half of
     one-qubit phases over k > `_LINEAR_TABLE_MAX_QUBITS` qubits keeps about
     2^(k/2 + 1) entries.  From `_SPLIT_FOURIER_MIN_QUBITS` on, the Fourier
-    ops share one pair of twiddle tables of about 2^(3n/4 + 1) entries."""
+    ops share one pair of twiddle tables of about 2^(3n/4 + 1) entries, and
+    the ops between a forward and an inverse one act on the rotated layout
+    they leave; a plan that would end rotated closes with a `_permute`, so
+    every plan maps natural order to natural order."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -429,38 +448,64 @@ class Plan:
     ops: tuple
 
 
+def _relabelled(kernel, args, axis: tuple) -> tuple:
+    """The `_compile` args of a non-Fourier op, moved from logical qubit q to
+    memory axis axis[q]: diagonal term keys re-sorted, the qubits of flips,
+    Hadamards and controlled swaps mapped, a permutation conjugated."""
+    if kernel is _diagonal:
+        return ({tuple(sorted(axis[q] for q in key)): angle for key, angle in args[0].items()},)
+    if kernel is _flip:
+        control, targets = args
+        return (None if control is None else axis[control], frozenset(axis[t] for t in targets))
+    if kernel is _permute:
+        logical = sorted(range(len(axis)), key=axis.__getitem__)
+        return (tuple(axis[args[0][q]] for q in logical),)
+    return tuple(axis[q] for q in args)
+
+
 def compile_circuit(circuit: Circuit) -> Plan:
     """Validate `circuit` and compile it into a `Plan`; raises the typed
     errors of `validate`.  A `_diagonal` op's summed angles become the tuple
     of its `_phase_tables`; every `_fourier` op gets the same `_twiddles`
     from `_SPLIT_FOURIER_MIN_QUBITS` on, built when the first is reached,
-    and None below."""
+    and None below.
+
+    A split Fourier op on natural input leaves the state in the rotated
+    layout and one on rotated input restores natural order (see
+    `_fourier`), so the plan tracks that one bit.  The ops compiled while
+    rotated act on the memory axes of their qubits (`_relabelled`), and a
+    plan that ends rotated closes with one `_permute` back to natural
+    order.  A QFT/inverse pair thus needs no reordering at all.  The split
+    depends on the width alone, so a one-call Fourier op never meets the
+    rotated layout."""
     validate(circuit)
     n = circuit.n_qubits
-    ops, twiddles = [], None
+    axis = tuple((q + n // 2) % n for q in range(n))  # rotated layout: logical qubit -> memory axis
+    ops, twiddles, rotated = [], None, False
     for kernel, args in _compile(circuit):
-        if kernel is _diagonal:
-            args = (tuple(_phase_tables(n, *args)),)
-        elif kernel is _fourier:
+        if kernel is _fourier:
             if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:
                 twiddles = _twiddles(n)
-            args = (*args, twiddles)
+            args = (*args, rotated, twiddles)
+            rotated ^= twiddles is not None
+        elif rotated:
+            args = _relabelled(kernel, args, axis)
+        if kernel is _diagonal:
+            args = (tuple(_phase_tables(n, *args)),)
         ops.append((kernel, args))
+    if rotated:
+        ops.append((_permute, (axis,)))
     return Plan(n, tuple(circuit.gates), circuit.global_phase, tuple(ops))
 
 
 def _execute(amplitudes: np.ndarray, n: int, ops, global_phase: float) -> np.ndarray:
     """Apply finished `ops`, then e^{i global_phase}, to a raw array (any
     norm, optional trailing batch axes); returns a new array.  The one
-    executor: every run and extraction goes through it.  Each kernel works
-    in place, except that a split Fourier op returns the buffer it wrote,
-    which becomes the state; nothing else holds the one it replaces, so that
-    is freed at once."""
+    executor: every run and extraction goes through it.  It copies the
+    input once, and every kernel updates that copy in place."""
     tensor = amplitudes.astype(np.complex128, copy=True).reshape([2] * n + [-1])
     for kernel, args in ops:
-        moved = kernel(tensor, n, *args)
-        if moved is not None:
-            tensor = moved
+        kernel(tensor, n, *args)
     out = tensor.reshape(amplitudes.shape)
     if global_phase != 0.0:
         out *= np.exp(1j * global_phase)

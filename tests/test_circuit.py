@@ -306,6 +306,12 @@ def test_numeric_field_raises_its_own_error_on_what_is_not_a_number_of_its_kind(
 
 
 def test_integer_fields_reject_what_is_out_of_range():
+    # a negative width is rejected when the state is built, not by the shift
+    # that sizes its amplitudes
+    for build in (lambda: StateVector(-1, [1.0]), lambda: StateVector.zero_state(-1),
+                  lambda: StateVector.basis_state(-1, 0)):
+        with pytest.raises(InvalidWidth, match="n_qubits must be >= 0"):
+            build()
     # numpy would wrap -1 to the last basis state
     for index in (-1, 4):
         with pytest.raises(ValueError, match="index"):

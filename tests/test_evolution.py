@@ -159,7 +159,7 @@ def test_substep_plan_holds_under_one_statevector_of_tables():
     plan = compile_circuit(trotter_step_circuit(_config(n=16)))
     held = [sum(table.size for _, table in args[0]) for kernel, args in plan.ops if kernel is _diagonal]
     assert len(held) == 5
-    forward, inverse = [args[1] for kernel, args in plan.ops if kernel is _fourier]
+    forward, inverse = [args[-1] for kernel, args in plan.ops if kernel is _fourier]
     assert forward is inverse
     assert sum(held) + sum(table.size for table in forward) < 1 << 16
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 
@@ -412,9 +413,9 @@ def test_plan_runs_each_fourier_block_as_one_op():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_build_qft_compiles_to_one_fourier_op(n):
     # test_encoders checks these circuits' unitaries against the dense DFT;
-    # below the split cut-off an op holds no twiddle table
-    assert compile_circuit(build_qft(n)).ops == ((_fourier, (False, None)),)
-    assert compile_circuit(build_qft(n, inverse=True)).ops == ((_fourier, (n > 1, None)),)  # at n = 1 both are one H
+    # below the split cut-off an op holds no twiddle table and reads natural order
+    assert compile_circuit(build_qft(n)).ops == ((_fourier, (False, False, None)),)
+    assert compile_circuit(build_qft(n, inverse=True)).ops == ((_fourier, (n > 1, False, None)),)  # at n = 1 both are one H
 
 
 @st.composite
@@ -551,8 +552,9 @@ def test_split_fourier_op_matches_numpy_fft(n, inverse):
     rng = np.random.default_rng(n)
     dim = 1 << n
     state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-    [(kernel, (_, twiddles))] = compile_circuit(build_qft(n, inverse)).ops
-    assert kernel is _fourier and sum(table.size for table in twiddles) <= 2 ** (0.75 * n + 1.5)
+    [(kernel, (_, rotated, twiddles)), (closing, _)] = compile_circuit(build_qft(n, inverse)).ops
+    assert kernel is _fourier and not rotated and closing is _permute
+    assert sum(table.size for table in twiddles) <= 2 ** (0.75 * n + 1.5)
     for table in twiddles:
         with pytest.raises(ValueError):
             table[...] = 0
@@ -574,18 +576,52 @@ def _record_fft_lengths(monkeypatch) -> list:
     return lengths
 
 
-@pytest.mark.parametrize("n", [12, 13, 14, 17])
-def test_fourier_op_past_the_cut_off_transforms_at_most_a_row(monkeypatch, n):
+def _fourier_pair(n: int) -> Circuit:
     circuit = Circuit(n)
     circuit.extend(build_qft(n))
     circuit.extend(build_qft(n, inverse=True))
+    return circuit
+
+
+@pytest.mark.parametrize("n", [12, 13, 14, 17])
+def test_fourier_op_past_the_cut_off_transforms_at_most_a_row(monkeypatch, n):
+    # the forward op runs its columns first and leaves the rotated layout; the
+    # inverse op reads that layout, so it runs its rows first
     state = StateVector.zero_state(n)
     lengths = _record_fft_lengths(monkeypatch)
-    run(circuit, state)
+    run(_fourier_pair(n), state)
     if n < simulator._SPLIT_FOURIER_MIN_QUBITS:
         assert lengths == [1 << n] * 2
     else:
-        assert lengths == [1 << n // 2, 1 << (n + 1) // 2] * 2
+        rows, cols = 1 << n // 2, 1 << (n + 1) // 2
+        assert lengths == [rows, cols, cols, rows]
+
+
+def test_only_a_plan_that_ends_rotated_closes_with_a_permute():
+    n = 14
+    pair = [(kernel, rotated) for kernel, (_, rotated, _) in compile_circuit(_fourier_pair(n)).ops]
+    assert pair == [(_fourier, False), (_fourier, True)]
+    (kernel, _), (closing, (perm,)) = compile_circuit(build_qft(n)).ops
+    assert kernel is _fourier and closing is _permute
+    assert perm == tuple(range(n // 2, n)) + tuple(range(n // 2))
+
+
+def test_fourier_pair_allocates_at_most_one_statevector():
+    # the input copy is the one state-size array; both split ops work in
+    # place on it, and numpy's row scratch and the conjugated twiddle tables
+    # stay well within a quarter of a statevector at this width
+    n = 18
+    rng = np.random.default_rng(n)
+    state = StateVector.from_amplitudes(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    plan = compile_circuit(_fourier_pair(n))
+    tracemalloc.start()
+    try:
+        out = run(plan, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * state.amplitudes.nbytes
+    np.testing.assert_allclose(out.amplitudes, state.amplitudes, rtol=0, atol=1e-15)
 
 
 def _count_compiles(monkeypatch) -> list:

@@ -72,14 +72,9 @@ MUTANTS = [
            "gate.kind is kind and gate.qubits == qubits and gate.angle == angle",
            "gate.kind is kind and gate.qubits == qubits"),
     Mutant("plan-reuses-first-diagonal-tables", SIMULATOR,
-           "    ops, twiddles = [], None\n"
-           "    for kernel, args in _compile(circuit):\n"
-           "        if kernel is _diagonal:\n"
            "            args = (tuple(_phase_tables(n, *args)),)",
-           "    ops, twiddles, first = [], None, {}\n"
-           "    for kernel, args in _compile(circuit):\n"
-           "        if kernel is _diagonal:\n"
-           "            args = first.setdefault('tables', (tuple(_phase_tables(n, *args)),))"),
+           "            args = next((held for k, held in ops if k is _diagonal),\n"
+           "                        (tuple(_phase_tables(n, *args)),))"),
     # `run` keeps a circuit's plan only while the circuit equals its snapshot
     Mutant("memo-compares-gate-count", SIMULATOR,
            "(plan.n_qubits, plan.global_phase, plan.gates) != (\n"
@@ -95,11 +90,17 @@ MUTANTS = [
     Mutant("split-twiddle-wrong-sign", SIMULATOR,
            "factored *= table.conj() if inverse else table",
            "factored *= table if inverse else table.conj()"),
-    Mutant("split-second-pass-in-place", SIMULATOR,
-           "    transform(grid, axis=1, norm=\"ortho\", out=out.transpose(1, 0, 2))\n"
-           "    return out.reshape(tensor.shape)",
-           "    transform(grid, axis=1, norm=\"ortho\", out=grid)\n"
-           "    return None"),
+    # a split op on natural input leaves the rotated layout, and the plan
+    # relabels the ops that follow until a split op on rotated input undoes it
+    Mutant("rotated-ops-not-relabelled", SIMULATOR,
+           "args = _relabelled(kernel, args, axis)",
+           "args = args"),
+    Mutant("rotated-input-natural-pass-order", SIMULATOR,
+           "first, second = (1, 0) if rotated else (0, 1)",
+           "first, second = (0, 1)"),
+    Mutant("plan-ends-rotated", SIMULATOR,
+           "    if rotated:\n        ops.append((_permute, (axis,)))\n",
+           ""),
     Mutant("split-never-reached", SIMULATOR,
            "if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:",
            "if twiddles is None and n >= 64:"),
