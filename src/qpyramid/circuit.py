@@ -101,8 +101,11 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits",
-                           tuple(exact_int(q, CircuitError, "qubit") for q in self.qubits))
+        try:
+            qubits = tuple(exact_int(q, CircuitError, "qubit") for q in self.qubits)
+        except TypeError:
+            raise CircuitError(f"gate qubits {self.qubits!r} are not a sequence") from None
+        object.__setattr__(self, "qubits", qubits)
 
 
 @dataclass
@@ -175,6 +178,8 @@ def validation_error(circuit: Circuit) -> CircuitError | None:
     if not is_finite_real(circuit.global_phase):
         return CircuitError(f"global_phase {circuit.global_phase!r} is not a finite number")
     for i, gate in enumerate(circuit.gates):
+        if not (isinstance(gate, Gate) and isinstance(gate.kind, GateKind)):
+            return CircuitError(f"gate {i} is {gate!r}, not a Gate of a GateKind")
         if len(gate.qubits) != gate.kind.arity:
             return ArityMismatch(f"gate {i} ({gate.kind.value}) expects {gate.kind.arity} qubits, got {len(gate.qubits)}")
         if gate.kind in PHASE_KINDS:
@@ -260,7 +265,7 @@ def circuit_from_json(text: str) -> Circuit:
     an unknown gate kind or a value of the wrong type raises CircuitError."""
     try:
         data = json.loads(text)
-        gates = [Gate(GateKind(g["kind"]), tuple(g["qubits"]), g.get("angle")) for g in data["gates"]]
+        gates = [Gate(GateKind(g["kind"]), g["qubits"], g.get("angle")) for g in data["gates"]]
         phase = finite_real(data.get("global_phase", 0.0), CircuitError, "global_phase")
         circuit = Circuit(data["n_qubits"], gates, phase)
     except CircuitError:

@@ -5,19 +5,22 @@ significant bit of the basis index.  A circuit runs as a list of ops: one
 Fourier op per block that is exactly `build_qft(n)` or its inverse over the
 full width (a near miss runs gate by gate), one diagonal op per run of
 phase-type gates, an in-place butterfly per Hadamard, one data movement per
-run of X, same-control CX or Swap gates, and one per controlled swap.  Ops
-act on a rank-n tensor view (one axis per qubit plus a trailing batch axis),
-so the same code drives single states, column-batched unitaries and the
-basis labels that `extract_diagonal` tracks.  Results equal gate-by-gate
-application to rounding, not bit for bit.
+run of X or same-control CX gates, and one per controlled swap; a Swap gate
+only relabels qubits.  Ops act on a rank-n tensor view (one axis per qubit
+plus a trailing batch axis), so the same code drives single states,
+column-batched unitaries and the basis labels that `extract_diagonal`
+tracks.  Results equal gate-by-gate application to rounding, not bit for
+bit.
 
 A Fourier op is one in-place numpy FFT below `_SPLIT_FOURIER_MIN_QUBITS`
 and two in-place passes of short batched FFTs from there on (see
 `_fourier`).  A split op on natural input leaves the state in a rotated
-qubit layout, and one on rotated input brings it back; `compile_circuit`
-compiles the ops in between on the rotated axes and closes a plan that
-ends rotated with one transpose.  No op allocates a state-size buffer that
-becomes the state: a run updates one copy of its input in place.
+qubit layout, and one on rotated input brings it back.  `_compile` keeps
+one map from logical qubits to memory axes, which Swap gates and split
+ops change, and compiles every op onto the axes it maps to; one transpose
+restores natural order only before a Fourier op that needs it and at the
+end of a plan.  No op allocates a state-size buffer that becomes the
+state: a run updates one copy of its input in place.
 
 `compile_circuit` validates and compiles a circuit once into an immutable
 `Plan` that holds each op's finished tables: the phase tables of a diagonal
@@ -108,13 +111,13 @@ class StateVector:
         """The state of `raw` scaled to unit norm; its length sets the width.
         A zero or non-finite norm has no such scaling and is rejected."""
         amps = np.asarray(raw, dtype=np.complex128).reshape(-1)
-        n = int(round(math.log2(amps.shape[0])))
-        if 1 << n != amps.shape[0]:
-            raise InvalidWidth(f"amplitude count {amps.shape[0]} is not a power of two")
+        size = amps.shape[0]
+        if size < 1 or size & (size - 1):
+            raise InvalidWidth(f"amplitude count {size} is not a power of two")
         norm = _norm(amps)
         if not (math.isfinite(norm) and norm > 0):
             raise ValueError(f"cannot scale amplitudes of norm {norm} to unit norm")
-        return StateVector(n, amps / norm)
+        return StateVector(size.bit_length() - 1, amps / norm)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -139,17 +142,26 @@ def _norm(amplitudes: np.ndarray) -> float:
 
 @dataclass
 class Histogram:
-    """Measurement counts: counts[i] for basis index i, summing to `shots`."""
+    """Measurement counts: counts[i] for basis index i, summing to `shots`;
+    any 1-D integer (not bool) array of counts in [0, 2^63), kept as int64."""
 
     shots: int
     counts: np.ndarray
 
     def __post_init__(self):
         self.shots = exact_int(self.shots, ValueError, "shots")
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be a 1-D array of integers, got {counts.dtype} of shape {counts.shape}")
+        top = int(counts.max(initial=0))
+        if counts.min(initial=0) < 0 or top >= 2**63:
+            raise ValueError("counts must lie in [0, 2^63)")
+        self.counts = counts.astype(np.int64)
         if self.shots < 1:
             raise ValueError("shots must be positive")
-        if int(self.counts.sum()) != self.shots:
+        # the int64 sum is exact unless it could reach 2^63
+        total = int(self.counts.sum()) if top * counts.size < 2**63 else sum(counts.tolist())
+        if total != self.shots:
             raise ValueError("histogram counts do not sum to shots")
 
 
@@ -292,7 +304,8 @@ def _flip(tensor: np.ndarray, n: int, control: int | None, targets: frozenset) -
 
 
 def _permute(tensor: np.ndarray, n: int, perm: tuple) -> None:
-    """Move qubit axis perm[q] to axis q: a run of Swap gates as one transpose."""
+    """Move axis perm[q] to axis q: with `_compile`'s layout map as `perm`,
+    one transpose back to natural order."""
     tensor[...] = tensor.transpose(perm + (n,))
 
 
@@ -383,21 +396,35 @@ def _compile(circuit: Circuit) -> list:
     the run's summed constant, per-qubit and pairwise angles, which
     `compile_circuit` turns into its phase tables.  Each Hadamard is a
     `_hadamard` op, a run of X gates or of CX gates with one control is a
-    `_flip`, a run of Swap gates a `_permute`, and each controlled swap a
-    `_cswap`.  The ops name logical qubits; `compile_circuit` maps them to
-    the rotated layout where a split Fourier op has left it.
+    `_flip`, and each controlled swap a `_cswap`.
+
+    The ops act on memory axes through one layout map: logical qubit q sits
+    at axis axis[q].  A Swap gate swaps two entries of the map and emits
+    nothing, so it moves no data and ends no run.  A split Fourier op on
+    natural input leaves the rotated layout and one on rotated input
+    restores natural order (see `_fourier`), so a QFT/inverse pair needs no
+    reordering.  Before a Fourier block in any other layout, and at the end
+    of a plan not in natural order, one `_permute` restores natural order.
     """
     n = circuit.n_qubits
     gates = circuit.gates
+    natural = tuple(range(n))
+    rotated = tuple((q + n // 2) % n for q in natural) if n >= _SPLIT_FOURIER_MIN_QUBITS else natural
+    axis = list(natural)
     ops: list = []
     i = 0
     while i < len(gates):
         gate = gates[i]
-        kind, qubits = gate.kind, gate.qubits
+        kind, qubits = gate.kind, tuple(axis[q] for q in gate.qubits)
         block = _fourier_block(gates, i, n) if kind in (GateKind.HADAMARD, GateKind.SWAP) else None
         if block is not None:
             inverse, i = block
-            ops.append((_fourier, (inverse,)))
+            layout = tuple(axis)
+            if layout not in (natural, rotated):
+                ops.append((_permute, (layout,)))
+                layout = natural
+            ops.append((_fourier, (inverse, layout != natural)))
+            axis = list(rotated if layout == natural else natural)
             continue
         i += 1
         last_kernel, last_args = ops[-1] if ops else (None, ())
@@ -419,12 +446,12 @@ def _compile(circuit: Circuit) -> list:
                 targets = ops.pop()[1][1]
             ops.append((_flip, (control, targets ^ {qubits[-1]})))
         elif kind is GateKind.SWAP:
-            perm = list(ops.pop()[1][0] if last_kernel is _permute else range(n))
-            a, b = qubits
-            perm[a], perm[b] = perm[b], perm[a]
-            ops.append((_permute, (tuple(perm),)))
+            a, b = gate.qubits
+            axis[a], axis[b] = axis[b], axis[a]
         else:
             ops.append((_cswap, qubits))
+    if tuple(axis) != natural:
+        ops.append((_permute, (tuple(axis),)))
     return ops
 
 
@@ -437,10 +464,10 @@ class Plan:
     one statevector's worth of tables for the plan's lifetime; a half of
     one-qubit phases over k > `_LINEAR_TABLE_MAX_QUBITS` qubits keeps about
     2^(k/2 + 1) entries.  From `_SPLIT_FOURIER_MIN_QUBITS` on, the Fourier
-    ops share one pair of twiddle tables of about 2^(3n/4 + 1) entries, and
-    the ops between a forward and an inverse one act on the rotated layout
-    they leave; a plan that would end rotated closes with a `_permute`, so
-    every plan maps natural order to natural order."""
+    ops share one pair of twiddle tables of about 2^(3n/4 + 1) entries.  The
+    ops act on memory axes through `_compile`'s layout map, and a plan that
+    would end in another layout closes with a `_permute`, so every plan maps
+    natural order to natural order."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -448,53 +475,23 @@ class Plan:
     ops: tuple
 
 
-def _relabelled(kernel, args, axis: tuple) -> tuple:
-    """The `_compile` args of a non-Fourier op, moved from logical qubit q to
-    memory axis axis[q]: diagonal term keys re-sorted, the qubits of flips,
-    Hadamards and controlled swaps mapped, a permutation conjugated."""
-    if kernel is _diagonal:
-        return ({tuple(sorted(axis[q] for q in key)): angle for key, angle in args[0].items()},)
-    if kernel is _flip:
-        control, targets = args
-        return (None if control is None else axis[control], frozenset(axis[t] for t in targets))
-    if kernel is _permute:
-        logical = sorted(range(len(axis)), key=axis.__getitem__)
-        return (tuple(axis[args[0][q]] for q in logical),)
-    return tuple(axis[q] for q in args)
-
-
 def compile_circuit(circuit: Circuit) -> Plan:
     """Validate `circuit` and compile it into a `Plan`; raises the typed
     errors of `validate`.  A `_diagonal` op's summed angles become the tuple
     of its `_phase_tables`; every `_fourier` op gets the same `_twiddles`
     from `_SPLIT_FOURIER_MIN_QUBITS` on, built when the first is reached,
-    and None below.
-
-    A split Fourier op on natural input leaves the state in the rotated
-    layout and one on rotated input restores natural order (see
-    `_fourier`), so the plan tracks that one bit.  The ops compiled while
-    rotated act on the memory axes of their qubits (`_relabelled`), and a
-    plan that ends rotated closes with one `_permute` back to natural
-    order.  A QFT/inverse pair thus needs no reordering at all.  The split
-    depends on the width alone, so a one-call Fourier op never meets the
-    rotated layout."""
+    and None below."""
     validate(circuit)
     n = circuit.n_qubits
-    axis = tuple((q + n // 2) % n for q in range(n))  # rotated layout: logical qubit -> memory axis
-    ops, twiddles, rotated = [], None, False
+    ops, twiddles = [], None
     for kernel, args in _compile(circuit):
         if kernel is _fourier:
             if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:
                 twiddles = _twiddles(n)
-            args = (*args, rotated, twiddles)
-            rotated ^= twiddles is not None
-        elif rotated:
-            args = _relabelled(kernel, args, axis)
-        if kernel is _diagonal:
+            args = (*args, twiddles)
+        elif kernel is _diagonal:
             args = (tuple(_phase_tables(n, *args)),)
         ops.append((kernel, args))
-    if rotated:
-        ops.append((_permute, (axis,)))
     return Plan(n, tuple(circuit.gates), circuit.global_phase, tuple(ops))
 
 

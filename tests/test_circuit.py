@@ -71,6 +71,16 @@ def test_validate_arity_mismatch(gate):
     assert isinstance(validation_error(circuit), ArityMismatch)
 
 
+def test_gate_entries_that_are_not_gates_raise_circuit_error():
+    for gate in ((1, 2), Gate("Phase", (0,), 0.1)):
+        circuit = Circuit(2, gates=[gate])
+        assert isinstance(validation_error(circuit), CircuitError)
+        with pytest.raises(CircuitError, match="not a Gate of a GateKind"):
+            validate(circuit)
+    with pytest.raises(CircuitError, match="not a sequence"):
+        Gate(GateKind.PHASE, 0, 0.1)
+
+
 def test_validate_is_total_on_junk():
     # never aborts: returns a typed error even for badly mixed problems
     circuit = Circuit(0)
@@ -321,6 +331,17 @@ def test_integer_fields_reject_what_is_out_of_range():
         RandomSource(-1)
     assert type(RandomSource(np.int64(7)).seed) is int
     assert RandomSource(np.int64(7)).binomial(1000, 0.5) == RandomSource(7).binomial(1000, 0.5)
+    # counts are a 1-D array of non-negative integers that fit int64
+    for counts in ([1.5, 1.5], ["1", "1"], [True, True], [3, -1], [[1], [1]]):
+        with pytest.raises(ValueError, match="counts"):
+            Histogram(2, counts)
+    with pytest.raises(ValueError, match="counts"):
+        Histogram(2**63, [2**63])
+    # five counts of 2^62 wrap to one in an int64 sum
+    with pytest.raises(ValueError, match="sum"):
+        Histogram(2**62, [2**62] * 5)
+    assert Histogram(2**63, [2**62, 2**62]).counts.dtype == np.int64
+    assert Histogram(2, np.array([1, 1], dtype=np.uint8)).counts.tolist() == [1, 1]
 
 
 def test_finite_real_returns_a_python_float_of_any_real_type():

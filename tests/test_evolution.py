@@ -38,6 +38,7 @@ from qpyramid.simulator import (
     _diagonal,
     _fourier,
     _hadamard,
+    _permute,
     compile_circuit,
     extract_unitary,
     fidelity_exact,
@@ -150,6 +151,16 @@ def test_step_runs_both_transforms_as_fourier_ops(mode):
     assert kernels.count(_fourier) == 2
     assert kernels.count(_diagonal) == 5  # the tables a held substep plan keeps
     assert _hadamard not in kernels
+
+
+@pytest.mark.parametrize("mode", ["centered", "paper"])
+@pytest.mark.parametrize("n", [6, 14])
+def test_substep_plan_never_reorders_the_state(n, mode):
+    # below the split cut-off both Fourier ops read and leave natural order;
+    # from it on the inverse op reads the rotated layout the forward op left
+    config = _config(n=n, mode=mode, potential=PotentialSpec.single_step(1.0))
+    kernels = [kernel for kernel, _ in compile_circuit(trotter_step_circuit(config)).ops]
+    assert kernels.count(_fourier) == 2 and _permute not in kernels
 
 
 def test_substep_plan_holds_under_one_statevector_of_tables():

@@ -606,6 +606,32 @@ def test_only_a_plan_that_ends_rotated_closes_with_a_permute():
     assert perm == tuple(range(n // 2, n)) + tuple(range(n // 2))
 
 
+def test_swap_only_relabels_the_qubits_of_later_ops():
+    # the Swap moves qubit 0 to axis 2, so the CP lands on axes (1, 2) of the
+    # same diagonal op, and one transpose closes the plan
+    circuit = Circuit(3).p(0, 0.1).swap(0, 2).cp(0, 1, 0.2)
+    (kernel, _), closing = compile_circuit(circuit).ops
+    assert kernel is _diagonal and closing == (_permute, ((2, 1, 0),))
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-15)
+
+
+def test_swap_before_a_split_fourier_block_is_undone_first():
+    # after the Swap the layout is neither natural nor rotated, so the state
+    # is put back in natural order before the forward op, which leaves it rotated
+    n = 13
+    circuit = Circuit(n).swap(0, 5)
+    circuit.extend(build_qft(n))
+    opening, (kernel, (inverse, rotated, _)), closing = compile_circuit(circuit).ops
+    assert opening == (_permute, ((5, 1, 2, 3, 4, 0) + tuple(range(6, n)),))
+    assert kernel is _fourier and not inverse and not rotated
+    assert closing == (_permute, (tuple(range(n // 2, n)) + tuple(range(n // 2)),))
+    rng = np.random.default_rng(n)
+    state = StateVector.from_amplitudes(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    swapped = state.amplitudes.reshape([2] * n).swapaxes(0, 5).reshape(-1)
+    expected = np.fft.ifft(swapped, norm="ortho")
+    np.testing.assert_allclose(run(circuit, state).amplitudes, expected, rtol=0, atol=1e-15)
+
+
 def test_fourier_pair_allocates_at_most_one_statevector():
     # the input copy is the one state-size array; both split ops work in
     # place on it, and numpy's row scratch and the conjugated twiddle tables
@@ -789,6 +815,13 @@ def test_binomial_is_seeded_and_integral():
 def test_histogram_invariant():
     with pytest.raises(ValueError):
         Histogram(5, [4, 0])
+
+
+def test_from_amplitudes_rejects_a_count_that_is_not_a_power_of_two():
+    for raw in ([], [1.0, 0.0, 0.0]):
+        with pytest.raises(InvalidWidth, match=f"amplitude count {len(raw)} is not a power of two"):
+            StateVector.from_amplitudes(raw)
+    assert StateVector.from_amplitudes([2.0]).n_qubits == 0
 
 
 # --- norm and fidelity ---

@@ -90,16 +90,23 @@ MUTANTS = [
     Mutant("split-twiddle-wrong-sign", SIMULATOR,
            "factored *= table.conj() if inverse else table",
            "factored *= table if inverse else table.conj()"),
-    # a split op on natural input leaves the rotated layout, and the plan
-    # relabels the ops that follow until a split op on rotated input undoes it
-    Mutant("rotated-ops-not-relabelled", SIMULATOR,
-           "args = _relabelled(kernel, args, axis)",
-           "args = args"),
     Mutant("rotated-input-natural-pass-order", SIMULATOR,
            "first, second = (1, 0) if rotated else (0, 1)",
            "first, second = (0, 1)"),
-    Mutant("plan-ends-rotated", SIMULATOR,
-           "    if rotated:\n        ops.append((_permute, (axis,)))\n",
+    # the compiler keeps one qubit layout: Swap gates and split Fourier ops
+    # change it, every op is compiled onto it, and a transpose restores
+    # natural order where a Fourier op or the end of the plan needs it
+    Mutant("swap-leaves-layout", SIMULATOR,
+           "axis[a], axis[b] = axis[b], axis[a]",
+           "axis[a], axis[b] = axis[a], axis[b]"),
+    Mutant("ops-ignore-layout", SIMULATOR,
+           "kind, qubits = gate.kind, tuple(axis[q] for q in gate.qubits)",
+           "kind, qubits = gate.kind, gate.qubits"),
+    Mutant("fourier-skips-layout-permute", SIMULATOR,
+           "                ops.append((_permute, (layout,)))\n",
+           ""),
+    Mutant("plan-ends-in-layout", SIMULATOR,
+           "    if tuple(axis) != natural:\n        ops.append((_permute, (tuple(axis),)))\n",
            ""),
     Mutant("split-never-reached", SIMULATOR,
            "if twiddles is None and n >= _SPLIT_FOURIER_MIN_QUBITS:",
