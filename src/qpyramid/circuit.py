@@ -177,6 +177,8 @@ def validation_error(circuit: Circuit) -> CircuitError | None:
         return InvalidWidth(f"n_qubits must be positive, got {circuit.n_qubits}")
     if not is_finite_real(circuit.global_phase):
         return CircuitError(f"global_phase {circuit.global_phase!r} is not a finite number")
+    if not isinstance(circuit.gates, (list, tuple)):
+        return CircuitError(f"gates {circuit.gates!r} is not a list of Gates")
     for i, gate in enumerate(circuit.gates):
         if not (isinstance(gate, Gate) and isinstance(gate.kind, GateKind)):
             return CircuitError(f"gate {i} is {gate!r}, not a Gate of a GateKind")
@@ -246,6 +248,9 @@ def baseline_gate_count(n: int) -> int:
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
+    """The circuit as plain JSON values; a malformed circuit raises the
+    CircuitError `validate` gives it."""
+    validate(circuit)
     gates = []
     for g in circuit.gates:
         entry: dict = {"kind": g.kind.value, "qubits": list(g.qubits)}

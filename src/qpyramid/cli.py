@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage error, 3 validation/infeasible input, 4 I/O.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .encoders import (
 )
 from .evolution import EvolutionConfig, EvolutionStep, evolve_quantum, fidelity_sweep
 from .grids import Grid, GridError, PacketSpec, PotentialSpec, kinetic_phase_profile
-from .simulator import extract_diagonal, index_bitstring
+from .simulator import extract_diagonal
 
 EXIT_VALIDATION = 3
 EXIT_IO = 4
@@ -175,9 +176,9 @@ def _potential_spec(kind: str, eta: float, positions: str | None) -> PotentialSp
 # the interpreter with the package loaded, plus so many statevectors (16 bytes
 # per amplitude) of the widest register, or for `metrics` so many bytes per
 # report row, csv or json.  Fitted to the VmHWM of child processes at
-# n = 14..20 (`metrics` at 10^5 and 10^6 rows) and rounded up.
+# n = 14..22 (`metrics` at 10^5 and 10^6 rows) and rounded up.
 _PROCESS_BYTES = 48 << 20
-_STATEVECTORS = {"encode-ke": 6, "evolve": 24, "fidelity": 10}
+_STATEVECTORS = {"encode-ke": 5, "evolve": 20, "fidelity": 10}
 _REPORT_ROW_BYTES = 768
 # The cgroup v2 memory limit of this process, read only.  A missing or
 # unreadable file, or "max", sets no limit.
@@ -207,7 +208,7 @@ def _statevector_bytes(command: str, n: int) -> int:
     return _PROCESS_BYTES + _STATEVECTORS[command] * (16 << min(max(n, 0), 64))
 
 
-TABLE_CHUNK_ROWS = 16384
+TABLE_CHUNK_ROWS = 4096
 
 
 def _format_cell(value) -> str:
@@ -252,6 +253,21 @@ def _mirrored_chunks(column):
         yield cells
 
 
+class Bitstrings:
+    """The column of `n_qubits`-bit binary strings of rows 0 .. 2^n - 1, the
+    text of `index_bitstring`.  Its cells are made a chunk at a time from the
+    row index, so no list of 2^n strings is held."""
+
+    def __init__(self, n_qubits: int):
+        self.n_qubits = n_qubits
+
+    def __len__(self) -> int:
+        return 1 << self.n_qubits
+
+    def cells(self, a: int, b: int):
+        return map(format, range(a, min(b, len(self))), itertools.repeat(f"0{self.n_qubits}b"))
+
+
 def _column_chunks(column):
     """The cells of one column, TABLE_CHUNK_ROWS rows at a time."""
     if isinstance(column, np.ndarray):
@@ -260,6 +276,8 @@ def _column_chunks(column):
         cells = lambda a, b: map(repr, column[a:b].tolist())
     elif isinstance(column, range):
         cells = lambda a, b: map(str, column[a:b])
+    elif isinstance(column, Bitstrings):
+        cells = column.cells
     else:
         cells = lambda a, b: map(_format_cell, column[a:b])
     return (cells(a, a + TABLE_CHUNK_ROWS) for a in range(0, len(column), TABLE_CHUNK_ROWS))
@@ -267,11 +285,14 @@ def _column_chunks(column):
 
 def write_table(path, header: list[str], columns) -> None:
     """CSV table with one sequence per column: floats in shortest round-trip
-    repr, None as an empty cell.  Each chunk of TABLE_CHUNK_ROWS rows is
-    formatted column by column and written at once, so no string of the whole
-    table is built.  A float64 array column equal to its reverse, bit for bit,
-    is formatted once per mirrored pair of rows.  The file's directory is
-    made if it does not exist."""
+    repr, None as an empty cell, a `Bitstrings` column as its finished text.
+    Each chunk of TABLE_CHUNK_ROWS (4096) rows is formatted column by column
+    and written at once, so no string or list of cells of the whole table is
+    built.  A float64 array column equal to its reverse, bit for bit, is
+    formatted once per mirrored pair of rows; the text of its first half is
+    held until the second half reuses it, which beside one chunk's cells is
+    what the writer keeps.  The file's directory is made if it does not
+    exist."""
     columns = list(columns)
     n_rows = len(columns[0]) if columns else 0
     if any(len(column) != n_rows for column in columns):
@@ -348,24 +369,35 @@ def fidelity_row(n: int, mode: str, trotter_steps: int, report: FidelityReport) 
             reference, note]
 
 
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """|a|^2 of each amplitude as float64, equal bit for bit to Python's
+    abs(a) ** 2: np.hypot computes what abs(complex) does, and math.pow is the
+    libm pow that float ** 2 calls.  numpy's own |a|^2 routes differ in the
+    last bit of some entries.  The square is written over the hypot array, so
+    no object array of 2^n floats is built."""
+    moduli = np.hypot(amplitudes.real, amplitudes.imag)
+    return _POW(moduli, 2, out=moduli, casting="unsafe")
+
+
 def export_evolution(records: Iterable[EvolutionStep], out_dir) -> list[list]:
     """Per-step statevector and histogram CSVs, each pair written as its
     record arrives, then a fidelity/norm summary; returns the summary rows.
-    A run that fails before its first record writes no file and so makes no
-    directory."""
+    Every column is an array or is made a chunk at a time (`Bitstrings`), so
+    beside the record a step holds only its probability array and, past 2^53
+    shots, its list of frequencies.  A run that fails before its first record
+    writes no file and so makes no directory."""
     summary_rows = []
-    bitstrings = []
     for step, record in enumerate(records):
         state = record.state
-        indices = range(1 << state.n_qubits)
-        if len(bitstrings) != len(indices):
-            bitstrings = [index_bitstring(i, state.n_qubits) for i in indices]
+        bitstrings = Bitstrings(state.n_qubits)
         amplitudes = state.amplitudes
-        # probability stays Python's abs(a) ** 2: numpy's |a|^2 routes differ in the last bit
         write_table(os.path.join(out_dir, f"step_{step:03d}_state.csv"),
                     ["index", "bitstring", "real", "imag", "probability"],
-                    [indices, bitstrings, amplitudes.real, amplitudes.imag,
-                     [abs(a) ** 2 for a in amplitudes.tolist()]])
+                    [range(len(bitstrings)), bitstrings, amplitudes.real, amplitudes.imag,
+                     _probabilities(amplitudes)])
         # frequency is c / shots correctly rounded, as Python divides ints.
         # numpy's array division rounds each count to float64 first, so it
         # agrees only while shots <= 2^53; past that the Python list is kept
@@ -438,6 +470,12 @@ def main():
     """Diagonal-unitary encoders, split-step evolution, and fidelity reports."""
 
 
+def _write_phases(path, values: np.ndarray) -> None:
+    """One diagonal as an index, re, im, phase table."""
+    write_table(path, ["index", "re", "im", "phase"],
+                [range(len(values)), values.real, values.imag, np.angle(values)])
+
+
 @main.command("encode-ke")
 @_WIDTH_OPT
 @_GRID_OPTS
@@ -450,7 +488,12 @@ def main():
 @_CONFIG_OPT
 @_guarded
 def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
-    """Build a kinetic-energy evolution operator and dump circuit + diagonals."""
+    """Build a kinetic-energy evolution operator and dump circuit + diagonals.
+    \f
+    The diagonal is extracted before any file is written, so a run that fails
+    there writes nothing.  The target exp(-i theta) is built only after
+    diagonal.csv is written and the diagonal dropped, so one 2^n complex array
+    is alive per table.  (--help stops at the form feed above.)"""
     for name, value in (("window", window), ("cp-budget", cp_budget)):
         if value is not None and method != "qwe":
             raise click.BadParameter(f"only --method qwe takes it, not {method}", param_hint=f"'--{name}'")
@@ -471,12 +514,11 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
         spec = WindowSpec(frozenset(indices), cp_budget)
         circuit = build_qwe_circuit(qubits, profile.first_half(), spec)
     diagonal = extract_diagonal(circuit)
-    target = np.exp(-1j * profile.thetas)
 
     write_json(os.path.join(out, "circuit.json"), circuit_to_dict(circuit))
-    for name, values in (("diagonal.csv", diagonal), ("target.csv", target)):
-        write_table(os.path.join(out, name), ["index", "re", "im", "phase"],
-                    [range(len(values)), values.real, values.imag, np.angle(values)])
+    _write_phases(os.path.join(out, "diagonal.csv"), diagonal)
+    del diagonal  # one 2^n complex array at a time: the target is built next
+    _write_phases(os.path.join(out, "target.csv"), np.exp(-1j * profile.thetas))
     write_table(os.path.join(out, "profile.csv"), ["index", "theta"],
                 [range(len(profile)), profile.thetas])
     _write_manifest()

@@ -136,8 +136,11 @@ class WindowSpec:
     cp_budget: int | None = None  # None -> n-1 at build time
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(
-            exact_int(i, InfeasibleWindow, "window index") for i in self.indices))
+        try:
+            indices = frozenset(exact_int(i, InfeasibleWindow, "window index") for i in self.indices)
+        except TypeError:
+            raise InfeasibleWindow(f"window indices {self.indices!r} are not a collection") from None
+        object.__setattr__(self, "indices", indices)
         if not self.indices:
             raise InfeasibleWindow("window needs at least one index")
         if self.cp_budget is not None:

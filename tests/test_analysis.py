@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,25 @@ def test_write_table_matches_per_cell_reference(table, chunk_rows):
         write_table(fast, header, columns)
         reference_write_table(ref, header, columns)
         assert fast.read_bytes() == ref.read_bytes()
+
+
+def test_write_table_peak_holds_no_table_sized_text(tmp_path):
+    # 2^16 rows of an index and three mirrored float64 columns, 2 MiB of
+    # values made before tracing: the writer holds one chunk's cells and the
+    # mirrored first half's text, never a list of every cell of a column
+    n_rows = 1 << 16
+    exact = _palindromes(n_rows)[0]
+    columns = [range(n_rows), exact, 2 * exact, 3 * exact]
+    assert all(cli._mirrored(column) for column in columns[1:])
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "t.csv", ["i", "a", "b", "c"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+    reference_write_table(tmp_path / "ref.csv", ["i", "a", "b", "c"], columns)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_write_table_rejects_ragged_columns(tmp_path):

@@ -20,6 +20,7 @@ from qpyramid.circuit import (
     baseline_gate_count,
     build_qft,
     circuit_from_json,
+    circuit_to_dict,
     circuit_to_json,
     count_gates,
     finite_real,
@@ -79,6 +80,18 @@ def test_gate_entries_that_are_not_gates_raise_circuit_error():
             validate(circuit)
     with pytest.raises(CircuitError, match="not a sequence"):
         Gate(GateKind.PHASE, 0, 0.1)
+
+
+@pytest.mark.parametrize("gates", [None, 5])
+def test_gates_that_are_not_a_list_raise_circuit_error(gates):
+    with pytest.raises(CircuitError, match="is not a list of Gates"):
+        validate(Circuit(2, gates=gates))
+
+
+@pytest.mark.parametrize("serialise", [circuit_to_dict, circuit_to_json])
+def test_serialisers_validate_first(serialise):
+    with pytest.raises(CircuitError, match="not a Gate of a GateKind"):
+        serialise(Circuit(2, gates=[(1, 2)]))
 
 
 def test_validate_is_total_on_junk():

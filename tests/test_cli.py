@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,6 +49,30 @@ def test_encode_qate_diagonal_matches_target(runner, tmp_path):
     assert np.max(np.abs(complex_built - complex_target)) < 1e-10
     circuit = circuit_from_json((out / "circuit.json").read_text())
     assert circuit.n_qubits == 5
+
+
+def test_encode_holds_one_complex_array_per_table(runner, tmp_path, monkeypatch):
+    # when each diagonal table starts, the command holds that table's values
+    # (one statevector), their phases and the profile's thetas (half a
+    # statevector each), plus about 80 KiB of small objects: the target is
+    # built only after diagonal.csv is written and the diagonal dropped, so
+    # building it first would add a statevector
+    n = 14
+    held = {}
+    write_table = cli.write_table
+
+    def traced_write(path, header, columns):
+        held[os.path.basename(path)] = tracemalloc.get_traced_memory()[0]
+        write_table(path, header, columns)
+
+    monkeypatch.setattr(cli, "write_table", traced_write)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["encode-ke", "--qubits", str(n), "--out", str(tmp_path)])
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert max(held["diagonal.csv"], held["target.csv"]) < 2.75 * (16 << n)
 
 
 def test_encode_qwe_window_rows_match(runner, tmp_path):

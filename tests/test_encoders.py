@@ -322,6 +322,12 @@ def test_window_spec_rejects_non_integers():
     assert all(type(i) is int for i in spec.indices) and type(spec.cp_budget) is int
 
 
+@pytest.mark.parametrize("indices", [None, 5])
+def test_window_spec_rejects_indices_that_are_not_a_collection(indices):
+    with pytest.raises(InfeasibleWindow, match="are not a collection"):
+        WindowSpec(indices)
+
+
 def test_qwe_index_out_of_range():
     profile = _random_half_profile(4)
     with pytest.raises(InfeasibleWindow):

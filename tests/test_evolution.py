@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -42,10 +43,11 @@ from qpyramid.simulator import (
     compile_circuit,
     extract_unitary,
     fidelity_exact,
+    index_bitstring,
     run,
 )
 
-from oracles import centered_transform_matrix
+from oracles import centered_transform_matrix, reference_write_table
 
 
 def _config(n=5, **overrides):
@@ -459,6 +461,34 @@ def test_export_frequency_is_python_division(tmp_path):
     export_evolution([record], tmp_path)
     rows = (tmp_path / "step_000_hist.csv").read_text().splitlines()[1:]
     assert rows == [f"0,{c},{c / shots!r}", f"1,{shots - c},{(shots - c) / shots!r}"]
+
+
+def test_export_peak_holds_no_table_sized_list(tmp_path):
+    # one n = 16 record, 1 MiB of amplitudes made before tracing: bitstrings
+    # are made a chunk at a time and the probabilities are one float64 array,
+    # so the export holds no list of 2^16 strings or floats
+    n = 16
+    rng = np.random.default_rng(n)
+    state = StateVector.from_amplitudes(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+    counts = np.zeros(1 << n, dtype=np.int64)
+    counts[::4096] = 625
+    record = EvolutionStep(state, state, Histogram(10000, counts), 1.0,
+                           FidelityReport(1.0, 1.0, 10000, 0.0))
+    tracemalloc.start()
+    try:
+        export_evolution([record], tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+    amplitudes = state.amplitudes.tolist()
+    bitstrings = [index_bitstring(i, n) for i in range(1 << n)]
+    reference_write_table(tmp_path / "ref.csv", ["index", "bitstring", "real", "imag", "probability"],
+                          [range(1 << n), bitstrings, [a.real for a in amplitudes],
+                           [a.imag for a in amplitudes], [abs(a) ** 2 for a in amplitudes]])
+    assert (tmp_path / "step_000_state.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    rows = (tmp_path / "step_000_hist.csv").read_text().splitlines()
+    assert rows[1:3] == [f"{bitstrings[0]},625,0.0625", f"{bitstrings[1]},0,0.0"]
 
 
 def test_config_validation():

@@ -3,11 +3,14 @@
 Each mutant is one textual edit (file, old text, new text) of the package.
 It is applied to a fresh copy of `src/`, `tests/` and `pyproject.toml` in a
 temporary directory, and the suite runs there with `pytest -x`; the working
-tree is never touched.  A mutant whose old text does not occur exactly once
-is reported as stale, so the list cannot silently stop applying;
-`tests/test_mutants.py` checks the same in the tier-1 suite.  That test is
-deleted from each copy, since every mutant removes its own anchor.  A fast
-path or a memory guarantee that lands adds its mutant here.
+tree is never touched.  Two mutants run at a time (never more than the CPU
+count), each in its own copy and with one OpenBLAS thread, so two suites
+share two cores without spinning BLAS threads; verdicts print in list order.
+A mutant whose old text does not occur exactly once is reported as stale, so
+the list cannot silently stop applying; `tests/test_mutants.py` checks the
+same in the tier-1 suite.  That test is deleted from each copy, since every
+mutant removes its own anchor.  A fast path or a memory guarantee that lands
+adds its mutant here.
 
 Run from the repository root:
 
@@ -26,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,6 +40,8 @@ SIMULATOR = "src/qpyramid/simulator.py"
 CLI = "src/qpyramid/cli.py"
 EVOLUTION = "src/qpyramid/evolution.py"
 CIRCUIT = "src/qpyramid/circuit.py"
+# suites run at once: each is a separate pytest process, so threads suffice
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 class Mutant(NamedTuple):
@@ -163,8 +169,24 @@ MUTANTS = [
            "if indices and not (0 <= indices[0] and indices[-1] < half_size):",
            "if False:"),
     Mutant("export-makes-directory-before-first-record", CLI,
-           "    summary_rows = []\n    bitstrings = []\n",
-           "    os.makedirs(out_dir, exist_ok=True)\n    summary_rows = []\n    bitstrings = []\n"),
+           "    summary_rows = []\n",
+           "    os.makedirs(out_dir, exist_ok=True)\n    summary_rows = []\n"),
+    # a table export holds one chunk's cells, one statevector-sized array per
+    # encode-ke table, and no 2^n-entry list of an evolve column
+    Mutant("table-chunk-16384-rows", CLI,
+           "TABLE_CHUNK_ROWS = 4096",
+           "TABLE_CHUNK_ROWS = 16384"),
+    Mutant("export-holds-bitstring-list", CLI,
+           "        bitstrings = Bitstrings(state.n_qubits)",
+           "        bitstrings = list(Bitstrings(state.n_qubits).cells(0, 1 << state.n_qubits))"),
+    # probabilities from arrays keep Python's abs(a) ** 2 bit for bit
+    Mutant("probability-numpy-square", CLI,
+           "return _POW(moduli, 2, out=moduli, casting=\"unsafe\")",
+           "return np.square(moduli)"),
+    Mutant("encode-builds-target-before-diagonal-table", CLI,
+           "    _write_phases(os.path.join(out, \"diagonal.csv\"), diagonal)\n",
+           "    target = np.exp(-1j * profile.thetas)\n"
+           "    _write_phases(os.path.join(out, \"diagonal.csv\"), diagonal)\n"),
     # the encoder's counts are stated in closed form, not counted off a gate list
     Mutant("qate-depth-2n-at-n2", CIRCUIT,
            "2 * n if n > 2 else 3",
@@ -207,12 +229,17 @@ def check(mutant: Mutant) -> str:
         (root / ANCHOR_TEST).unlink()
         if not _apply(mutant, root):
             return "STALE"
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
         suite = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"],
             cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return {0: "SURVIVED", 1: "killed"}.get(suite.returncode, "ERROR")
+
+
+def _timed(mutant: Mutant) -> tuple[str, float]:
+    start = time.perf_counter()
+    return check(mutant), time.perf_counter() - start
 
 
 def main(names: list[str]) -> int:
@@ -221,13 +248,13 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    chosen = [known[name] for name in names] or MUTANTS
     failed = 0
-    for mutant in [known[name] for name in names] or MUTANTS:
-        start = time.perf_counter()
-        verdict = check(mutant)
-        failed += verdict != "killed"
-        print(f"{verdict:8} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(names) or len(MUTANTS)} mutants, {failed} not killed")
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for mutant, (verdict, seconds) in zip(chosen, pool.map(_timed, chosen)):
+            failed += verdict != "killed"
+            print(f"{verdict:8} {mutant.name} ({seconds:.1f} s)", flush=True)
+    print(f"{len(chosen)} mutants, {failed} not killed")
     return 1 if failed else 0
 
 
