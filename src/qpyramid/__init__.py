@@ -23,6 +23,7 @@ from .circuit import (
 from .simulator import (
     Histogram,
     NotDiagonal,
+    NotInPlace,
     Plan,
     RandomSource,
     StateVector,

@@ -254,9 +254,9 @@ def _mirrored_chunks(column):
 
 
 class Bitstrings:
-    """The column of `n_qubits`-bit binary strings of rows 0 .. 2^n - 1, the
-    text of `index_bitstring`.  Its cells are made a chunk at a time from the
-    row index, so no list of 2^n strings is held."""
+    """The column of `n_qubits`-bit binary strings of rows 0 .. 2^n - 1, row i
+    being `format(i, "0nb")` with n = `n_qubits`.  Its cells are made a chunk
+    at a time from the row index, so no list of 2^n strings is held."""
 
     def __init__(self, n_qubits: int):
         self.n_qubits = n_qubits

@@ -29,10 +29,6 @@ class InfeasibleWindow(CircuitError):
     """Window positions over-constrain the available phase/controlled-phase terms."""
 
 
-def _half_bit(j: int, n: int, qubit: int) -> int:
-    return (j >> (n - 1 - qubit)) & 1
-
-
 @dataclass(frozen=True)
 class QateCoefficients:
     """Solved encoding of a half profile: one global angle, per-qubit linear
@@ -178,18 +174,12 @@ def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) ->
     a_global = float(theta[0])
     target = np.array([theta[j] - a_global for j in indices], dtype=np.float64)
 
-    active = [k for k in range(1, n) if any(_half_bit(j, n, k) for j in indices)]
-    columns = [
-        np.array([_half_bit(j, n, k) for j in indices], dtype=np.float64) for k in active
-    ]
-    candidate_pairs = []
-    for k in range(1, n):
-        for l in range(k + 1, n):
-            col = np.array(
-                [_half_bit(j, n, k) & _half_bit(j, n, l) for j in indices], dtype=np.float64
-            )
-            if col.any():
-                candidate_pairs.append(((k, l), col))
+    # bits[k] holds qubit k's bit, of weight 2^(n-1-k), of every window index
+    bits = (np.array(indices) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    active = [k for k in range(1, n) if bits[k].any()]
+    columns = [bits[k].astype(np.float64) for k in active]
+    pairs = [((k, l), (bits[k] & bits[l]).astype(np.float64)) for k in range(1, n) for l in range(k + 1, n)]
+    candidate_pairs = [(pair, col) for pair, col in pairs if col.any()]
 
     scale = max(1.0, float(np.max(np.abs(target))) if len(target) else 1.0)
     chosen: list[tuple[int, int]] = []

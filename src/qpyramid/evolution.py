@@ -48,7 +48,6 @@ from .simulator import (
     compile_circuit,
     fidelity_exact,
     inner_product,
-    run,
     sample,
 )
 
@@ -215,11 +214,11 @@ def evolve_classical_oracle(config: EvolutionConfig) -> Iterator[np.ndarray]:
 
 def _circuit_states(config: EvolutionConfig) -> Iterator[StateVector]:
     """Circuit-evolved state at every reported step, initial packet first.
-    The substep is compiled once and its plan run trotter_steps times per
-    reported step."""
-    step = compile_circuit(trotter_step_circuit(config))
-    initial = gaussian_packet(config.grid, config.packet)
-    return _split_step_states(initial, lambda state: run(step, state), config)
+    The substep is compiled once, and its plan updates one buffer in place
+    trotter_steps times per reported step; each reported state is a copy."""
+    plan = compile_circuit(trotter_step_circuit(config))
+    states = _split_step_states(gaussian_packet(config.grid, config.packet).amplitudes, plan.apply, config)
+    return (StateVector(plan.n_qubits, amplitudes.copy()) for amplitudes in states)
 
 
 def evolve_quantum(config: EvolutionConfig) -> Iterator[EvolutionStep]:

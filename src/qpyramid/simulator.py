@@ -20,18 +20,22 @@ one map from logical qubits to memory axes, which Swap gates and split
 ops change, and compiles every op onto the axes it maps to; one transpose
 restores natural order only before a Fourier op that needs it and at the
 end of a plan.  No op allocates a state-size buffer that becomes the
-state: a run updates one copy of its input in place.
+state: `Plan.apply` updates the array it is given in place and copies
+nothing.  Copies are the caller's: `run` copies its input state once,
+`extract_unitary` and `extract_diagonal` hand over the identity or all-ones
+array they allocate, and a Trotter loop drives one buffer through every
+substep.
 
 `compile_circuit` validates and compiles a circuit once into an immutable
 `Plan` that holds each op's finished tables: the phase tables of a diagonal
-op and the twiddle factors of a split Fourier op.  `run` takes a `Plan` or a
-`Circuit`; it keeps the plan it compiles for a `Circuit` on the circuit
-itself and reuses it while the circuit still equals the plan's snapshot, so
-a Trotter loop compiles its substep once.  `extract_unitary` and
-`extract_diagonal` run a plan of their own, so every reading of a circuit
-is one `compile_circuit`.  A table covers one half of the state, over the
-qubits its terms touch; a wide half of one-qubit phases only gets two small
-Kronecker factor tables instead.
+op and the twiddle factors of a split Fourier op, and `Plan.apply` runs
+them.  `run` takes a `Plan` or a `Circuit`; it keeps the plan it compiles
+for a `Circuit` on the circuit itself and reuses it while the circuit still
+equals the plan's snapshot, so a loop of `run` calls compiles once.
+`extract_unitary` and `extract_diagonal` run a plan of their own, so every
+reading of a circuit is one `compile_circuit`.  A table covers one half of
+the state, over the qubits its terms touch; a wide half of one-qubit phases
+only gets two small Kronecker factor tables instead.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; a seed fixes the
 stream of draws.  The draws read a state's probabilities, whose bits are bound
@@ -73,6 +77,10 @@ class WidthTooLarge(CircuitError):
 
 class NotDiagonal(CircuitError):
     """Diagonal extraction requested for a circuit with off-diagonal weight."""
+
+
+class NotInPlace(ValueError):
+    """An array that `Plan.apply` cannot update in place."""
 
 
 @dataclass
@@ -467,12 +475,39 @@ class Plan:
     ops share one pair of twiddle tables of about 2^(3n/4 + 1) entries.  The
     ops act on memory axes through `_compile`'s layout map, and a plan that
     would end in another layout closes with a `_permute`, so every plan maps
-    natural order to natural order."""
+    natural order to natural order.  `apply` runs the ops on an array in
+    place."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
     global_phase: float
     ops: tuple
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Apply the ops, then e^{i global_phase}, to `amplitudes` in place
+        and return it: 2^n rows of any norm, with optional trailing batch
+        axes.  The one executor: every run and extraction goes through it.
+        It copies nothing, so a caller that keeps its input copies it first.
+        An array that is not a writeable complex128 ndarray, or whose
+        elements are not one strided run (so that a kernel's reshape would
+        update a copy), raises NotInPlace; another row count raises
+        InvalidWidth."""
+        n = self.n_qubits
+        if not isinstance(amplitudes, np.ndarray) or amplitudes.dtype != np.complex128:
+            raise NotInPlace(f"expected a complex128 ndarray, got {getattr(amplitudes, 'dtype', type(amplitudes))}")
+        if not amplitudes.flags.writeable:
+            raise NotInPlace("the array is read-only")
+        if amplitudes.shape[:1] != (1 << n,):
+            raise InvalidWidth(f"expected {1 << n} rows for {n} qubits, got shape {amplitudes.shape}")
+        try:
+            tensor = np.reshape(amplitudes, -1, copy=False).reshape([2] * n + [-1])
+        except ValueError:
+            raise NotInPlace(f"shape {amplitudes.shape} with strides {amplitudes.strides} is not one strided run") from None
+        for kernel, args in self.ops:
+            kernel(tensor, n, *args)
+        if self.global_phase != 0.0:
+            amplitudes *= np.exp(1j * self.global_phase)
+        return amplitudes
 
 
 def compile_circuit(circuit: Circuit) -> Plan:
@@ -495,20 +530,6 @@ def compile_circuit(circuit: Circuit) -> Plan:
     return Plan(n, tuple(circuit.gates), circuit.global_phase, tuple(ops))
 
 
-def _execute(amplitudes: np.ndarray, n: int, ops, global_phase: float) -> np.ndarray:
-    """Apply finished `ops`, then e^{i global_phase}, to a raw array (any
-    norm, optional trailing batch axes); returns a new array.  The one
-    executor: every run and extraction goes through it.  It copies the
-    input once, and every kernel updates that copy in place."""
-    tensor = amplitudes.astype(np.complex128, copy=True).reshape([2] * n + [-1])
-    for kernel, args in ops:
-        kernel(tensor, n, *args)
-    out = tensor.reshape(amplitudes.shape)
-    if global_phase != 0.0:
-        out *= np.exp(1j * global_phase)
-    return out
-
-
 def _held_plan(circuit: Circuit) -> Plan:
     """The plan `run` keeps on `circuit`, compiled again first unless its
     snapshot still equals the circuit's width, global phase and gates."""
@@ -526,22 +547,25 @@ def run(program: Plan | Circuit, initial: StateVector) -> StateVector:
     plan kept on it: the first call validates and compiles it, and a later
     call reuses that plan while the circuit's width, global phase and gates
     still equal its snapshot, so an edited circuit is never run from a stale
-    plan.  The plan lives as long as the circuit."""
+    plan.  The plan lives as long as the circuit.  The plan updates one copy
+    of `initial`'s amplitudes in place, which the returned state holds, so
+    `initial` is left unchanged."""
     plan = program if isinstance(program, Plan) else _held_plan(program)
     n = plan.n_qubits
     if n != initial.n_qubits:
         raise InvalidWidth(f"circuit width {n} != state width {initial.n_qubits}")
-    return StateVector(n, _execute(initial.amplitudes, n, plan.ops, plan.global_phase))
+    return StateVector(n, plan.apply(initial.amplitudes.astype(np.complex128)))
 
 
 def extract_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n matrix; column j is the circuit applied to basis state j."""
+    """Full 2^n x 2^n matrix; column j is the circuit applied to basis state j.
+    The circuit's plan updates the identity matrix in place, its columns
+    as one batch, and nothing copies it."""
     validate(circuit)
     n = circuit.n_qubits
     if n > UNITARY_MAX_QUBITS:
         raise WidthTooLarge(f"unitary extraction capped at {UNITARY_MAX_QUBITS} qubits, got {n}")
-    plan = compile_circuit(circuit)
-    return _execute(np.eye(1 << n, dtype=np.complex128), n, plan.ops, plan.global_phase)
+    return compile_circuit(circuit).apply(np.eye(1 << n, dtype=np.complex128))
 
 
 def extract_diagonal(circuit: Circuit) -> np.ndarray:
@@ -551,9 +575,10 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
     The circuit is compiled once.  The plan's data movements (flips,
     transposes, controlled swaps) run on the basis labels 0..2^n-1 while its
     diagonal ops are skipped; the circuit is diagonal if every label ends
-    where it started, and the same ops applied to the all-ones vector are
-    then the diagonal.  Any Hadamard or Fourier op raises NotDiagonal, even
-    a pair that cancels; use `extract_unitary` for such circuits.
+    where it started, and the same ops applied in place to the all-ones
+    vector, which is not copied, are then the diagonal.  Any Hadamard or
+    Fourier op raises NotDiagonal, even a pair that cancels; use
+    `extract_unitary` for such circuits.
     """
     plan = compile_circuit(circuit)
     n = plan.n_qubits
@@ -568,7 +593,7 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
     del labels, tensor  # freed before the ones vector is allocated
     if not in_place:
         raise NotDiagonal("basis states are not mapped to themselves up to phase")
-    return _execute(np.ones(1 << n, dtype=np.complex128), n, plan.ops, plan.global_phase)
+    return plan.apply(np.ones(1 << n, dtype=np.complex128))
 
 
 def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:
@@ -595,8 +620,3 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
     (`np.vdot`, `np.linalg.norm`) split the sum over their threads, so their
     bits would depend on the BLAS thread count."""
     return complex(np.sum(np.conj(a) * b))
-
-
-def index_bitstring(index: int, n_qubits: int) -> str:
-    return format(index, f"0{n_qubits}b")
-

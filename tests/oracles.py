@@ -3,13 +3,15 @@ explicit Kronecker products and multiplied in order, with no shared code
 against the simulator's stride kernels; the dense position-to-momentum
 kernel; the explicit swap-test circuit and its numpy-only simulation, which
 the closed-form estimator is checked against; the QATE phase at one
-half-index, summed from the solved coefficients; and a per-cell CSV writer
-that the column-wise table writer is checked against."""
+half-index, summed from the solved coefficients; the windowed encoder with
+its window bits read one index at a time; and a per-cell CSV writer that
+the column-wise table writer is checked against."""
 import math
 
 import numpy as np
 
-from qpyramid.circuit import PHASE_KINDS, Circuit, Gate, GateKind, InvalidWidth
+from qpyramid.circuit import PHASE_KINDS, Circuit, Gate, GateKind, InvalidWidth, wrap_angle
+from qpyramid.encoders import _EXACT_TOL, InfeasibleWindow, _emit_phase_gates, _lstsq_residual, build_qpa_shell
 from qpyramid.grids import Grid, momentum_samples, position_samples
 from qpyramid.simulator import StateVector
 
@@ -128,6 +130,55 @@ def qate_phase_at(coeffs, j: int) -> float:
     return phase
 
 
+def reference_qwe_circuit(n: int, profile_half, window) -> Circuit:
+    """`build_qwe_circuit` with every window bit read one index at a time,
+    (j >> (n - 1 - k)) & 1 for qubit k, in Python loops: the reference that
+    the encoder's per-qubit bit arrays are checked against, gate for gate
+    and message for message.  The greedy fit is the encoder's own."""
+    half_size = 1 << (n - 1)
+    if len(profile_half.thetas) != half_size:
+        raise InvalidWidth(f"half profile length {len(profile_half.thetas)} != {half_size}")
+    indices = sorted(window.indices)
+    if indices[0] < 0 or indices[-1] >= half_size:
+        raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
+    budget = window.cp_budget if window.cp_budget is not None else n - 1
+    bit = lambda j, k: (j >> (n - 1 - k)) & 1
+    a_global = float(profile_half.thetas[0])
+    target = np.array([profile_half.thetas[j] - a_global for j in indices], dtype=np.float64)
+    active = [k for k in range(1, n) if any(bit(j, k) for j in indices)]
+    columns = [np.array([bit(j, k) for j in indices], dtype=np.float64) for k in active]
+    candidates = []
+    for k in range(1, n):
+        for l in range(k + 1, n):
+            col = np.array([bit(j, k) & bit(j, l) for j in indices], dtype=np.float64)
+            if col.any():
+                candidates.append(((k, l), col))
+    scale = max(1.0, float(np.max(np.abs(target))) if len(target) else 1.0)
+    chosen = []
+    solution, residual = _lstsq_residual(columns, target)
+    while residual > _EXACT_TOL * scale and len(chosen) < budget and candidates:
+        best = None
+        for idx, (pair, col) in enumerate(candidates):
+            _, res = _lstsq_residual(columns + [col], target)
+            if best is None or res < best[0] - 1e-15:
+                best = (res, idx)
+        pair, col = candidates.pop(best[1])
+        chosen.append(pair)
+        columns.append(col)
+        solution, residual = _lstsq_residual(columns, target)
+    if residual > _EXACT_TOL * scale:
+        raise InfeasibleWindow(
+            f"window cannot be matched with {len(active)} phase gates and {budget} controlled phases")
+    left, right = build_qpa_shell(n) if (active or chosen) else (Circuit(n), Circuit(n))
+    circuit = Circuit(n, global_phase=wrap_angle(-a_global))
+    circuit.extend(left)
+    alpha = {k: float(solution[pos]) for pos, k in enumerate(active)}
+    beta = {pair: float(solution[len(active) + i]) for i, pair in enumerate(chosen)}
+    _emit_phase_gates(circuit, alpha, dict(sorted(beta.items())))
+    circuit.extend(right)
+    return circuit
+
+
 def swap_test_circuit(n: int) -> Circuit:
     """Width 2n+1: Hadamard on the ancilla (qubit 0), one controlled swap per
     register pair, closing Hadamard.  Pr(ancilla=0) = 1/2 + |<psi|phi>|^2 / 2.
@@ -166,6 +217,12 @@ def swap_test_probability(a: StateVector, b: StateVector) -> float:
     joint[size * size + j * size + i] = joint[size * size:].copy()
     joint = _hadamard_on_ancilla(joint)
     return float(np.sum(np.abs(joint[:size * size]) ** 2))
+
+
+def index_bitstring(index: int, n_qubits: int) -> str:
+    """Basis index `index` as its `n_qubits`-bit binary string, qubit 0
+    first: the reference for the bitstring column of the exported tables."""
+    return format(index, f"0{n_qubits}b")
 
 
 def _reference_cell(value) -> str:

@@ -130,7 +130,7 @@ def test_estimate_does_not_simulate_the_circuit(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("swap_test_estimate simulated the joint state")
 
-    monkeypatch.setattr("qpyramid.simulator._execute", fail)
+    monkeypatch.setattr("qpyramid.simulator.Plan.apply", fail)
     rng = np.random.default_rng(5)
     report = swap_test_estimate(_random_state(4, rng), _random_state(4, rng), 1000, RandomSource(2))
     assert 0.0 <= report.estimated <= 1.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpyramid.circuit import Circuit, GateKind, InvalidWidth, count_gates, qate_gate_count
+from qpyramid.circuit import Circuit, GateKind, InvalidWidth, circuit_to_json, count_gates, qate_gate_count
 from qpyramid.encoders import (
     InfeasibleWindow,
     QateCoefficients,
@@ -28,7 +28,7 @@ from qpyramid.grids import (
 )
 from qpyramid.simulator import extract_diagonal, extract_unitary
 
-from oracles import dft_matrix, qate_phase_at, rz_mat
+from oracles import dft_matrix, qate_phase_at, reference_qwe_circuit, rz_mat
 
 RNG = np.random.default_rng(2024)
 
@@ -307,6 +307,37 @@ def test_qwe_all_contiguous_small_windows(n):
             for j in range(start, start + width):
                 assert diagonal[j] == pytest.approx(np.exp(-1j * profile.thetas[j]), abs=1e-9)
     assert built > 0
+
+
+def _qwe_outcome(build, n, profile, window):
+    try:
+        return circuit_to_json(build(n, profile, window))
+    except InfeasibleWindow as error:
+        return f"InfeasibleWindow: {error}"
+
+
+def test_qwe_equals_per_index_reference_gate_for_gate():
+    # the window bits are read as one array per qubit; the circuits and the
+    # rejection messages equal those of reading them one index at a time
+    rng = np.random.default_rng(7)
+    outcomes, built = 0, 0
+    for n in range(2, 11):
+        half_size = 1 << (n - 1)
+        windows = {frozenset({0}), frozenset({half_size - 1}), frozenset(range(half_size)),
+                   frozenset(range(1, min(half_size, n + 1))),
+                   frozenset(range(half_size // 2, half_size // 2 + min(half_size // 2, 3)))}
+        windows |= {frozenset(int(j) for j in rng.choice(half_size, size=min(half_size, size), replace=False))
+                    for size in (2, n)}
+        profiles = (kinetic_phase_profile(Grid(10.0, n), 0.1).first_half(), _random_half_profile(n, rng))
+        for profile in profiles:
+            for indices in sorted(windows, key=sorted):
+                for budget in (None, 0, 2):
+                    window = WindowSpec(indices, cp_budget=budget)
+                    expected = _qwe_outcome(reference_qwe_circuit, n, profile, window)
+                    assert _qwe_outcome(build_qwe_circuit, n, profile, window) == expected, (n, sorted(indices))
+                    outcomes += 1
+                    built += not expected.startswith("InfeasibleWindow")
+    assert outcomes > 250 and 0 < built < outcomes
 
 
 def test_window_spec_rejects_non_integers():

@@ -14,6 +14,7 @@ from qpyramid.cli import export_evolution
 from qpyramid.evolution import (
     EvolutionConfig,
     EvolutionStep,
+    _circuit_states,
     evolve_classical_oracle,
     evolve_quantum,
     fidelity_sweep,
@@ -43,11 +44,10 @@ from qpyramid.simulator import (
     compile_circuit,
     extract_unitary,
     fidelity_exact,
-    index_bitstring,
     run,
 )
 
-from oracles import centered_transform_matrix, reference_write_table
+from oracles import centered_transform_matrix, index_bitstring, reference_write_table
 
 
 def _config(n=5, **overrides):
@@ -318,6 +318,32 @@ def test_stream_keeps_no_earlier_step():
     record = next(stream)
     assert [ref() for ref in dead] == [None] * 4
     assert record.state.n_qubits == 4
+
+
+def test_oracle_stream_keeps_no_earlier_step():
+    # the oracle yields its own arrays, the initial packet first; once the
+    # caller drops one and advances, nothing holds it
+    stream = evolve_classical_oracle(_config(n=4, total_steps=2, trotter_steps=2))
+    dead = weakref.ref(next(stream))
+    next(stream)
+    assert dead() is None
+
+
+def test_kept_reported_states_differ_and_equal_fresh_run_loops():
+    # the substeps update one buffer in place; every reported state is a copy
+    # of it, so states kept from one stream are not changed by later steps
+    config = _config(n=5, total_steps=2, trotter_steps=3, potential=PotentialSpec.single_step(1.0))
+    kept = list(_circuit_states(config))
+    step = trotter_step_circuit(config)
+    state = gaussian_packet(config.grid, config.packet)
+    fresh = [state]
+    for _ in range(config.total_steps):
+        for _ in range(config.trotter_steps):
+            state = run(step, state)
+        fresh.append(state)
+    for a, b in zip(kept, fresh, strict=True):
+        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+    assert not np.array_equal(kept[1].amplitudes, kept[2].amplitudes)
 
 
 def test_evolution_deterministic():

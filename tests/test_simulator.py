@@ -24,6 +24,8 @@ from qpyramid.circuit import (
     build_qft,
     validate,
 )
+from qpyramid.encoders import build_qate_circuit, solve_qate
+from qpyramid.grids import Grid, kinetic_phase_profile
 from qpyramid.simulator import (
     _cswap,
     _diagonal,
@@ -33,6 +35,7 @@ from qpyramid.simulator import (
     _permute,
     Histogram,
     NotDiagonal,
+    NotInPlace,
     Plan,
     RandomSource,
     StateVector,
@@ -41,13 +44,12 @@ from qpyramid.simulator import (
     extract_diagonal,
     extract_unitary,
     fidelity_exact,
-    index_bitstring,
     inner_product,
     run,
     sample,
 )
 
-from oracles import circuit_unitary, random_circuit
+from oracles import circuit_unitary, index_bitstring, random_circuit
 
 
 # --- single-gate behaviour ---
@@ -765,6 +767,86 @@ def test_extract_diagonal_wide_circuit_rejects_net_permutation():
         extract_diagonal(circuit)
     with pytest.raises(NotDiagonal):
         extract_diagonal(Circuit(13).h(0))
+
+
+# --- ownership: Plan.apply updates its argument, copies are the caller's ---
+
+
+def _random_amplitudes(n, rng):
+    return StateVector.from_amplitudes(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).amplitudes
+
+
+def test_run_leaves_its_input_unchanged():
+    rng = np.random.default_rng(3)
+    circuit = random_circuit(4, 30, rng)
+    state = StateVector(4, _random_amplitudes(4, rng))
+    before = state.amplitudes.copy()
+    for program in (circuit, compile_circuit(circuit)):
+        out = run(program, state)
+        np.testing.assert_array_equal(state.amplitudes, before)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        np.testing.assert_allclose(out.amplitudes, circuit_unitary(circuit) @ before, rtol=0, atol=1e-12)
+
+
+def test_apply_updates_its_argument_in_place_and_returns_it():
+    rng = np.random.default_rng(4)
+    circuit = random_circuit(5, 40, rng)
+    plan = compile_circuit(circuit)
+    amplitudes = _random_amplitudes(5, rng)
+    expected = run(plan, StateVector(5, amplitudes)).amplitudes
+    assert plan.apply(amplitudes) is amplitudes
+    np.testing.assert_array_equal(amplitudes, expected)
+    # a uniformly strided view is updated in place too, and its gaps are not touched
+    backing = np.repeat(_random_amplitudes(5, rng), 2)
+    view, gaps = backing[::2], backing[1::2].copy()
+    expected = run(plan, StateVector(5, view)).amplitudes
+    assert plan.apply(view) is view
+    np.testing.assert_array_equal(backing[::2], expected)
+    np.testing.assert_array_equal(backing[1::2], gaps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: np.ones(1 << n),
+    lambda n: np.ones(1 << n, dtype=np.complex64),
+    lambda n: np.ones(1 << n, dtype=np.complex128).tolist(),
+    lambda n: np.eye(1 << n, dtype=np.complex128)[:, :3],
+    lambda n: np.ones((1 << n, 2, 2), dtype=np.complex128).transpose(0, 2, 1),
+    lambda n: np.eye(1 << n, dtype=np.complex128).T,
+], ids=["float64", "complex64", "list", "column-slice", "transposed-batch", "transposed"])
+def test_apply_rejects_what_it_cannot_update_in_place(make):
+    plan = compile_circuit(Circuit(3).h(0).cx(0, 1).p(2, 0.3))
+    amplitudes = make(3)
+    before = np.array(amplitudes, copy=True)
+    with pytest.raises(NotInPlace):
+        plan.apply(amplitudes)
+    np.testing.assert_array_equal(amplitudes, before)
+
+
+def test_apply_rejects_a_read_only_array_and_a_wrong_row_count():
+    plan = compile_circuit(Circuit(3).h(0))
+    frozen = np.ones(8, dtype=np.complex128)
+    frozen.flags.writeable = False
+    with pytest.raises(NotInPlace, match="read-only"):
+        plan.apply(frozen)
+    for shape in ((16,), (4, 2), ()):
+        with pytest.raises(InvalidWidth):
+            plan.apply(np.ones(shape, dtype=np.complex128))
+
+
+def test_extract_diagonal_peaks_under_two_and_a_half_statevectors():
+    # the plan's QATE tables hold about one statevector and the all-ones
+    # vector that becomes the diagonal one more; nothing copies it
+    n = 14
+    kinetic = kinetic_phase_profile(Grid(20.0, n), 0.01).first_half()
+    circuit = build_qate_circuit(n, solve_qate(kinetic))
+    tracemalloc.start()
+    try:
+        diagonal = extract_diagonal(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * diagonal.nbytes
+    np.testing.assert_allclose(diagonal[:1 << (n - 1)], np.exp(-1j * kinetic.thetas), rtol=0, atol=1e-9)
 
 
 # --- sampling ---

@@ -92,6 +92,27 @@ MUTANTS = [
            "            circuit.n_qubits, circuit.global_phase, tuple(circuit.gates))",
            "(plan.n_qubits, plan.gates) != (\n"
            "            circuit.n_qubits, tuple(circuit.gates))"),
+    # Plan.apply updates its argument in place and copies nothing; `run`
+    # copies its input once, and the Trotter loop copies each reported state
+    Mutant("apply-copies-first", SIMULATOR,
+           "        try:\n            tensor = np.reshape(amplitudes, -1, copy=False)",
+           "        amplitudes = amplitudes.copy()\n"
+           "        try:\n            tensor = np.reshape(amplitudes, -1, copy=False)"),
+    Mutant("apply-reshape-may-copy", SIMULATOR,
+           "np.reshape(amplitudes, -1, copy=False)",
+           "np.reshape(amplitudes, -1)"),
+    Mutant("apply-accepts-any-dtype", SIMULATOR,
+           "if not isinstance(amplitudes, np.ndarray) or amplitudes.dtype != np.complex128:",
+           "if not isinstance(amplitudes, np.ndarray):"),
+    Mutant("run-aliases-input", SIMULATOR,
+           "plan.apply(initial.amplitudes.astype(np.complex128))",
+           "plan.apply(initial.amplitudes.astype(np.complex128, copy=False))"),
+    Mutant("stream-yields-buffer", EVOLUTION,
+           "StateVector(plan.n_qubits, amplitudes.copy())",
+           "StateVector(plan.n_qubits, amplitudes)"),
+    Mutant("substeps-one-short", EVOLUTION,
+           "        for _ in range(config.trotter_steps):\n            state = substep(state)",
+           "        for _ in range(config.trotter_steps - 1):\n            state = substep(state)"),
     # the two-pass Fourier op from _SPLIT_FOURIER_MIN_QUBITS on
     Mutant("split-twiddle-wrong-sign", SIMULATOR,
            "factored *= table.conj() if inverse else table",
