@@ -136,8 +136,6 @@ def reference_qwe_circuit(n: int, profile_half, window) -> Circuit:
     the encoder's per-qubit bit arrays are checked against, gate for gate
     and message for message.  The greedy fit is the encoder's own."""
     half_size = 1 << (n - 1)
-    if len(profile_half.thetas) != half_size:
-        raise InvalidWidth(f"half profile length {len(profile_half.thetas)} != {half_size}")
     indices = sorted(window.indices)
     if indices[0] < 0 or indices[-1] >= half_size:
         raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
