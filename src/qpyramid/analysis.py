@@ -38,17 +38,12 @@ class ErrorBudgetParams:
     readout_variance: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "l2_gates", exact_int(self.l2_gates, ValueError, "l2_gates"))
-        for name in ("h", "dt", "gate_variance", "readout_variance", "t1", "t2"):
+        object.__setattr__(self, "l2_gates", exact_int(self.l2_gates, ValueError, "l2_gates", low=0))
+        for name, sign in (("h", "positive"), ("dt", "nonnegative"), ("gate_variance", "nonnegative"),
+                           ("readout_variance", "nonnegative"), ("t1", "positive"), ("t2", "positive")):
             value = getattr(self, name)  # a time constant of inf, the default, means no decoherence
             no_decoherence = name in ("t1", "t2") and value == math.inf
-            object.__setattr__(self, name, math.inf if no_decoherence else finite_real(value, ValueError, name))
-        if self.h <= 0:
-            raise ValueError(f"step size h must be positive, got {self.h}")
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise ValueError(f"decoherence constants must be positive, got {self.t1}, {self.t2}")
-        if self.l2_gates < 0 or min(self.dt, self.gate_variance, self.readout_variance) < 0:
-            raise ValueError("dt, variances and gate counts must be nonnegative")
+            object.__setattr__(self, name, math.inf if no_decoherence else finite_real(value, ValueError, name, sign))
 
 
 def error_budget_terms(params: ErrorBudgetParams) -> dict[str, float]:
@@ -84,9 +79,7 @@ def swap_test_estimate(a: StateVector, b: StateVector, shots: int, rng: RandomSo
     """
     if a.n_qubits != b.n_qubits:
         raise InvalidWidth("swap test requires equal register widths")
-    shots = exact_int(shots, ValueError, "shots")
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    shots = exact_int(shots, ValueError, "shots", low=1)
     exact = fidelity_exact(a, b)
     zeros = rng.binomial(shots, (1.0 + exact) / 2.0)
     p0 = zeros / shots

@@ -35,14 +35,19 @@ class InvalidWidth(CircuitError):
     """Operation requested for an unsupported qubit count."""
 
 
-def exact_int(value, error: type[ValueError], what: str) -> int:
+def exact_int(value, error: type[ValueError], what: str, low: int | None = None) -> int:
     """`value` as a Python int, for every integer input: any integer type is
-    accepted; a bool, a float (even 1.0) or a string raises `error`."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
+    accepted; a bool, a float (even 1.0), a string or a value below `low`
+    raises `error`."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low is None or number >= low:
+                return number
+            raise error(f"{what} must be >= {low}, got {number}")
     raise error(f"{what} {value!r} is not an integer")
 
 
@@ -54,11 +59,15 @@ def is_finite_real(value) -> bool:
         return False
 
 
-def finite_real(value, error: type[ValueError], what: str) -> float:
+def finite_real(value, error: type[ValueError], what: str, sign: str | None = None) -> float:
     """`value` as a Python float, for every real input: a bool, a string or
-    other non-real, NaN or an infinity raises `error`.  The caller checks the sign."""
+    other non-real, NaN or an infinity raises `error`, and so does a value
+    that is not of `sign`, "positive" (> 0) or "nonnegative" (>= 0)."""
     if is_finite_real(value):
-        return float(value)
+        number = float(value)
+        if sign is None or (number > 0 if sign == "positive" else number >= 0):
+            return number
+        raise error(f"{what} must be {sign}, got {number}")
     raise error(f"{what} must be a finite real number, got {value!r}")
 
 
@@ -173,8 +182,10 @@ class GateMetrics:
 
 def validation_error(circuit: Circuit) -> CircuitError | None:
     """Return the first invariant violation, or None if the circuit is well formed."""
-    if circuit.n_qubits < 1:
-        return InvalidWidth(f"n_qubits must be positive, got {circuit.n_qubits}")
+    try:
+        exact_int(circuit.n_qubits, InvalidWidth, "n_qubits", low=1)
+    except InvalidWidth as err:
+        return err
     if not is_finite_real(circuit.global_phase):
         return CircuitError(f"global_phase {circuit.global_phase!r} is not a finite number")
     if not isinstance(circuit.gates, (list, tuple)):
@@ -232,18 +243,14 @@ def qate_gate_count(n: int) -> GateMetrics:
     ladder's CX(0, k) at n+k+1, the last at 2n.  At n = 2 there is no pair, so
     the circuit is ladder, phase, ladder: depth 3.
     """
-    n = exact_int(n, InvalidWidth, "n")
-    if n < 2:
-        raise InvalidWidth(f"pyramid encoder needs n >= 2, got {n}")
+    n = exact_int(n, InvalidWidth, "n", low=2)
     one_qubit, two_qubit = n - 1, math.comb(n - 1, 2) + 2 * (n - 1)
     return GateMetrics(one_qubit, two_qubit, 0, one_qubit + two_qubit, 2 * n if n > 2 else 3)
 
 
 def baseline_gate_count(n: int) -> int:
     """Reference total gate count 3n + C(n,2) of the prior step-by-step construction."""
-    n = exact_int(n, InvalidWidth, "n")
-    if n < 1:
-        raise InvalidWidth(f"n must be positive, got {n}")
+    n = exact_int(n, InvalidWidth, "n", low=1)
     return 3 * n + math.comb(n, 2)
 
 
@@ -300,9 +307,7 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
     """Fourier transform circuit whose matrix is omega^{jk}/sqrt(2^n) with
     omega = e^{2 pi i / 2^n} under the big-endian convention; `inverse` gives
     the conjugate transpose."""
-    n = exact_int(n, InvalidWidth, "n")
-    if n < 1:
-        raise InvalidWidth(f"transform needs n >= 1, got {n}")
+    n = exact_int(n, InvalidWidth, "n", low=1)
     return Circuit(n, [Gate(kind, qubits, angle) for kind, qubits, angle in qft_gates(n, inverse)])
 
 

@@ -14,7 +14,6 @@ idempotent), which covers every quadratic kinetic profile.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ class QateCoefficients:
     beta: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, InvalidWidth, "n_qubits"))
+        object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, InvalidWidth, "n_qubits", low=2))
         n = self.n_qubits
         if sorted(self.alpha) != list(range(1, n)):
             raise InvalidWidth(f"alpha must cover qubits 1..{n - 1}")
@@ -84,14 +83,15 @@ def _emit_phase_gates(
 
 def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
     """Interpolate a half profile at the popcount <= 2 half-indices, over the
-    payload qubits 1..n-1 (`_interpolate_quadratic`)."""
+    payload qubits 1..n-1 (`_interpolate_quadratic`); its length 2^(n-1)
+    sets the width."""
     if profile_half.span != "half":
         raise GridError("solve_qate expects a half-span profile")
     theta = profile_half.thetas
     length = len(theta)
-    n = int(round(math.log2(length))) + 1
-    if 1 << (n - 1) != length or n < 2:
+    if length < 2 or length & (length - 1):
         raise InvalidWidth(f"half profile length {length} is not 2^(n-1) with n >= 2")
+    n = length.bit_length()
     return QateCoefficients(n, *_interpolate_quadratic(theta, n, first=1))
 
 
@@ -101,8 +101,7 @@ def build_qpa_shell(n: int) -> tuple[Circuit, Circuit]:
     Conjugating any diagonal payload on qubits 1..n-1 with these ladders mirrors
     the payload's first-half diagonal onto the second half in reverse order.
     """
-    if n < 2:
-        raise InvalidWidth(f"reflection shell needs n >= 2, got {n}")
+    n = exact_int(n, InvalidWidth, "n", low=2)
     left = Circuit(n)
     right = Circuit(n)
     for k in range(1, n):
@@ -115,6 +114,7 @@ def build_qate_circuit(n: int, coeffs: QateCoefficients) -> Circuit:
     """ladder . [Phase(k, -alpha[k]); CPhase(k, l, -beta[(k,l)])] . ladder,
     global phase -a_global.  The gate order does not depend on the coefficients,
     so the counts agree with qate_gate_count(n) for every coefficient set."""
+    n = exact_int(n, InvalidWidth, "n", low=2)
     if coeffs.n_qubits != n:
         raise InvalidWidth(f"coefficients sized for n={coeffs.n_qubits}, circuit wants n={n}")
     left, right = build_qpa_shell(n)
@@ -140,9 +140,7 @@ class WindowSpec:
         if not self.indices:
             raise InfeasibleWindow("window needs at least one index")
         if self.cp_budget is not None:
-            object.__setattr__(self, "cp_budget", exact_int(self.cp_budget, InfeasibleWindow, "cp_budget"))
-            if self.cp_budget < 0:
-                raise InfeasibleWindow("cp_budget must be nonnegative")
+            object.__setattr__(self, "cp_budget", exact_int(self.cp_budget, InfeasibleWindow, "cp_budget", low=0))
 
 
 def _lstsq_residual(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.ndarray, float]:
@@ -160,6 +158,7 @@ def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) ->
     residual first, canonical order on ties) until the window interpolates
     exactly or the budget runs out.
     """
+    n = exact_int(n, InvalidWidth, "n", low=1)
     if profile_half.span != "half":
         raise GridError("build_qwe_circuit expects a half-span profile")
     theta = profile_half.thetas
@@ -214,6 +213,7 @@ def build_direct_diagonal(n: int, profile_full: PhaseProfile) -> Circuit:
     """Degree-two multilinear encoder over full indices, without the reflection
     shell: phase gates on all n qubits plus controlled phases on all pairs.
     Exact whenever the profile is quadratic in the full index."""
+    n = exact_int(n, InvalidWidth, "n", low=1)
     if profile_full.span != "full":
         raise GridError("build_direct_diagonal expects a full-span profile")
     theta = profile_full.thetas
@@ -231,9 +231,10 @@ def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit
     qubits the rotations sit on; a spec without positions emits no gate.
     """
     circuit = Circuit(n)
+    angle = 2.0 * spec.eta * finite_real(time, GridError, "time")
     for q in spec.qubit_positions:
         if not 0 <= q < n:
             raise GridError(f"potential qubit {q} outside width {n}")
-        circuit.rz(q, 2.0 * spec.eta * time)
+        circuit.rz(q, angle)
     return circuit
 

@@ -46,7 +46,6 @@ from .simulator import (
     RandomSource,
     StateVector,
     compile_circuit,
-    fidelity_exact,
     inner_product,
     sample,
 )
@@ -70,22 +69,12 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise GridError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("trotter_steps", "total_steps", "shots", "seed"):
-            object.__setattr__(self, name, exact_int(getattr(self, name), GridError, name))
-        for name in ("dt", "mass"):
-            object.__setattr__(self, name, finite_real(getattr(self, name), GridError, name))
-        if self.trotter_steps < 1:
-            raise GridError("trotter_steps must be >= 1")
-        if self.total_steps < 0:
-            raise GridError("total_steps must be >= 0")
-        if self.dt < 0:
-            raise GridError(f"dt must be nonnegative, got {self.dt}")
-        if self.shots < 1:
-            raise GridError("shots must be positive")
-        if self.seed < 0:
-            raise GridError(f"seed must be >= 0, got {self.seed}")
-        if self.mass <= 0:
-            raise GridError(f"mass must be positive, got {self.mass}")
+        # the kinetic encoder's reflection shell needs two qubits
+        exact_int(self.grid.n_qubits, GridError, "evolution grid n_qubits", low=2)
+        for name, low in (("trotter_steps", 1), ("total_steps", 0), ("shots", 1), ("seed", 0)):
+            object.__setattr__(self, name, exact_int(getattr(self, name), GridError, name, low))
+        for name, sign in (("dt", "nonnegative"), ("mass", "positive")):
+            object.__setattr__(self, name, finite_real(getattr(self, name), GridError, name, sign))
         for q in self.potential.qubit_positions:
             if not 0 <= q < self.grid.n_qubits:
                 raise GridError(f"potential qubit position {q} outside width {self.grid.n_qubits}")
@@ -125,6 +114,7 @@ def momentum_transform_circuit(n: int, mode: str, inverse: bool = False) -> Circ
     Forward: ramp . inverse QFT . ramp with global -2 pi c^2 / N;
     in centered mode its matrix equals exp(-i p_j x_k)/sqrt(N) exactly.
     """
+    n = exact_int(n, InvalidWidth, "n", low=1)
     if mode not in MODES:
         raise GridError(f"mode must be one of {MODES}, got {mode!r}")
     c = _ramp_coefficient(n, mode)
@@ -142,8 +132,6 @@ def trotter_step_circuit(config: EvolutionConfig) -> Circuit:
     """One substep: V(delta/2) . to_p . K(delta) . to_x . V(delta/2)
     with delta = dt / trotter_steps."""
     n = config.grid.n_qubits
-    if n < 2:
-        raise InvalidWidth("evolution needs n >= 2")
     delta = config.dt / config.trotter_steps
     kinetic = kinetic_phase_profile(config.grid, delta, config.mass)
     u_kinetic = build_qate_circuit(n, solve_qate(kinetic.first_half()))
@@ -233,8 +221,8 @@ def evolve_quantum(config: EvolutionConfig) -> Iterator[EvolutionStep]:
     for state, amplitudes in zip(_circuit_states(config), oracle):
         reference = StateVector(config.grid.n_qubits, amplitudes)
         histogram = sample(state, config.shots, rng)
-        yield EvolutionStep(state, reference, histogram, fidelity_exact(state, reference),
-                            swap_test_estimate(reference, state, config.shots, rng))
+        report = swap_test_estimate(reference, state, config.shots, rng)
+        yield EvolutionStep(state, reference, histogram, report.exact, report)
 
 
 def free_packet_reference(grid: Grid, packet: PacketSpec, time: float, mass: float = 1.0) -> StateVector:
@@ -244,6 +232,7 @@ def free_packet_reference(grid: Grid, packet: PacketSpec, time: float, mass: flo
     with z = 1 + i t/m and v = k0/m, normalized after sampling.  Serves as the
     resolution-independent reference for fidelity-vs-n sweeps.
     """
+    time, mass = finite_real(time, GridError, "time"), finite_real(mass, GridError, "mass", sign="positive")
     x = position_samples(grid)
     z = 1.0 + 1j * time / mass
     velocity = packet.k0 / mass

@@ -28,12 +28,8 @@ class Grid:
     n_qubits: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", finite_real(self.d, GridError, "half-range d"))
-        if self.d <= 0:
-            raise GridError(f"half-range d must be positive, got {self.d}")
-        object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, GridError, "n_qubits"))
-        if self.n_qubits < 1:
-            raise GridError(f"n_qubits must be positive, got {self.n_qubits}")
+        object.__setattr__(self, "d", finite_real(self.d, GridError, "half-range d", sign="positive"))
+        object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, GridError, "n_qubits", low=1))
 
     @property
     def n_samples(self) -> int:
@@ -95,11 +91,8 @@ def kinetic_phase_profile(grid: Grid, dt: float, mass: float = 1.0) -> PhaseProf
 
     The encoders emit diag(e^{-i theta}), so the sign lives at gate construction.
     """
-    mass, dt = finite_real(mass, GridError, "mass"), finite_real(dt, GridError, "dt")
-    if mass <= 0:
-        raise GridError(f"mass must be positive, got {mass}")
-    if dt < 0:
-        raise GridError(f"dt must be nonnegative, got {dt}")
+    mass = finite_real(mass, GridError, "mass", sign="positive")
+    dt = finite_real(dt, GridError, "dt", sign="nonnegative")
     p = momentum_samples(grid)
     return PhaseProfile(p * p * dt / (2.0 * mass), "full", "kinetic")
 

@@ -91,7 +91,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.n_qubits = _width(self.n_qubits)
+        self.n_qubits = exact_int(self.n_qubits, InvalidWidth, "n_qubits", low=0)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if self.amplitudes.shape[0] != 1 << self.n_qubits:
             raise InvalidWidth(
@@ -107,9 +107,9 @@ class StateVector:
 
     @staticmethod
     def basis_state(n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << _width(n_qubits), dtype=np.complex128)
-        index = exact_int(index, ValueError, "index")
-        if not 0 <= index < amps.shape[0]:
+        amps = np.zeros(1 << exact_int(n_qubits, InvalidWidth, "n_qubits", low=0), dtype=np.complex128)
+        index = exact_int(index, ValueError, "index", low=0)
+        if index >= amps.shape[0]:
             raise ValueError(f"index must be in [0, {amps.shape[0]}), got {index}")
         amps[index] = 1.0
         return StateVector(n_qubits, amps)
@@ -134,15 +134,6 @@ class StateVector:
         return _norm(self.amplitudes)
 
 
-def _width(n_qubits) -> int:
-    """A state's qubit count as a Python int; a non-integer or a negative
-    count raises InvalidWidth."""
-    n = exact_int(n_qubits, InvalidWidth, "n_qubits")
-    if n < 0:
-        raise InvalidWidth(f"n_qubits must be >= 0, got {n}")
-    return n
-
-
 def _norm(amplitudes: np.ndarray) -> float:
     """The 2-norm, summed by numpy's pairwise `np.sum` (see `inner_product`)."""
     return math.sqrt(np.sum(amplitudes.real ** 2 + amplitudes.imag ** 2))
@@ -157,7 +148,7 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.shots = exact_int(self.shots, ValueError, "shots")
+        self.shots = exact_int(self.shots, ValueError, "shots", low=1)
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or counts.dtype.kind not in "iu":
             raise ValueError(f"counts must be a 1-D array of integers, got {counts.dtype} of shape {counts.shape}")
@@ -165,8 +156,6 @@ class Histogram:
         if counts.min(initial=0) < 0 or top >= 2**63:
             raise ValueError("counts must lie in [0, 2^63)")
         self.counts = counts.astype(np.int64)
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
         # the int64 sum is exact unless it could reach 2^63
         total = int(self.counts.sum()) if top * counts.size < 2**63 else sum(counts.tolist())
         if total != self.shots:
@@ -181,9 +170,7 @@ class RandomSource:
     _generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.seed = exact_int(self.seed, ValueError, "seed")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.seed = exact_int(self.seed, ValueError, "seed", low=0)
         self._generator = np.random.Generator(np.random.PCG64(self.seed))
 
     def multinomial(self, trials: int, probabilities: np.ndarray) -> np.ndarray:
@@ -598,9 +585,7 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
 
 def sample(state: StateVector, shots: int, rng: RandomSource) -> Histogram:
     """Multinomial draw from |amplitude|^2; deterministic given the seed."""
-    shots = exact_int(shots, ValueError, "shots")
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    shots = exact_int(shots, ValueError, "shots", low=1)
     probs = state.probabilities()
     probs = probs / probs.sum()
     return Histogram(shots, rng.multinomial(shots, probs))

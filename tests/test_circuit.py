@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,18 @@ from qpyramid.circuit import (
     validation_error,
     wrap_angle,
 )
-from qpyramid.encoders import QateCoefficients, build_qate_circuit, solve_qate
-from qpyramid.evolution import EvolutionConfig
+from qpyramid.encoders import (
+    InfeasibleWindow,
+    QateCoefficients,
+    WindowSpec,
+    build_direct_diagonal,
+    build_potential_circuit,
+    build_qate_circuit,
+    build_qpa_shell,
+    build_qwe_circuit,
+    solve_qate,
+)
+from qpyramid.evolution import EvolutionConfig, free_packet_reference, momentum_transform_circuit
 from qpyramid.grids import Grid, GridError, PacketSpec, PhaseProfile, PotentialSpec, kinetic_phase_profile
 from qpyramid.simulator import Histogram, RandomSource, StateVector, sample
 
@@ -266,6 +277,7 @@ def test_wrap_angle_range():
 _GRID = Grid(10.0, 3)
 _ONE = StateVector.zero_state(1)
 _ALPHA, _BETA = {1: 0.2, 2: 0.3}, {(1, 2): 0.4}
+_HALF, _FULL = PhaseProfile([0.5], "half"), PhaseProfile([0.1, 0.3])
 
 # (build from the one value under test, the error it must raise, the kind of
 # field): "real" takes any finite real number, "time" also takes +inf, and
@@ -300,10 +312,24 @@ _NUMERIC_FIELDS = {
     "RandomSource.seed": (RandomSource, ValueError, "integer"),
     "baseline_gate_count": (baseline_gate_count, InvalidWidth, "integer"),
     "build_qft": (build_qft, InvalidWidth, "integer"),
+    "build_qpa_shell.n": (build_qpa_shell, InvalidWidth, "integer"),
+    "build_qate_circuit.n": (lambda v: build_qate_circuit(v, QateCoefficients(3, 0.1, _ALPHA, _BETA)),
+                             InvalidWidth, "integer"),
+    "build_qwe_circuit.n": (lambda v: build_qwe_circuit(v, _HALF, WindowSpec({0})), InvalidWidth, "integer"),
+    "build_direct_diagonal.n": (lambda v: build_direct_diagonal(v, _FULL), InvalidWidth, "integer"),
+    "momentum_transform_circuit.n": (lambda v: momentum_transform_circuit(v, "centered"), InvalidWidth,
+                                     "integer"),
+    "build_potential_circuit.time": (lambda v: build_potential_circuit(3, PotentialSpec(0.5, (0,)), v),
+                                     GridError, "real"),
+    "free_packet_reference.time": (lambda v: free_packet_reference(_GRID, PacketSpec(), v), GridError, "real"),
+    "free_packet_reference.mass": (lambda v: free_packet_reference(_GRID, PacketSpec(), 1.0, v), GridError,
+                                   "real"),
 }
+# 3 + 0j equals the width 3 of the builds above, so only a kind check, not a
+# comparison with another width, rejects it
 _NAMED = {"real": [True, "1", math.nan, math.inf, -math.inf],
           "time": [True, "1", math.nan, -math.inf],
-          "integer": [True, "1", math.nan, math.inf, -math.inf, 1.5]}
+          "integer": [True, "1", math.nan, math.inf, -math.inf, 1.5, 3 + 0j]}
 _NOT_A_NUMBER = st.one_of(st.sampled_from([False, np.True_, None, 1j, np.nan, np.float32("-inf")]),
                           st.text(max_size=3))
 _DRAWN = {"real": st.one_of(_NOT_A_NUMBER, st.sampled_from([10**400, -10**400])),
@@ -328,20 +354,79 @@ def test_numeric_field_raises_its_own_error_on_what_is_not_a_number_of_its_kind(
         build(math.inf)
 
 
+# (build from the one value under test, the error it must raise, its bound):
+# an int is the lowest count or width accepted, and "positive" (> 0) or
+# "nonnegative" (>= 0) the sign a real must have.
+_BOUNDED = {
+    "Grid.d": (lambda v: Grid(v, 3), GridError, "positive"),
+    "Grid.n_qubits": (lambda v: Grid(10.0, v), GridError, 1),
+    "EvolutionConfig.grid": (lambda v: EvolutionConfig(Grid(10.0, v)), GridError, 2),
+    **{f"EvolutionConfig.{name}": (lambda v, name=name: EvolutionConfig(_GRID, **{name: v}), GridError, bound)
+       for name, bound in [("trotter_steps", 1), ("total_steps", 0), ("shots", 1), ("seed", 0),
+                           ("dt", "nonnegative"), ("mass", "positive")]},
+    "kinetic_phase_profile.dt": (lambda v: kinetic_phase_profile(_GRID, v), GridError, "nonnegative"),
+    "kinetic_phase_profile.mass": (lambda v: kinetic_phase_profile(_GRID, 0.0, v), GridError, "positive"),
+    "free_packet_reference.mass": (lambda v: free_packet_reference(_GRID, PacketSpec(0.0), 0.0, v), GridError,
+                                   "positive"),
+    **{f"ErrorBudgetParams.{name}": (lambda v, name=name: ErrorBudgetParams(**{"h": 1e-3, name: v}),
+                                     ValueError, bound)
+       for name, bound in [("h", "positive"), ("dt", "nonnegative"), ("gate_variance", "nonnegative"),
+                           ("readout_variance", "nonnegative"), ("t1", "positive"), ("t2", "positive"),
+                           ("l2_gates", 0)]},
+    "QateCoefficients.n_qubits": (lambda v: QateCoefficients(v, 0.1, {k: 0.2 for k in range(1, v)}, {}),
+                                  InvalidWidth, 2),
+    "WindowSpec.cp_budget": (lambda v: WindowSpec({0}, v), InfeasibleWindow, 0),
+    "Histogram.shots": (lambda v: Histogram(v, [v, 0]), ValueError, 1),
+    "sample.shots": (lambda v: sample(_ONE, v, RandomSource(1)), ValueError, 1),
+    "swap_test_estimate.shots": (lambda v: swap_test_estimate(_ONE, _ONE, v, RandomSource(1)), ValueError, 1),
+    "qate_gate_count": (qate_gate_count, InvalidWidth, 2),
+    "baseline_gate_count": (baseline_gate_count, InvalidWidth, 1),
+    "build_qft": (build_qft, InvalidWidth, 1),
+    "build_qpa_shell.n": (build_qpa_shell, InvalidWidth, 2),
+    "build_qate_circuit.n": (lambda v: build_qate_circuit(v, QateCoefficients(2, 0.1, {1: 0.2}, {})),
+                             InvalidWidth, 2),
+    "build_qwe_circuit.n": (lambda v: build_qwe_circuit(v, _HALF, WindowSpec({0})), InvalidWidth, 1),
+    "build_direct_diagonal.n": (lambda v: build_direct_diagonal(v, _FULL), InvalidWidth, 1),
+    "momentum_transform_circuit.n": (lambda v: momentum_transform_circuit(v, "centered"), InvalidWidth, 1),
+}
+_SIGN_EDGES = {"positive": (5e-324, 0.0), "nonnegative": (0.0, -5e-324)}
+
+
+@pytest.mark.parametrize("field", sorted(_BOUNDED))
+def test_bounded_field_accepts_its_bound_and_rejects_one_step_past_it(field):
+    """The bound itself builds; one step past it, `low - 1` or the nearest
+    real of the wrong sign, raises the type's own error in the wording of
+    its kind of bound."""
+    build, error, bound = _BOUNDED[field]
+    if isinstance(bound, str):
+        (accepted, rejected), wording = _SIGN_EDGES[bound], f"must be {bound}, got "
+    else:
+        accepted, rejected, wording = bound, bound - 1, f"must be >= {bound}, got "
+    build(accepted)
+    with pytest.raises(error, match=wording + re.escape(str(rejected))):
+        build(rejected)
+
+
 def test_integer_fields_reject_what_is_out_of_range():
     # a negative width is rejected when the state is built, not by the shift
-    # that sizes its amplitudes
-    for build in (lambda: StateVector(-1, [1.0]), lambda: StateVector.zero_state(-1),
-                  lambda: StateVector.basis_state(-1, 0)):
+    # that sizes its amplitudes; a width of 0 is one amplitude
+    for build in (lambda v: StateVector(v, [1.0]), StateVector.zero_state,
+                  lambda v: StateVector.basis_state(v, 0)):
+        assert build(0).n_qubits == 0
         with pytest.raises(InvalidWidth, match="n_qubits must be >= 0"):
-            build()
+            build(-1)
     # numpy would wrap -1 to the last basis state
     for index in (-1, 4):
         with pytest.raises(ValueError, match="index"):
             StateVector.basis_state(2, index)
     assert StateVector.basis_state(2, np.int64(3)).amplitudes[3] == 1.0
+    assert StateVector.basis_state(2, 0).amplitudes[0] == 1.0
     with pytest.raises(ValueError, match="seed"):
         RandomSource(-1)
+    assert RandomSource(0).seed == 0
+    # QateCoefficients used to build at any width below 2 with empty angle maps
+    with pytest.raises(InvalidWidth, match="n_qubits must be >= 2"):
+        QateCoefficients(-3, 0.0, {}, {})
     assert type(RandomSource(np.int64(7)).seed) is int
     assert RandomSource(np.int64(7)).binomial(1000, 0.5) == RandomSource(7).binomial(1000, 0.5)
     # counts are a 1-D array of non-negative integers that fit int64

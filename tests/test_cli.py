@@ -161,6 +161,7 @@ def test_evolve_rejects_range(runner, tmp_path):
 def test_evolve_rejects_single_qubit(runner, tmp_path):
     result = runner.invoke(main, ["evolve", "--qubits", "1", "--out", str(tmp_path / "x")])
     assert result.exit_code == 3
+    assert not (tmp_path / "x").exists()
 
 
 _QUICK = ["--steps", "1", "--shots", "64"]

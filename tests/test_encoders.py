@@ -112,6 +112,13 @@ def test_solve_composite_relation_n3():
     assert coeffs.beta[(1, 2)] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_solve_rejects_a_half_profile_not_of_length_2_to_the_n_minus_1(length):
+    # the width is read from the bits of the length, never from a logarithm
+    with pytest.raises(InvalidWidth, match=f"half profile length {length} is not"):
+        solve_qate(PhaseProfile(np.zeros(length), "half"))
+
+
 def test_coefficients_validate_shape():
     with pytest.raises(InvalidWidth):
         QateCoefficients(3, 0.0, {1: 0.0}, {(1, 2): 0.0})

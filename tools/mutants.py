@@ -171,10 +171,8 @@ MUTANTS = [
            "counts / shots if shots <= 2**53 else",
            "counts / shots if True else"),
     Mutant("stream-keeps-previous-record", EVOLUTION,
-           "        yield EvolutionStep(state, reference, histogram, fidelity_exact(state, reference),\n"
-           "                            swap_test_estimate(reference, state, config.shots, rng))",
-           "        record = EvolutionStep(state, reference, histogram, fidelity_exact(state, reference),\n"
-           "                               swap_test_estimate(reference, state, config.shots, rng))\n"
+           "        yield EvolutionStep(state, reference, histogram, report.exact, report)",
+           "        record = EvolutionStep(state, reference, histogram, report.exact, report)\n"
            "        yield record\n"
            "        previous = record"),
     Mutant("stream-keeps-initial-state", EVOLUTION,
@@ -222,6 +220,13 @@ MUTANTS = [
     Mutant("finite-real-accepts-nan", CIRCUIT,
            "isinstance(value, numbers.Real) and math.isfinite(value)",
            "isinstance(value, numbers.Real)"),
+    # and every bound of a count or a real goes through the same two conversions
+    Mutant("int-bound-off-by-one", CIRCUIT,
+           "if low is None or number >= low:",
+           "if low is None or number >= low - 1:"),
+    Mutant("positive-accepts-zero", CIRCUIT,
+           "number > 0 if sign == \"positive\"",
+           "number >= 0 if sign == \"positive\""),
     Mutant("memory-guard-ignores-cgroup", CLI,
            "    if cgroup < limit:\n",
            "    if cgroup < 0:\n"),
