@@ -230,6 +230,7 @@ def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit
     RotationZ(2 eta time).  Single/double/multi variants differ only by the
     qubits the rotations sit on; a spec without positions emits no gate.
     """
+    n = exact_int(n, InvalidWidth, "n", low=1)
     circuit = Circuit(n)
     angle = 2.0 * spec.eta * finite_real(time, GridError, "time")
     for q in spec.qubit_positions:

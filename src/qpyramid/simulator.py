@@ -6,8 +6,13 @@ Fourier op per block that is exactly `build_qft(n)` or its inverse over the
 full width (a near miss runs gate by gate), one diagonal op per run of
 phase-type gates, an in-place butterfly per Hadamard, one data movement per
 run of X or same-control CX gates, and one per controlled swap; a Swap gate
-only relabels qubits.  Ops act on a rank-n tensor view (one axis per qubit
-plus a trailing batch axis), so the same code drives single states,
+only relabels qubits.  A run of phase gates between two equal same-control
+CX runs that it does not touch, such as the QATE payload in its reflection
+shell, is one mirrored diagonal op instead of three ops, and a diagonal op
+right after it merges into one right before it, so a centered Trotter
+substep runs as five ops: diagonal, Fourier, mirrored payload, Fourier,
+diagonal.  Ops act on a rank-n tensor view (one axis per qubit plus a
+trailing batch axis), so the same code drives single states,
 column-batched unitaries and the basis labels that `extract_diagonal`
 tracks.  Results equal gate-by-gate application to rounding, not bit for
 bit.
@@ -97,7 +102,10 @@ class StateVector:
             raise InvalidWidth(
                 f"expected {1 << self.n_qubits} amplitudes for {self.n_qubits} qubits, got {self.amplitudes.shape[0]}"
             )
-        norm = np.linalg.norm(self.amplitudes)
+        # only a tolerance reads this sum, so it need not be `_norm`'s
+        # pairwise one; einsum runs no BLAS reduction and no temporary
+        flat = np.ascontiguousarray(self.amplitudes).view(np.float64)
+        norm = math.sqrt(np.einsum("i,i->", flat, flat))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
@@ -224,10 +232,14 @@ def _phase_table(qubits: list, const, linear: dict, rows: dict) -> np.ndarray:
     return table
 
 
-def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
+def _phase_tables(n: int, terms: dict, control: int | None = None,
+                  targets: frozenset = frozenset()) -> Iterator[tuple]:
     """The (index, table) pairs that `_diagonal` multiplies by to apply
     exp(i * sum of terms): `terms` maps () to a constant angle, (q,) to the
-    angle of bit q, and (q, r) with q < r to that of b_q b_r.
+    angle of bit q, and (q, r) with q < r to that of b_q b_r.  With a
+    `control`, which no term touches, they apply the mirrored diagonal
+    `_flip(control, targets)` . exp(i * sum of terms) . `_flip(control,
+    targets)` instead (see `_mirrored`).
 
     With lo the lowest qubit in a term, the halves where qubit lo is 0 and 1
     each get a read-only `_phase_table` of the terms that hold there, over
@@ -242,7 +254,7 @@ def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
     one more rounding.
     """
     factors = np.exp(1j * np.array(list(terms.values()), dtype=np.longdouble))
-    lo = min(q for key in terms for q in key)
+    lo = min((q for key in terms for q in key), default=0)
     for bit in (0, 1):
         held = [(key[1:] if lo in key else key, factor)
                 for key, factor in zip(terms, factors) if bit or lo not in key]
@@ -265,7 +277,26 @@ def _phase_tables(n: int, terms: dict) -> Iterator[tuple]:
             shape = [1] * (n - lo)  # qubits lo+1..n-1, then the batch axis
             for q in qubits:
                 shape[q - lo - 1] = 2
-            yield (slice(None),) * lo + (bit,), _phase_table(qubits, constant, linear, rows).reshape(shape)
+            table = _phase_table(qubits, constant, linear, rows).reshape(shape)
+            if control is None:
+                yield (slice(None),) * lo + (bit,), table
+            else:
+                yield from _mirrored(table, lo, bit, control, targets)
+
+
+def _mirrored(table: np.ndarray, lo: int, bit: int, control: int, targets: frozenset) -> Iterator[tuple]:
+    """The (index, table) pairs of `table`, the one for the half where qubit
+    lo is `bit`, under the mirrored diagonal of `_phase_tables`: on the half
+    where `control` is 0 the table itself, and on the half where it is 1 the
+    entry at the target bits flipped, which is the same table reversed over
+    the target axes as a view, on the other lo half if lo is a target.  The
+    control axis stays in the view as a slice, over which the table, which
+    no term spreads along it, broadcasts."""
+    index = [slice(None)] * (max(lo, control) + 1)
+    index[lo], index[control] = bit, slice(0, 1)
+    yield tuple(index), table
+    index[lo], index[control] = bit ^ (lo in targets), slice(1, 2)
+    yield tuple(index), np.flip(table, [t - lo - 1 for t in targets if t > lo])
 
 
 def _diagonal(tensor: np.ndarray, n: int, tables: tuple) -> None:
@@ -391,7 +422,10 @@ def _compile(circuit: Circuit) -> list:
     the run's summed constant, per-qubit and pairwise angles, which
     `compile_circuit` turns into its phase tables.  Each Hadamard is a
     `_hadamard` op, a run of X gates or of CX gates with one control is a
-    `_flip`, and each controlled swap a `_cswap`.
+    `_flip`, and each controlled swap a `_cswap`.  `_fold` then makes each
+    `_flip`, `_diagonal`, equal `_flip` sequence whose diagonal does not
+    touch the flips' control one mirrored `_diagonal` op, and merges the
+    plain diagonal op after it into the one before it.
 
     The ops act on memory axes through one layout map: logical qubit q sits
     at axis axis[q].  A Swap gate swaps two entries of the map and emits
@@ -447,7 +481,42 @@ def _compile(circuit: Circuit) -> list:
             ops.append((_cswap, qubits))
     if tuple(axis) != natural:
         ops.append((_permute, (tuple(axis),)))
-    return ops
+    return _fold(ops)
+
+
+def _fold(ops: list) -> list:
+    """`ops` with each CX-ladder shell folded into one diagonal op.
+
+    A `_diagonal` op between two equal `_flip` ops that have a control, which
+    none of its terms touches, becomes one mirrored `_diagonal` op: its args
+    are the terms, the control and the targets, from which `_phase_tables`
+    builds the payload's tables once and mirrors them onto the control-1
+    half as views.  Diagonal ops commute, so a plain `_diagonal` op right
+    after a mirrored one is merged into a plain one right before it: the
+    angles of each key are summed, a sum of exactly 0.0 drops its key, and
+    an op left with no terms is dropped.  In a Trotter substep the two
+    momentum ramps around the kinetic payload cancel so.
+    """
+    folded: list = []
+    for kernel, args in ops:
+        last_kernel, last_args = folded[-1] if folded else (None, ())
+        before = folded[-2] if len(folded) > 1 else (None, ())
+        if (kernel is _flip and args[0] is not None and before == (kernel, args)
+                and last_kernel is _diagonal and len(last_args) == 1
+                and all(args[0] not in key for key in last_args[0])):
+            folded[-2:] = [(_diagonal, (last_args[0], *args))]
+        elif (kernel is _diagonal and len(args) == 1 and last_kernel is _diagonal and len(last_args) == 3
+              and before[0] is _diagonal and len(before[1]) == 1):
+            terms = before[1][0]
+            for key, angle in args[0].items():
+                terms[key] = terms.get(key, 0.0) + angle
+                if terms[key] == 0.0:
+                    del terms[key]
+            if not terms:
+                del folded[-2]
+        else:
+            folded.append((kernel, args))
+    return folded
 
 
 @dataclass(frozen=True)
@@ -458,12 +527,14 @@ class Plan:
     reach the plan.  Each `_diagonal` op with pairwise angles keeps up to
     one statevector's worth of tables for the plan's lifetime; a half of
     one-qubit phases over k > `_LINEAR_TABLE_MAX_QUBITS` qubits keeps about
-    2^(k/2 + 1) entries.  From `_SPLIT_FOURIER_MIN_QUBITS` on, the Fourier
-    ops share one pair of twiddle tables of about 2^(3n/4 + 1) entries.  The
-    ops act on memory axes through `_compile`'s layout map, and a plan that
-    would end in another layout closes with a `_permute`, so every plan maps
-    natural order to natural order.  `apply` runs the ops on an array in
-    place."""
+    2^(k/2 + 1) entries.  A mirrored `_diagonal` op (see `_fold`) keeps only
+    its payload's tables, over half the state or less, and reads them for
+    the control-1 half through reversed views.  From
+    `_SPLIT_FOURIER_MIN_QUBITS` on, the Fourier ops share one pair of
+    twiddle tables of about 2^(3n/4 + 1) entries.  The ops act on memory
+    axes through `_compile`'s layout map, and a plan that would end in
+    another layout closes with a `_permute`, so every plan maps natural
+    order to natural order.  `apply` runs the ops on an array in place."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -561,10 +632,11 @@ def extract_diagonal(circuit: Circuit) -> np.ndarray:
 
     The circuit is compiled once.  The plan's data movements (flips,
     transposes, controlled swaps) run on the basis labels 0..2^n-1 while its
-    diagonal ops are skipped; the circuit is diagonal if every label ends
-    where it started, and the same ops applied in place to the all-ones
-    vector, which is not copied, are then the diagonal.  Any Hadamard or
-    Fourier op raises NotDiagonal, even a pair that cancels; use
+    diagonal ops, mirrored ones included, are skipped; a reflection shell is
+    one mirrored op and moves no label.  The circuit is diagonal if every
+    label ends where it started, and the same ops applied in place to the
+    all-ones vector, which is not copied, are then the diagonal.  Any
+    Hadamard or Fourier op raises NotDiagonal, even a pair that cancels; use
     `extract_unitary` for such circuits.
     """
     plan = compile_circuit(circuit)

@@ -319,6 +319,8 @@ _NUMERIC_FIELDS = {
     "build_direct_diagonal.n": (lambda v: build_direct_diagonal(v, _FULL), InvalidWidth, "integer"),
     "momentum_transform_circuit.n": (lambda v: momentum_transform_circuit(v, "centered"), InvalidWidth,
                                      "integer"),
+    "build_potential_circuit.n": (lambda v: build_potential_circuit(v, PotentialSpec(0.5, (0,)), 0.1),
+                                  InvalidWidth, "integer"),
     "build_potential_circuit.time": (lambda v: build_potential_circuit(3, PotentialSpec(0.5, (0,)), v),
                                      GridError, "real"),
     "free_packet_reference.time": (lambda v: free_packet_reference(_GRID, PacketSpec(), v), GridError, "real"),
@@ -388,6 +390,8 @@ _BOUNDED = {
     "build_qwe_circuit.n": (lambda v: build_qwe_circuit(v, _HALF, WindowSpec({0})), InvalidWidth, 1),
     "build_direct_diagonal.n": (lambda v: build_direct_diagonal(v, _FULL), InvalidWidth, 1),
     "momentum_transform_circuit.n": (lambda v: momentum_transform_circuit(v, "centered"), InvalidWidth, 1),
+    "build_potential_circuit.n": (lambda v: build_potential_circuit(v, PotentialSpec.none(), 0.1), InvalidWidth,
+                                  1),
 }
 _SIGN_EDGES = {"positive": (5e-324, 0.0), "nonnegative": (0.0, -5e-324)}
 

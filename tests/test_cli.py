@@ -548,10 +548,10 @@ _GOLDEN = {
     "evolve": (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
-            '0,00,0.0014644433274900194,-0.001985805770344754,6.088018816964562e-06\n'
+            '0,00,0.0014644433274900472,-0.001985805770344754,6.088018816964643e-06\n'
             '1,01,-0.5705755997614916,-0.42164374033077034,0.503339958803308\n'
             '2,10,-0.5624016031838419,0.4246790575191991,0.49664786515915077\n'
-            '3,11,-0.0014888301518523666,-0.0019675882452791353,6.088018724025368e-06\n'
+            '3,11,-0.0014888301518523866,-0.0019675882452791548,6.088018724025503e-06\n'
         ),
         "step_001_hist.csv": (
             'bitstring,count,frequency\n'
@@ -584,10 +584,10 @@ _GOLDEN = {
                           "--shots", "10", "--potential", "multi", "--positions", "0,1"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
-            '0,00,0.0012588774348545983,-0.0021220853939849104,6.088018815350186e-06\n'
+            '0,00,0.0012588774348545925,-0.0021220853939849654,6.088018815350406e-06\n'
             '1,01,-0.5705755997614905,-0.42164374033077373,0.5033399588033095\n'
             '2,10,-0.562401603183843,0.4246790575191958,0.4966478651591492\n'
-            '3,11,-0.001284961146365584,-0.0021063935002631445,6.088018725619978e-06\n'
+            '3,11,-0.0012849611463656265,-0.002106393500263109,6.0880187256199375e-06\n'
         ),
         "step_001_hist.csv": (
             'bitstring,count,frequency\n'
@@ -653,7 +653,7 @@ _MULTI_CHUNK_GOLDEN = {
         "profile.csv": "957aaf43bfe7fdac9319ae774131a9d8bc8103aadeabf90e78d8fbc27094c3e9",
     }),
     "evolve": (["evolve", "--qubits", "14", "--steps", "1", "--trotter-steps", "1"], {
-        "step_001_state.csv": "edad94db779fc9200ba424e766439717acf33dfd54192547a1feac4292905d37",
+        "step_001_state.csv": "709eddcccf4d752fc87c70ae6eba73c05d7711b66617dd38b30165332262f42b",
     }),
 }
 

@@ -38,6 +38,7 @@ from qpyramid.simulator import (
     Histogram,
     StateVector,
     _diagonal,
+    _flip,
     _fourier,
     _hadamard,
     _permute,
@@ -148,11 +149,19 @@ def test_transform_rejects_unknown_mode():
 
 @pytest.mark.parametrize("mode", ["centered", "paper"])
 def test_step_runs_both_transforms_as_fourier_ops(mode):
+    # the QATE payload and its CX ladders are one mirrored diagonal op, and
+    # the momentum ramps on either side of it are merged: in centered mode
+    # they cancel, in paper mode a 2 pi phase on the last qubit is left
     config = _config(n=6, mode=mode, potential=PotentialSpec.multi_step(0.5, (0, 2)))
     kernels = [kernel for kernel, _ in compile_circuit(trotter_step_circuit(config)).ops]
     assert kernels.count(_fourier) == 2
-    assert kernels.count(_diagonal) == 5  # the tables a held substep plan keeps
-    assert _hadamard not in kernels
+    assert kernels.count(_diagonal) == {"centered": 3, "paper": 4}[mode]  # the tables a held plan keeps
+    assert _hadamard not in kernels and _flip not in kernels
+
+
+def test_wide_centered_substep_is_five_ops():
+    plan = compile_circuit(trotter_step_circuit(_config(n=18)))
+    assert [kernel for kernel, _ in plan.ops] == [_diagonal, _fourier, _diagonal, _fourier, _diagonal]
 
 
 @pytest.mark.parametrize("mode", ["centered", "paper"])
@@ -165,16 +174,25 @@ def test_substep_plan_never_reorders_the_state(n, mode):
     assert kernels.count(_fourier) == 2 and _permute not in kernels
 
 
+def _buffer(table):
+    while table.base is not None:
+        table = table.base
+    return table
+
+
 def test_substep_plan_holds_under_one_statevector_of_tables():
-    # the four ramp ops are one-qubit phases, held as two small factor tables
-    # per half; only the QATE op between its CX ladders holds a full table,
-    # and the two Fourier ops share one pair of small twiddle tables
+    # the two outer ramp ops are one-qubit phases, held as two small factor
+    # tables per half; only the mirrored QATE op holds a full table, whose
+    # control-1 half reads the control-0 tables reversed, as views; and the
+    # two Fourier ops share one pair of small twiddle tables
     plan = compile_circuit(trotter_step_circuit(_config(n=16)))
-    held = [sum(table.size for _, table in args[0]) for kernel, args in plan.ops if kernel is _diagonal]
-    assert len(held) == 5
+    diagonals = [args[0] for kernel, args in plan.ops if kernel is _diagonal]
+    assert len(diagonals) == 3
+    buffers = {id(_buffer(table)): _buffer(table) for tables in diagonals for _, table in tables}
+    assert len(buffers) < sum(len(tables) for tables in diagonals)
     forward, inverse = [args[-1] for kernel, args in plan.ops if kernel is _fourier]
     assert forward is inverse
-    assert sum(held) + sum(table.size for table in forward) < 1 << 16
+    assert sum(table.size for table in buffers.values()) + sum(table.size for table in forward) < 1 << 16
 
 
 def test_step_identity_at_zero_dt():

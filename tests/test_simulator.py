@@ -296,6 +296,99 @@ def test_extract_unitary_matches_kron_oracle_factored(case):
         _check_extract_unitary_matches_kron_oracle(case)
 
 
+_NEAR_MISSES = ("payload-touches-control", "targets-differ", "controls-differ")
+
+
+def _phase_run(rng, qubits, size):
+    """`size` random P/CP/RZ gates on `qubits`."""
+    kinds = [kind for kind in _PHASE_TYPE if kind.arity <= len(qubits)]
+    gates = []
+    for _ in range(size):
+        kind = kinds[rng.integers(len(kinds))]
+        gates.append(Gate(kind, tuple(int(q) for q in rng.choice(qubits, kind.arity, replace=False)),
+                          float(rng.uniform(-math.pi, math.pi))))
+    return gates
+
+
+def _negated(gates):
+    """Phase gates whose per-qubit and pairwise angles cancel those of
+    `gates`; the constant angle of an RZ is left behind."""
+    return [Gate(GateKind.PHASE if gate.kind is GateKind.ROTATION_Z else gate.kind, gate.qubits, -gate.angle)
+            for gate in gates]
+
+
+@st.composite
+def _shell_circuits(draw, fourier=False):
+    """One to three shells at 2 <= n <= 6, each a CX ladder with one control,
+    a payload of phase gates off the control and the same ladder again,
+    after a nonempty phase run and before a run that is random or cancels
+    the one before.  A shell may be a near miss that must not fold: its
+    payload touches the control, or its closing ladder has other targets or
+    another control.  With `fourier`, a Fourier block opens the circuit.
+    Returns (circuit, rng, number of near misses)."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = list(build_qft(n, inverse=draw(st.booleans())).gates) if fourier else []
+    misses = 0
+    for _ in range(draw(st.integers(1, 3))):
+        miss = draw(st.sampled_from((None,) * 3 + _NEAR_MISSES[:3 if n > 2 else 2]))
+        control, *others = (int(q) for q in rng.permutation(n))
+        closing = others.pop() if miss == "controls-differ" else control
+        targets = others[:rng.integers(1, len(others) + 1)]
+        closed = targets
+        if miss == "targets-differ":
+            closed = targets[:-1] if len(targets) > 1 else others[:2] if len(others) > 1 else []
+        before = _phase_run(rng, range(n), int(rng.integers(1, 4)))
+        payload = _phase_run(rng, [q for q in range(n) if q != control], int(rng.integers(1, 5)))
+        if miss == "payload-touches-control":
+            touching = (control, others[0]) if rng.integers(2) else (control,)
+            payload.insert(int(rng.integers(len(payload) + 1)),
+                           Gate(_PHASE_TYPE[len(touching) - 1], touching, float(rng.uniform(-math.pi, math.pi))))
+        gates += before
+        gates += [Gate(GateKind.CONTROLLED_NOT, (control, t)) for t in targets]
+        gates += payload
+        gates += [Gate(GateKind.CONTROLLED_NOT, (closing, t)) for t in closed]
+        gates += _negated(before) if draw(st.booleans()) else _phase_run(rng, range(n), 2)
+        misses += miss is not None
+    return Circuit(n, gates, global_phase=draw(st.floats(-math.pi, math.pi))), rng, misses
+
+
+def _check_shells_match_kron_oracle(case):
+    """Every shell folds into one diagonal op unless it is a near miss, and
+    the plan matches the Kron oracle either way."""
+    circuit, rng, misses = case
+    kernels = [kernel for kernel, _ in compile_circuit(circuit).ops]
+    assert (_flip in kernels) == (misses > 0)
+    unitary = circuit_unitary(circuit)
+    dim = 1 << circuit.n_qubits
+    state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    np.testing.assert_allclose(run(circuit, state).amplitudes, unitary @ state.amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(extract_unitary(circuit), unitary, rtol=0, atol=1e-12)
+    if not misses and _fourier not in kernels:
+        np.testing.assert_allclose(extract_diagonal(circuit), np.diag(unitary), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150)
+@given(_shell_circuits())
+def test_folded_shells_match_kron_oracle(case):
+    _check_shells_match_kron_oracle(case)
+
+
+@settings(max_examples=100)
+@given(_shell_circuits())
+def test_folded_shells_match_kron_oracle_factored(case):
+    with _forced_factoring():
+        _check_shells_match_kron_oracle(case)
+
+
+@settings(max_examples=100)
+@given(_shell_circuits(fourier=True))
+def test_folded_shells_match_kron_oracle_split(case):
+    # after a split Fourier op the shells are compiled onto rotated axes
+    with _forced_split():
+        _check_shells_match_kron_oracle(case)
+
+
 def test_wide_phase_run_matches_summed_angles(monkeypatch):
     # both halves of a run of P gates over 14 qubits touch 13 qubits, so each
     # is applied as factor tables over 6 and 7 of them; the reference sums
@@ -959,9 +1052,27 @@ def test_statevector_rejects_unnormalized():
 
 
 def test_statevector_rejects_non_finite_amplitudes():
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(np.inf, -np.inf)):
         with pytest.raises(ValueError):
             StateVector(2, np.full(4, bad))
+        # one bad amplitude in a unit state, also read through a strided view
+        unit = np.array([1.0, 0.0, 0.0, bad], dtype=np.complex128)
+        for amplitudes in (unit, np.repeat(unit, 2)[::2]):
+            with pytest.raises(ValueError):
+                StateVector(2, amplitudes)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_statevector_norm_tolerance(strided):
+    for scale, accepted in ((1 + 0.5e-10, True), (1 - 0.5e-10, True), (1 + 2e-10, False), (1 - 2e-10, False)):
+        amplitudes = np.array([0.6j, 0.8]) * scale
+        if strided:
+            amplitudes = np.repeat(amplitudes, 2)[::2]
+        if accepted:
+            assert np.shares_memory(StateVector(1, amplitudes).amplitudes, amplitudes)
+        else:
+            with pytest.raises(ValueError, match="deviates from 1"):
+                StateVector(1, amplitudes)
 
 
 def test_from_amplitudes_rejects_zero_and_non_finite_norm():

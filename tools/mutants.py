@@ -81,6 +81,19 @@ MUTANTS = [
            "            args = (tuple(_phase_tables(n, *args)),)",
            "            args = next((held for k, held in ops if k is _diagonal),\n"
            "                        (tuple(_phase_tables(n, *args)),))"),
+    # a CX-ladder shell is one mirrored diagonal op whose control-1 half
+    # reads the payload's tables reversed over the targets, and a diagonal
+    # op after it merges into the one before it
+    Mutant("mirror-uses-unflipped-tables", SIMULATOR,
+           "yield tuple(index), np.flip(table, [t - lo - 1 for t in targets if t > lo])",
+           "yield tuple(index), table"),
+    Mutant("fold-ignores-control-term", SIMULATOR,
+           "                and last_kernel is _diagonal and len(last_args) == 1\n"
+           "                and all(args[0] not in key for key in last_args[0])):",
+           "                and last_kernel is _diagonal and len(last_args) == 1):"),
+    Mutant("merge-across-plain-flip", SIMULATOR,
+           "last_kernel is _diagonal and len(last_args) == 3",
+           "(last_kernel is _diagonal and len(last_args) == 3 or last_kernel is _flip)"),
     # `run` keeps a circuit's plan only while the circuit equals its snapshot
     Mutant("memo-compares-gate-count", SIMULATOR,
            "(plan.n_qubits, plan.global_phase, plan.gates) != (\n"
