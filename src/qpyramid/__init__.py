@@ -17,7 +17,6 @@ from .circuit import (
     count_gates,
     qate_gate_count,
     validate,
-    validation_error,
     wrap_angle,
 )
 from .simulator import (

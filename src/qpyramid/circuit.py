@@ -7,6 +7,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -180,39 +181,28 @@ class GateMetrics:
     depth: int
 
 
-def validation_error(circuit: Circuit) -> CircuitError | None:
-    """Return the first invariant violation, or None if the circuit is well formed."""
-    try:
-        exact_int(circuit.n_qubits, InvalidWidth, "n_qubits", low=1)
-    except InvalidWidth as err:
-        return err
+def validate(circuit: Circuit) -> None:
+    """Raise the typed CircuitError of the first invariant violation, if any."""
+    exact_int(circuit.n_qubits, InvalidWidth, "n_qubits", low=1)
     if not is_finite_real(circuit.global_phase):
-        return CircuitError(f"global_phase {circuit.global_phase!r} is not a finite number")
+        raise CircuitError(f"global_phase {circuit.global_phase!r} is not a finite number")
     if not isinstance(circuit.gates, (list, tuple)):
-        return CircuitError(f"gates {circuit.gates!r} is not a list of Gates")
+        raise CircuitError(f"gates {circuit.gates!r} is not a list of Gates")
     for i, gate in enumerate(circuit.gates):
         if not (isinstance(gate, Gate) and isinstance(gate.kind, GateKind)):
-            return CircuitError(f"gate {i} is {gate!r}, not a Gate of a GateKind")
+            raise CircuitError(f"gate {i} is {gate!r}, not a Gate of a GateKind")
         if len(gate.qubits) != gate.kind.arity:
-            return ArityMismatch(f"gate {i} ({gate.kind.value}) expects {gate.kind.arity} qubits, got {len(gate.qubits)}")
+            raise ArityMismatch(f"gate {i} ({gate.kind.value}) expects {gate.kind.arity} qubits, got {len(gate.qubits)}")
         if gate.kind in PHASE_KINDS:
             if not is_finite_real(gate.angle):
-                return ArityMismatch(f"gate {i} ({gate.kind.value}) requires a finite angle")
+                raise ArityMismatch(f"gate {i} ({gate.kind.value}) requires a finite angle")
         elif gate.angle is not None:
-            return ArityMismatch(f"gate {i} ({gate.kind.value}) takes no angle")
+            raise ArityMismatch(f"gate {i} ({gate.kind.value}) takes no angle")
         if len(set(gate.qubits)) != len(gate.qubits):
-            return DuplicateQubit(f"gate {i} ({gate.kind.value}) repeats a qubit: {gate.qubits}")
+            raise DuplicateQubit(f"gate {i} ({gate.kind.value}) repeats a qubit: {gate.qubits}")
         for q in gate.qubits:
             if not 0 <= q < circuit.n_qubits:
-                return IndexOutOfRange(f"gate {i} ({gate.kind.value}) touches qubit {q} outside width {circuit.n_qubits}")
-    return None
-
-
-def validate(circuit: Circuit) -> None:
-    """Raise the typed error from `validation_error`, if any."""
-    err = validation_error(circuit)
-    if err is not None:
-        raise err
+                raise IndexOutOfRange(f"gate {i} ({gate.kind.value}) touches qubit {q} outside width {circuit.n_qubits}")
 
 
 def count_gates(circuit: Circuit) -> GateMetrics:
@@ -288,19 +278,21 @@ def circuit_from_json(text: str) -> Circuit:
     return circuit
 
 
-def qft_gates(n: int, inverse: bool = False) -> list[tuple[GateKind, tuple[int, ...], float | None]]:
-    """The (kind, qubits, angle) of each gate of `build_qft(n, inverse)`, in
-    order: the list the simulator's compiler matches a Fourier block against."""
+@functools.lru_cache(maxsize=None)
+def qft_gates(n: int, inverse: bool = False) -> tuple[Gate, ...]:
+    """The gates of `build_qft(n, inverse)`, in order: the one description
+    that `build_qft` copies and the simulator's compiler matches a Fourier
+    block against.  Built once per (n, inverse) and shared, which is safe
+    because a tuple of frozen Gates cannot be edited."""
     gates = []
     for t in range(n):
-        gates.append((GateKind.HADAMARD, (t,), None))
-        gates += [(GateKind.CONTROLLED_PHASE, (c, t), 2.0 * math.pi / (1 << (c - t + 1)))
+        gates.append(Gate(GateKind.HADAMARD, (t,)))
+        gates += [Gate(GateKind.CONTROLLED_PHASE, (c, t), 2.0 * math.pi / (1 << (c - t + 1)))
                   for c in range(t + 1, n)]
-    gates += [(GateKind.SWAP, (q, n - 1 - q), None) for q in range(n // 2)]
+    gates += [Gate(GateKind.SWAP, (q, n - 1 - q)) for q in range(n // 2)]
     if inverse:
-        gates = [(kind, qubits, None if angle is None else -angle)
-                 for kind, qubits, angle in reversed(gates)]
-    return gates
+        gates = [Gate(g.kind, g.qubits, None if g.angle is None else -g.angle) for g in reversed(gates)]
+    return tuple(gates)
 
 
 def build_qft(n: int, inverse: bool = False) -> Circuit:
@@ -308,7 +300,7 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
     omega = e^{2 pi i / 2^n} under the big-endian convention; `inverse` gives
     the conjugate transpose."""
     n = exact_int(n, InvalidWidth, "n", low=1)
-    return Circuit(n, [Gate(kind, qubits, angle) for kind, qubits, angle in qft_gates(n, inverse)])
+    return Circuit(n, list(qft_gates(n, bool(inverse))))
 
 
 def wrap_angle(angle: float) -> float:

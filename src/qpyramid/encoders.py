@@ -1,16 +1,16 @@
 """Diagonal-unitary builders: CX-ladder reflection shell, exact/windowed phase
 encoders and step-potential rotations.  `build_qft` lives in `circuit`, where
-the simulator's compiler reads its gate list, and is re-exported here.
+the simulator's compiler reads its gate tuple, and is re-exported here.
 
-Encoding scheme.  A diagonal payload on qubits 1..n-1, conjugated by CX ladders
-controlled on qubit 0, realizes a palindromic diagonal: the payload fixes the
-first 2^{n-1} entries and the ladders mirror them onto the second half.  Within
-the half space, half-index j assigns qubit k the bit of weight 2^{n-1-k}, so a
-phase gate on qubit k shifts exactly the indices with that bit set, and a
-controlled phase on (k, l) shifts indices with both bits set.  Interpolating a
-target angle array at the indices of popcount <= 2 therefore reproduces any
-profile that is a degree-two polynomial of the half-index exactly (bits are
-idempotent), which covers every quadratic kinetic profile.
+Encoding scheme.  A diagonal payload on qubits 1..n-1 between two copies of one
+CX ladder controlled on qubit 0 realizes a palindromic diagonal: the payload
+fixes the first 2^{n-1} entries and the ladders mirror them onto the second
+half.  Within the half space, half-index j assigns qubit k the bit of weight
+2^{n-1-k}, so a phase gate on qubit k shifts exactly the indices with that bit
+set, and a controlled phase on (k, l) shifts indices with both bits set.
+Interpolating a target angle array at the indices of popcount <= 2 therefore
+reproduces any profile that is a degree-two polynomial of the half-index
+exactly (bits are idempotent), which covers every quadratic kinetic profile.
 """
 from __future__ import annotations
 
@@ -41,10 +41,10 @@ class QateCoefficients:
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, InvalidWidth, "n_qubits", low=2))
         n = self.n_qubits
-        if sorted(self.alpha) != list(range(1, n)):
+        if not isinstance(self.alpha, dict) or self.alpha.keys() != set(range(1, n)):
             raise InvalidWidth(f"alpha must cover qubits 1..{n - 1}")
-        expected_pairs = [(k, l) for k in range(1, n) for l in range(k + 1, n)]
-        if sorted(self.beta) != expected_pairs:
+        pairs = {(k, l) for k in range(1, n) for l in range(k + 1, n)}
+        if not isinstance(self.beta, dict) or self.beta.keys() != pairs:
             raise InvalidWidth(f"beta must cover all qubit pairs of 1..{n - 1}")
         object.__setattr__(self, "a_global", finite_real(self.a_global, CircuitError, "a_global"))
         for name in ("alpha", "beta"):  # new dicts in the same order, which sets the gate order
@@ -95,32 +95,31 @@ def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
     return QateCoefficients(n, *_interpolate_quadratic(theta, n, first=1))
 
 
-def build_qpa_shell(n: int) -> tuple[Circuit, Circuit]:
-    """Left and right CX ladders (control qubit 0, targets 1..n-1).
+def build_qpa_shell(n: int) -> Circuit:
+    """The CX ladder (control qubit 0, targets 1..n-1), its own inverse.
 
-    Conjugating any diagonal payload on qubits 1..n-1 with these ladders mirrors
+    A diagonal payload on qubits 1..n-1 with this ladder on both sides mirrors
     the payload's first-half diagonal onto the second half in reverse order.
     """
     n = exact_int(n, InvalidWidth, "n", low=2)
-    left = Circuit(n)
-    right = Circuit(n)
+    ladder = Circuit(n)
     for k in range(1, n):
-        left.cx(0, k)
-        right.cx(0, k)
-    return left, right
+        ladder.cx(0, k)
+    return ladder
 
 
 def build_qate_circuit(n: int, coeffs: QateCoefficients) -> Circuit:
     """ladder . [Phase(k, -alpha[k]); CPhase(k, l, -beta[(k,l)])] . ladder,
-    global phase -a_global.  The gate order does not depend on the coefficients,
-    so the counts agree with qate_gate_count(n) for every coefficient set."""
+    with the one `build_qpa_shell(n)` ladder, global phase -a_global.  The
+    gate order does not depend on the coefficients, so the counts agree with
+    qate_gate_count(n) for every coefficient set."""
     n = exact_int(n, InvalidWidth, "n", low=2)
     if coeffs.n_qubits != n:
         raise InvalidWidth(f"coefficients sized for n={coeffs.n_qubits}, circuit wants n={n}")
-    left, right = build_qpa_shell(n)
-    circuit = Circuit(n, left.gates, wrap_angle(-coeffs.a_global))
+    ladder = build_qpa_shell(n).gates
+    circuit = Circuit(n, list(ladder), wrap_angle(-coeffs.a_global))
     _emit_phase_gates(circuit, coeffs.alpha, coeffs.beta)
-    circuit.gates += right.gates  # not extend(): that would turn a -0.0 global phase into 0.0
+    circuit.gates += ladder  # not extend(): that would turn a -0.0 global phase into 0.0
     return circuit
 
 
@@ -199,13 +198,13 @@ def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) ->
             f"window cannot be matched with {len(active)} phase gates and {budget} controlled phases"
         )
 
-    left, right = build_qpa_shell(n) if (active or chosen) else (Circuit(n), Circuit(n))
+    ladder = build_qpa_shell(n) if (active or chosen) else Circuit(n)
     circuit = Circuit(n, global_phase=wrap_angle(-a_global))
-    circuit.extend(left)
+    circuit.extend(ladder)
     alpha = {k: float(solution[pos]) for pos, k in enumerate(active)}
     beta = {pair: float(solution[len(active) + i]) for i, pair in enumerate(chosen)}
     _emit_phase_gates(circuit, alpha, dict(sorted(beta.items())))
-    circuit.extend(right)
+    circuit.extend(ladder)
     return circuit
 
 

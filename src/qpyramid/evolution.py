@@ -69,6 +69,9 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise GridError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name, kind in (("grid", Grid), ("packet", PacketSpec), ("potential", PotentialSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise GridError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
         # the kinetic encoder's reflection shell needs two qubits
         exact_int(self.grid.n_qubits, GridError, "evolution grid n_qubits", low=2)
         for name, low in (("trotter_steps", 1), ("total_steps", 0), ("shots", 1), ("seed", 0)):

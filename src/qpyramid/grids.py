@@ -130,8 +130,11 @@ class PotentialSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", finite_real(self.eta, GridError, "eta"))
-        object.__setattr__(self, "qubit_positions", tuple(
-            exact_int(q, GridError, "potential qubit position") for q in self.qubit_positions))
+        try:
+            positions = tuple(exact_int(q, GridError, "potential qubit position") for q in self.qubit_positions)
+        except TypeError:
+            raise GridError(f"potential qubit positions {self.qubit_positions!r} are not a collection") from None
+        object.__setattr__(self, "qubit_positions", positions)
 
     @staticmethod
     def none() -> "PotentialSpec":

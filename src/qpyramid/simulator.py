@@ -397,18 +397,14 @@ def _fourier(tensor: np.ndarray, n: int, inverse: bool, rotated: bool, twiddles:
 
 
 def _fourier_block(gates: list, start: int, n: int) -> tuple[bool, int] | None:
-    """(inverse, stop) when gates[start:stop] is exactly the gate list of
-    `build_qft(n, inverse)`: the same kinds, qubits and bit-identical angles,
-    closing swaps included.  gates[start] is a Hadamard or a Swap, the gates
-    a forward and an inverse block open with."""
+    """(inverse, stop) when gates[start:stop] equals `qft_gates(n, inverse)`,
+    the gates of `build_qft(n, inverse)`, by value: the same kinds, qubits
+    and bit-identical angles, closing swaps included.  gates[start] is a
+    Hadamard or a Swap, the gates a forward and an inverse block open with."""
     inverse = gates[start].kind is GateKind.SWAP
     template = qft_gates(n, inverse)
     stop = start + len(template)
-    if stop <= len(gates) and all(
-            gate.kind is kind and gate.qubits == qubits and gate.angle == angle
-            for gate, (kind, qubits, angle) in zip(gates[start:stop], template)):
-        return inverse, stop
-    return None
+    return (inverse, stop) if tuple(gates[start:stop]) == template else None
 
 
 def _compile(circuit: Circuit) -> list:

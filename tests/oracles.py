@@ -167,13 +167,13 @@ def reference_qwe_circuit(n: int, profile_half, window) -> Circuit:
     if residual > _EXACT_TOL * scale:
         raise InfeasibleWindow(
             f"window cannot be matched with {len(active)} phase gates and {budget} controlled phases")
-    left, right = build_qpa_shell(n) if (active or chosen) else (Circuit(n), Circuit(n))
+    ladder = build_qpa_shell(n) if (active or chosen) else Circuit(n)
     circuit = Circuit(n, global_phase=wrap_angle(-a_global))
-    circuit.extend(left)
+    circuit.extend(ladder)
     alpha = {k: float(solution[pos]) for pos, k in enumerate(active)}
     beta = {pair: float(solution[len(active) + i]) for i, pair in enumerate(chosen)}
     _emit_phase_gates(circuit, alpha, dict(sorted(beta.items())))
-    circuit.extend(right)
+    circuit.extend(ladder)
     return circuit
 
 

@@ -28,7 +28,6 @@ from qpyramid.circuit import (
     is_finite_real,
     qate_gate_count,
     validate,
-    validation_error,
     wrap_angle,
 )
 from qpyramid.encoders import (
@@ -50,22 +49,19 @@ from oracles import random_circuit
 
 
 def test_validate_well_formed():
-    circuit = Circuit(2).cx(0, 1)
-    assert validation_error(circuit) is None
-    validate(circuit)  # should not raise
+    assert validate(Circuit(2).cx(0, 1)) is None
 
 
 def test_validate_index_out_of_range():
-    circuit = Circuit(2).p(5, 0.3)
-    assert isinstance(validation_error(circuit), IndexOutOfRange)
     with pytest.raises(IndexOutOfRange):
-        validate(circuit)
+        validate(Circuit(2).p(5, 0.3))
 
 
 def test_validate_duplicate_qubit():
     circuit = Circuit(2)
     circuit.gates.append(Gate(GateKind.CONTROLLED_NOT, (1, 1)))
-    assert isinstance(validation_error(circuit), DuplicateQubit)
+    with pytest.raises(DuplicateQubit):
+        validate(circuit)
 
 
 @pytest.mark.parametrize(
@@ -80,15 +76,14 @@ def test_validate_duplicate_qubit():
 def test_validate_arity_mismatch(gate):
     circuit = Circuit(2)
     circuit.gates.append(gate)
-    assert isinstance(validation_error(circuit), ArityMismatch)
+    with pytest.raises(ArityMismatch):
+        validate(circuit)
 
 
 def test_gate_entries_that_are_not_gates_raise_circuit_error():
     for gate in ((1, 2), Gate("Phase", (0,), 0.1)):
-        circuit = Circuit(2, gates=[gate])
-        assert isinstance(validation_error(circuit), CircuitError)
         with pytest.raises(CircuitError, match="not a Gate of a GateKind"):
-            validate(circuit)
+            validate(Circuit(2, gates=[gate]))
     with pytest.raises(CircuitError, match="not a sequence"):
         Gate(GateKind.PHASE, 0, 0.1)
 
@@ -106,9 +101,9 @@ def test_serialisers_validate_first(serialise):
 
 
 def test_validate_is_total_on_junk():
-    # never aborts: returns a typed error even for badly mixed problems
-    circuit = Circuit(0)
-    assert isinstance(validation_error(circuit), InvalidWidth)
+    # never aborts: raises a typed error even for badly mixed problems
+    with pytest.raises(InvalidWidth):
+        validate(Circuit(0))
 
 
 def test_count_single_gate():
@@ -250,8 +245,10 @@ def test_json_malformed_documents_raise_circuit_error(text):
 def test_validate_rejects_non_numeric_angles_and_phase():
     circuit = Circuit(2)
     circuit.gates.append(Gate(GateKind.PHASE, (0,), "0.5"))
-    assert isinstance(validation_error(circuit), ArityMismatch)
-    assert isinstance(validation_error(Circuit(2, global_phase="0.5")), CircuitError)
+    with pytest.raises(ArityMismatch):
+        validate(circuit)
+    with pytest.raises(CircuitError):
+        validate(Circuit(2, global_phase="0.5"))
 
 
 def test_json_angle_only_for_parametric_kinds():
@@ -409,6 +406,33 @@ def test_bounded_field_accepts_its_bound_and_rejects_one_step_past_it(field):
     build(accepted)
     with pytest.raises(error, match=wording + re.escape(str(rejected))):
         build(rejected)
+
+
+# (build from the one value under test, the error it must raise, a word of
+# its message, the values): a field that holds a collection, a map or a value
+# type rejects what is not one with the type's own error, never a bare
+# TypeError or AttributeError, and builds nothing
+_WRONG_KIND = {
+    "PotentialSpec.qubit_positions": (lambda v: PotentialSpec(1.0, v), GridError, "are not a collection",
+                                      [None, 3]),
+    "QateCoefficients.alpha": (lambda v: QateCoefficients(3, 0.0, v, _BETA), InvalidWidth, "alpha must cover",
+                               [None, [1, 2], {1: 0.0, "2": 0.0}]),
+    "QateCoefficients.beta": (lambda v: QateCoefficients(3, 0.0, _ALPHA, v), InvalidWidth, "beta must cover",
+                              [None, [(1, 2)], {(1, 2): 0.0, 3: 0.0}]),
+    "EvolutionConfig.grid": (EvolutionConfig, GridError, "is not a Grid", [(10, 3), None]),
+    "EvolutionConfig.packet": (lambda v: EvolutionConfig(_GRID, packet=v), GridError, "is not a PacketSpec",
+                               [None, 1.0]),
+    "EvolutionConfig.potential": (lambda v: EvolutionConfig(_GRID, potential=v), GridError,
+                                  "is not a PotentialSpec", [None, (0,)]),
+}
+
+
+@pytest.mark.parametrize("field,bad", [(field, bad) for field, (*_, values) in sorted(_WRONG_KIND.items())
+                                       for bad in values])
+def test_field_rejects_what_is_not_its_kind(field, bad):
+    build, error, wording, _ = _WRONG_KIND[field]
+    with pytest.raises(error, match=wording):
+        build(bad)
 
 
 def test_integer_fields_reject_what_is_out_of_range():

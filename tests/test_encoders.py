@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpyramid.circuit import Circuit, GateKind, InvalidWidth, circuit_to_json, count_gates, qate_gate_count
+from qpyramid.circuit import (
+    Circuit,
+    GateKind,
+    InvalidWidth,
+    circuit_to_json,
+    count_gates,
+    qate_gate_count,
+    qft_gates,
+)
 from qpyramid.encoders import (
     InfeasibleWindow,
     QateCoefficients,
@@ -48,33 +56,40 @@ def _random_half_profile(n, rng=RNG):
 
 
 def test_shell_n2_empty_payload_is_identity():
-    left, right = build_qpa_shell(2)
-    circuit = Circuit(2)
-    circuit.extend(left)
-    circuit.extend(right)
+    ladder = build_qpa_shell(2)
+    circuit = Circuit(2).extend(ladder).extend(ladder)
     np.testing.assert_allclose(extract_unitary(circuit), np.eye(4), atol=1e-15)
+
+
+def test_shell_is_one_ladder_and_its_own_inverse():
+    for n in (3, 5):
+        ladder = build_qpa_shell(n)
+        expected = [(GateKind.CONTROLLED_NOT, (0, k)) for k in range(1, n)]
+        assert [(g.kind, g.qubits) for g in ladder.gates] == expected
+        circuit = Circuit(n).extend(ladder).extend(ladder)
+        np.testing.assert_allclose(extract_unitary(circuit), np.eye(1 << n), atol=1e-15)
 
 
 def test_shell_reflects_two_phase_payload():
     t1, t2 = 0.4, 1.9
-    left, right = build_qpa_shell(3)
+    ladder = build_qpa_shell(3)
     circuit = Circuit(3)
-    circuit.extend(left)
+    circuit.extend(ladder)
     circuit.p(1, t1).p(2, t2)
-    circuit.extend(right)
+    circuit.extend(ladder)
     phases = np.array([0.0, t2, t1, t1 + t2, t1 + t2, t1, t2, 0.0])
     np.testing.assert_allclose(extract_diagonal(circuit), np.exp(1j * phases), atol=1e-14)
 
 
 def test_shell_reflects_random_diagonal_payload():
-    left, right = build_qpa_shell(4)
+    ladder = build_qpa_shell(4)
     circuit = Circuit(4)
-    circuit.extend(left)
+    circuit.extend(ladder)
     for q in range(1, 4):
         circuit.p(q, float(RNG.uniform(-3, 3)))
     circuit.cp(1, 3, float(RNG.uniform(-3, 3)))
     circuit.cp(2, 3, float(RNG.uniform(-3, 3)))
-    circuit.extend(right)
+    circuit.extend(ladder)
     diagonal = extract_diagonal(circuit)
     for i in range(16):
         assert diagonal[i] == pytest.approx(diagonal[15 - i], abs=1e-12)
@@ -471,6 +486,16 @@ def test_qft_two_qubits_matches_i_powers():
 def test_qft_matches_dft_matrix():
     for n in range(1, 7):
         np.testing.assert_allclose(extract_unitary(build_qft(n)), dft_matrix(n), atol=1e-12)
+
+
+def test_each_qft_circuit_holds_its_own_gate_list():
+    # build_qft copies the one cached gate tuple, so editing one circuit
+    # leaves the next build, and the simulator's template, as they were
+    first = build_qft(3)
+    first.h(0)
+    second = build_qft(3)
+    assert second.gates is not first.gates
+    assert second.gates == list(qft_gates(3)) and len(second.gates) == 7
 
 
 def test_qft_inverse_is_adjoint():

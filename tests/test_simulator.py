@@ -22,6 +22,8 @@ from qpyramid.circuit import (
     IndexOutOfRange,
     InvalidWidth,
     build_qft,
+    circuit_from_json,
+    circuit_to_json,
     validate,
 )
 from qpyramid.encoders import build_qate_circuit, solve_qate
@@ -511,6 +513,15 @@ def test_build_qft_compiles_to_one_fourier_op(n):
     # below the split cut-off an op holds no twiddle table and reads natural order
     assert compile_circuit(build_qft(n)).ops == ((_fourier, (False, False, None)),)
     assert compile_circuit(build_qft(n, inverse=True)).ops == ((_fourier, (n > 1, False, None)),)  # at n = 1 both are one H
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("n", [2, 5])
+def test_fourier_block_is_matched_by_value_not_identity(n, inverse):
+    # a JSON round trip builds new Gate objects with the same values
+    circuit = circuit_from_json(circuit_to_json(build_qft(n, inverse)))
+    assert not any(a is b for a, b in zip(circuit.gates, build_qft(n, inverse).gates))
+    assert compile_circuit(circuit).ops == ((_fourier, (inverse, False, None)),)
 
 
 @st.composite
