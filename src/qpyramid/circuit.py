@@ -7,7 +7,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -278,12 +277,12 @@ def circuit_from_json(text: str) -> Circuit:
     return circuit
 
 
-@functools.lru_cache(maxsize=None)
-def qft_gates(n: int, inverse: bool = False) -> tuple[Gate, ...]:
-    """The gates of `build_qft(n, inverse)`, in order: the one description
-    that `build_qft` copies and the simulator's compiler matches a Fourier
-    block against.  Built once per (n, inverse) and shared, which is safe
-    because a tuple of frozen Gates cannot be edited."""
+def build_qft(n: int, inverse: bool = False) -> Circuit:
+    """Fourier transform circuit whose matrix is omega^{jk}/sqrt(2^n) with
+    omega = e^{2 pi i / 2^n} under the big-endian convention; `inverse` gives
+    the conjugate transpose.  The simulator's compiler matches a Fourier block
+    against these gates by value."""
+    n = exact_int(n, InvalidWidth, "n", low=1)
     gates = []
     for t in range(n):
         gates.append(Gate(GateKind.HADAMARD, (t,)))
@@ -292,15 +291,7 @@ def qft_gates(n: int, inverse: bool = False) -> tuple[Gate, ...]:
     gates += [Gate(GateKind.SWAP, (q, n - 1 - q)) for q in range(n // 2)]
     if inverse:
         gates = [Gate(g.kind, g.qubits, None if g.angle is None else -g.angle) for g in reversed(gates)]
-    return tuple(gates)
-
-
-def build_qft(n: int, inverse: bool = False) -> Circuit:
-    """Fourier transform circuit whose matrix is omega^{jk}/sqrt(2^n) with
-    omega = e^{2 pi i / 2^n} under the big-endian convention; `inverse` gives
-    the conjugate transpose."""
-    n = exact_int(n, InvalidWidth, "n", low=1)
-    return Circuit(n, list(qft_gates(n, bool(inverse))))
+    return Circuit(n, gates)
 
 
 def wrap_angle(angle: float) -> float:

@@ -47,9 +47,12 @@ class QateCoefficients:
         if not isinstance(self.beta, dict) or self.beta.keys() != pairs:
             raise InvalidWidth(f"beta must cover all qubit pairs of 1..{n - 1}")
         object.__setattr__(self, "a_global", finite_real(self.a_global, CircuitError, "a_global"))
-        for name in ("alpha", "beta"):  # new dicts in the same order, which sets the gate order
-            object.__setattr__(self, name, {key: finite_real(value, CircuitError, name)
-                                            for key, value in getattr(self, name).items()})
+        # new dicts in the same order, which sets the gate order; a key that only
+        # equals a qubit index, such as 1.0 or True, is not an integer
+        object.__setattr__(self, "alpha", {exact_int(k, InvalidWidth, "alpha qubit"):
+                                           finite_real(a, CircuitError, "alpha") for k, a in self.alpha.items()})
+        object.__setattr__(self, "beta", {tuple(exact_int(q, InvalidWidth, "beta qubit") for q in pair):
+                                          finite_real(b, CircuitError, "beta") for pair, b in self.beta.items()})
 
 
 def _interpolate_quadratic(

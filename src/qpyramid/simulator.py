@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import PHASE_KINDS, Circuit, CircuitError, Gate, GateKind, InvalidWidth, exact_int, qft_gates, validate
+from .circuit import PHASE_KINDS, Circuit, CircuitError, Gate, GateKind, InvalidWidth, build_qft, exact_int, validate
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
@@ -397,14 +397,14 @@ def _fourier(tensor: np.ndarray, n: int, inverse: bool, rotated: bool, twiddles:
 
 
 def _fourier_block(gates: list, start: int, n: int) -> tuple[bool, int] | None:
-    """(inverse, stop) when gates[start:stop] equals `qft_gates(n, inverse)`,
-    the gates of `build_qft(n, inverse)`, by value: the same kinds, qubits
-    and bit-identical angles, closing swaps included.  gates[start] is a
-    Hadamard or a Swap, the gates a forward and an inverse block open with."""
+    """(inverse, stop) when gates[start:stop] equals the gates of
+    `build_qft(n, inverse)` by value: the same kinds, qubits and bit-identical
+    angles, closing swaps included.  gates[start] is a Hadamard or a Swap, the
+    gates a forward and an inverse block open with."""
     inverse = gates[start].kind is GateKind.SWAP
-    template = qft_gates(n, inverse)
+    template = build_qft(n, inverse).gates
     stop = start + len(template)
-    return (inverse, stop) if tuple(gates[start:stop]) == template else None
+    return (inverse, stop) if list(gates[start:stop]) == template else None
 
 
 def _compile(circuit: Circuit) -> list:

@@ -417,6 +417,10 @@ _WRONG_KIND = {
                                       [None, 3]),
     "QateCoefficients.alpha": (lambda v: QateCoefficients(3, 0.0, v, _BETA), InvalidWidth, "alpha must cover",
                                [None, [1, 2], {1: 0.0, "2": 0.0}]),
+    "QateCoefficients.alpha key": (lambda v: QateCoefficients(3, 0.0, v, _BETA), InvalidWidth,
+                                   "alpha qubit .* is not an integer", [{1.0: 0.0, 2: 0.0}, {True: 0.0, 2: 0.0}]),
+    "QateCoefficients.beta key": (lambda v: QateCoefficients(3, 0.0, _ALPHA, v), InvalidWidth,
+                                  "beta qubit .* is not an integer", [{(1, 2.0): 0.0}, {(True, 2): 0.0}]),
     "QateCoefficients.beta": (lambda v: QateCoefficients(3, 0.0, _ALPHA, v), InvalidWidth, "beta must cover",
                               [None, [(1, 2)], {(1, 2): 0.0, 3: 0.0}]),
     "EvolutionConfig.grid": (EvolutionConfig, GridError, "is not a Grid", [(10, 3), None]),
