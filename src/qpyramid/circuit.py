@@ -295,5 +295,16 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
 
 
 def wrap_angle(angle: float) -> float:
-    """Reduce an angle modulo 2*pi into (-pi, pi]."""
-    return angle - 2.0 * math.pi * math.ceil((angle - math.pi) / (2.0 * math.pi))
+    """Reduce an angle modulo 2*pi into (-pi, pi]; an angle already there is
+    returned as it is.  From 2^52 in magnitude on, float64 spacing is at
+    least 1 rad, so no phase is left to reduce, and such an angle (or a
+    non-finite one) raises CircuitError."""
+    if not abs(angle) < 2.0 ** 52:
+        raise CircuitError(f"angle {angle!r} is too large to reduce modulo 2*pi (|angle| must be below 2^52)")
+    wrapped = angle - 2.0 * math.pi * math.ceil((angle - math.pi) / (2.0 * math.pi))
+    # the rounded quotient and product can leave it less than a turn outside
+    if wrapped > math.pi:
+        wrapped -= 2.0 * math.pi
+    elif wrapped <= -math.pi:
+        wrapped += 2.0 * math.pi
+    return wrapped

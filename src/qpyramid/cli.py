@@ -369,26 +369,15 @@ def fidelity_row(n: int, mode: str, trotter_steps: int, report: FidelityReport) 
             reference, note]
 
 
-_POW = np.frompyfunc(math.pow, 2, 1)
-
-
-def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
-    """|a|^2 of each amplitude as float64, equal bit for bit to Python's
-    abs(a) ** 2: np.hypot computes what abs(complex) does, and math.pow is the
-    libm pow that float ** 2 calls.  numpy's own |a|^2 routes differ in the
-    last bit of some entries.  The square is written over the hypot array, so
-    no object array of 2^n floats is built."""
-    moduli = np.hypot(amplitudes.real, amplitudes.imag)
-    return _POW(moduli, 2, out=moduli, casting="unsafe")
-
-
 def export_evolution(records: Iterable[EvolutionStep], out_dir) -> list[list]:
     """Per-step statevector and histogram CSVs, each pair written as its
     record arrives, then a fidelity/norm summary; returns the summary rows.
-    Every column is an array or is made a chunk at a time (`Bitstrings`), so
-    beside the record a step holds only its probability array and, past 2^53
-    shots, its list of frequencies.  A run that fails before its first record
-    writes no file and so makes no directory."""
+    The probability column is `state.probabilities()`, the array `sample`
+    draws the step's histogram from.  Every column is an array or is made a
+    chunk at a time (`Bitstrings`), so beside the record a step holds only
+    its probability array and, past 2^53 shots, its list of frequencies.  A
+    run that fails before its first record writes no file and so makes no
+    directory."""
     summary_rows = []
     for step, record in enumerate(records):
         state = record.state
@@ -397,7 +386,7 @@ def export_evolution(records: Iterable[EvolutionStep], out_dir) -> list[list]:
         write_table(os.path.join(out_dir, f"step_{step:03d}_state.csv"),
                     ["index", "bitstring", "real", "imag", "probability"],
                     [range(len(bitstrings)), bitstrings, amplitudes.real, amplitudes.imag,
-                     _probabilities(amplitudes)])
+                     state.probabilities()])
         # frequency is c / shots correctly rounded, as Python divides ints.
         # numpy's array division rounds each count to float64 first, so it
         # agrees only while shots <= 2^53; past that the Python list is kept

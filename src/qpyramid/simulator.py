@@ -39,8 +39,8 @@ for a `Circuit` on the circuit itself and reuses it while the circuit still
 equals the plan's snapshot, so a loop of `run` calls compiles once.
 `extract_unitary` and `extract_diagonal` run a plan of their own, so every
 reading of a circuit is one `compile_circuit`.  A table covers one half of
-the state, over the qubits its terms touch; a wide half of one-qubit phases
-only gets two small Kronecker factor tables instead.
+the state, over the qubits its terms touch; a half of one-qubit phases over
+two or more qubits gets two small Kronecker factor tables instead.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; a seed fixes the
 stream of draws.  The draws read a state's probabilities, whose bits are bound
@@ -65,9 +65,6 @@ from .circuit import PHASE_KINDS, Circuit, CircuitError, Gate, GateKind, Invalid
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-10
 UNITARY_MAX_QUBITS = 12
-# Widest linear phase half built as one table; below this the extra broadcast
-# multiply of two factor tables costs more than the entries it saves.
-_LINEAR_TABLE_MAX_QUBITS = 10
 # Narrowest Fourier op run as two passes of short FFTs.  From 2^13 entries a
 # one-call FFT's two state-size scratch arrays pass glibc's 128 KiB mmap
 # threshold and are faulted in afresh; the split was faster from n = 13 on
@@ -247,11 +244,11 @@ def _phase_tables(n: int, terms: dict, control: int | None = None,
     A half where no term holds is left out (for a Fourier cascade, the half
     where the target bit is 0), so a table never has more than 2^(n-1)
     entries.  A half with no pairwise term is a tensor product of one-qubit
-    phases; if it touches k > `_LINEAR_TABLE_MAX_QUBITS` qubits it gets two
-    tables at the same index instead, one over the first k // 2 of its
-    ascending touched qubits, with the constant, and one over the rest.
-    They hold about 2^(k/2 + 1) entries in place of 2^k, and cost the state
-    one more rounding.
+    phases; if it touches k >= 2 qubits it gets two tables at the same index
+    instead, one over the first k // 2 of its ascending touched qubits, with
+    the constant, and one over the rest.  They hold 2^floor(k/2) +
+    2^ceil(k/2) entries in place of 2^k, and cost the state one more
+    rounding.
     """
     factors = np.exp(1j * np.array(list(terms.values()), dtype=np.longdouble))
     lo = min((q for key in terms for q in key), default=0)
@@ -270,7 +267,7 @@ def _phase_tables(n: int, terms: dict, control: int | None = None,
                 rows.setdefault(key[0], {})[key[1]] = factor
         touched = sorted(set(linear).union(rows, *rows.values()))
         parts = [(touched, const)]
-        if not rows and len(touched) > _LINEAR_TABLE_MAX_QUBITS:
+        if not rows and len(touched) > 1:
             cut = len(touched) // 2
             parts = [(touched[:cut], const), (touched[cut:], 1)]
         for qubits, constant in parts:
@@ -522,8 +519,8 @@ class Plan:
     whose tables are read-only.  Gates added to the circuit later do not
     reach the plan.  Each `_diagonal` op with pairwise angles keeps up to
     one statevector's worth of tables for the plan's lifetime; a half of
-    one-qubit phases over k > `_LINEAR_TABLE_MAX_QUBITS` qubits keeps about
-    2^(k/2 + 1) entries.  A mirrored `_diagonal` op (see `_fold`) keeps only
+    one-qubit phases over k >= 2 qubits keeps 2^floor(k/2) + 2^ceil(k/2)
+    entries.  A mirrored `_diagonal` op (see `_fold`) keeps only
     its payload's tables, over half the state or less, and reads them for
     the control-1 half through reversed views.  From
     `_SPLIT_FOURIER_MIN_QUBITS` on, the Fourier ops share one pair of

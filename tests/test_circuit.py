@@ -263,10 +263,39 @@ def test_wrap_angle_range():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
     assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+    # the rounded turn count puts these just above pi before the correction
+    assert wrap_angle(13 * math.pi) == pytest.approx(-math.pi)
+    assert wrap_angle(-11 * math.pi) == pytest.approx(-math.pi)
     for value in np.linspace(-20, 20, 101):
         wrapped = wrap_angle(float(value))
         assert -math.pi < wrapped <= math.pi
         assert math.isclose(math.cos(wrapped), math.cos(value), abs_tol=1e-12)
+
+
+@settings(max_examples=500)
+@given(st.floats(-2.0 ** 52, 2.0 ** 52, exclude_min=True, exclude_max=True))
+def test_wrap_angle_lands_in_range_on_the_same_phase(angle):
+    wrapped = wrap_angle(angle)
+    assert -math.pi < wrapped <= math.pi
+    if -math.pi < angle <= math.pi:
+        assert repr(wrapped) == repr(angle)  # bit for bit, the sign of zero included
+    # math.remainder reduces exactly; the reduction may be off by the
+    # rounding of angle - 2 pi k, within an ulp or two of the angle
+    off = math.remainder(wrapped - math.remainder(angle, 2.0 * math.pi), 2.0 * math.pi)
+    assert abs(off) <= 2.0 * math.ulp(angle) + 4.0 * math.ulp(math.pi)
+
+
+@pytest.mark.parametrize("angle", [2.0 ** 52, -2.0 ** 52, 1e300, math.inf, math.nan])
+def test_wrap_angle_refuses_angles_without_a_phase(angle):
+    with pytest.raises(CircuitError, match="too large"):
+        wrap_angle(angle)
+
+
+def test_momentum_transform_phase_is_refused_from_52_qubits():
+    # its global phase, about 2^n pi / 2, passes 2^52 at n = 52
+    assert momentum_transform_circuit(51, "centered").n_qubits == 51
+    with pytest.raises(CircuitError):
+        momentum_transform_circuit(52, "centered")
 
 
 # --- numeric inputs ---

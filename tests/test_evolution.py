@@ -479,19 +479,16 @@ def test_export_files_and_determinism(tmp_path):
     assert summary[1:] == [",".join(map(repr, row)) for row in rows]
 
 
-def test_export_probability_is_python_abs_squared(tmp_path):
-    # numpy's |a|^2 routes each differ from Python's abs(a) ** 2 in the last
-    # bit of some entries; the probability column keeps Python's bytes
+def test_export_probability_is_the_array_sample_draws_from(tmp_path):
+    # the probability column is state.probabilities() bit for bit, the |a|^2
+    # that `sample` draws the step's histogram from
     records = list(evolve_quantum(_config(n=5, total_steps=1, shots=100)))
     export_evolution(records, tmp_path)
-    amplitudes = records[1].state.amplitudes
-    python = [abs(a) ** 2 for a in amplitudes.tolist()]
-    for route in (np.abs(amplitudes) ** 2, amplitudes.real ** 2 + amplitudes.imag ** 2,
-                  records[1].state.probabilities()):
-        assert route.tolist() != python
+    state = records[1].state
     rows = (tmp_path / "step_001_state.csv").read_text().splitlines()[1:]
     assert [row.split(",")[2:] for row in rows] == [
-        [repr(a.real), repr(a.imag), repr(p)] for a, p in zip(amplitudes.tolist(), python)]
+        [repr(a.real), repr(a.imag), repr(p)]
+        for a, p in zip(state.amplitudes.tolist(), state.probabilities().tolist())]
 
 
 def test_export_frequency_is_python_division(tmp_path):
@@ -529,7 +526,7 @@ def test_export_peak_holds_no_table_sized_list(tmp_path):
     bitstrings = [index_bitstring(i, n) for i in range(1 << n)]
     reference_write_table(tmp_path / "ref.csv", ["index", "bitstring", "real", "imag", "probability"],
                           [range(1 << n), bitstrings, [a.real for a in amplitudes],
-                           [a.imag for a in amplitudes], [abs(a) ** 2 for a in amplitudes]])
+                           [a.imag for a in amplitudes], state.probabilities().tolist()])
     assert (tmp_path / "step_000_state.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     rows = (tmp_path / "step_000_hist.csv").read_text().splitlines()
     assert rows[1:3] == [f"{bitstrings[0]},625,0.0625", f"{bitstrings[1]},0,0.0"]

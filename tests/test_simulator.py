@@ -243,22 +243,14 @@ def _record_table_sizes(monkeypatch) -> list:
 
 
 def _wide_phase_run():
-    """P gates on all 12 qubits: each half touches 11 qubits, one more than
-    `_LINEAR_TABLE_MAX_QUBITS`, and is two factor tables over 5 and 6."""
+    """P gates on all 12 qubits: each half touches 11 qubits and is two
+    factor tables over 5 and 6."""
     return Circuit(12, [Gate(GateKind.PHASE, (q,), 0.1 * q + 0.1) for q in range(12)])
 
 
-@contextmanager
-def _forced_factoring():
-    """Every half of one-qubit phases as two Kronecker factor tables, however
-    narrow, so that circuits at n <= 6 reach the path that otherwise starts
-    above `_LINEAR_TABLE_MAX_QUBITS` touched qubits."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_LINEAR_TABLE_MAX_QUBITS", 0)
-        yield
-
-
-def _check_run_matches_kron_oracle(case):
+@settings(max_examples=150)
+@given(_plan_circuits())
+def test_run_matches_kron_oracle(case):
     circuit, rng = case
     dim = 1 << circuit.n_qubits
     state = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
@@ -267,35 +259,11 @@ def _check_run_matches_kron_oracle(case):
     np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=150)
-@given(_plan_circuits())
-def test_run_matches_kron_oracle(case):
-    _check_run_matches_kron_oracle(case)
-
-
-@settings(max_examples=150)
-@given(_plan_circuits())
-def test_run_matches_kron_oracle_factored(case):
-    with _forced_factoring():
-        _check_run_matches_kron_oracle(case)
-
-
-def _check_extract_unitary_matches_kron_oracle(case):
-    circuit, _ = case
-    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
-
-
 @settings(max_examples=100)
 @given(_plan_circuits())
 def test_extract_unitary_matches_kron_oracle_property(case):
-    _check_extract_unitary_matches_kron_oracle(case)
-
-
-@settings(max_examples=100)
-@given(_plan_circuits())
-def test_extract_unitary_matches_kron_oracle_factored(case):
-    with _forced_factoring():
-        _check_extract_unitary_matches_kron_oracle(case)
+    circuit, _ = case
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
 
 
 _NEAR_MISSES = ("payload-touches-control", "targets-differ", "controls-differ")
@@ -377,13 +345,6 @@ def test_folded_shells_match_kron_oracle(case):
 
 
 @settings(max_examples=100)
-@given(_shell_circuits())
-def test_folded_shells_match_kron_oracle_factored(case):
-    with _forced_factoring():
-        _check_shells_match_kron_oracle(case)
-
-
-@settings(max_examples=100)
 @given(_shell_circuits(fourier=True))
 def test_folded_shells_match_kron_oracle_split(case):
     # after a split Fourier op the shells are compiled onto rotated axes
@@ -391,19 +352,20 @@ def test_folded_shells_match_kron_oracle_split(case):
         _check_shells_match_kron_oracle(case)
 
 
-def test_wide_phase_run_matches_summed_angles(monkeypatch):
-    # both halves of a run of P gates over 14 qubits touch 13 qubits, so each
-    # is applied as factor tables over 6 and 7 of them; the reference sums
-    # every index's angles in long double
-    n = 14
-    rng = np.random.default_rng(14)
+@pytest.mark.parametrize("n", [*range(3, 12), 14])
+def test_phase_run_matches_summed_angles(monkeypatch, n):
+    # both halves of a run of P gates over n qubits touch the k = n - 1 below
+    # qubit 0, so each is applied as factor tables over k // 2 and the rest
+    # of them, however narrow; the reference sums every index's angles in
+    # long double
+    rng = np.random.default_rng(n)
     qubits = list(range(n)) + [int(q) for q in rng.integers(0, n, size=2 * n)]
     circuit = Circuit(n, global_phase=float(rng.uniform(-math.pi, math.pi)))
     for q in qubits:
         circuit.p(q, float(rng.uniform(-math.pi, math.pi)))
     sizes = _record_table_sizes(monkeypatch)
     diagonal = extract_diagonal(circuit)
-    assert sizes == [64, 128, 64, 128]
+    assert sizes == [1 << (n - 1) // 2, 1 << n // 2] * 2
     angles = np.zeros(n, dtype=np.longdouble)
     for gate in circuit.gates:
         angles[gate.qubits[0]] += gate.angle
@@ -589,13 +551,6 @@ def _check_plan_runs_bit_identical_to_circuit(case, seed):
 @given(_circuits_with_fourier_blocks(), st.integers(0, 2**32 - 1))
 def test_plan_runs_bit_identical_to_circuit(case, seed):
     _check_plan_runs_bit_identical_to_circuit(case, seed)
-
-
-@settings(max_examples=100)
-@given(_circuits_with_fourier_blocks(), st.integers(0, 2**32 - 1))
-def test_plan_runs_bit_identical_to_circuit_factored(case, seed):
-    with _forced_factoring():
-        _check_plan_runs_bit_identical_to_circuit(case, seed)
 
 
 @settings(max_examples=100)

@@ -66,8 +66,8 @@ MUTANTS = [
            "parts = [(touched[:cut], const), (touched[cut:], 1)]",
            "parts = [(touched[:cut], const), (touched[cut:], const)]"),
     Mutant("factoring-splits-pairwise-half", SIMULATOR,
-           "if not rows and len(touched) > _LINEAR_TABLE_MAX_QUBITS:",
-           "if len(touched) > _LINEAR_TABLE_MAX_QUBITS:"),
+           "if not rows and len(touched) > 1:",
+           "if len(touched) > 1:"),
     Mutant("factor-drops-lowest-qubit", SIMULATOR,
            "(touched[cut:], 1)",
            "(touched[cut + 1:], 1)"),
@@ -212,10 +212,6 @@ MUTANTS = [
     Mutant("export-holds-bitstring-list", CLI,
            "        bitstrings = Bitstrings(state.n_qubits)",
            "        bitstrings = list(Bitstrings(state.n_qubits).cells(0, 1 << state.n_qubits))"),
-    # probabilities from arrays keep Python's abs(a) ** 2 bit for bit
-    Mutant("probability-numpy-square", CLI,
-           "return _POW(moduli, 2, out=moduli, casting=\"unsafe\")",
-           "return np.square(moduli)"),
     Mutant("encode-builds-target-before-diagonal-table", CLI,
            "    _write_phases(os.path.join(out, \"diagonal.csv\"), diagonal)\n",
            "    target = np.exp(-1j * profile.thetas)\n"
@@ -241,6 +237,13 @@ MUTANTS = [
     Mutant("positive-accepts-zero", CIRCUIT,
            "number > 0 if sign == \"positive\"",
            "number >= 0 if sign == \"positive\""),
+    # a wrapped angle lies in (-pi, pi], and one without a phase is refused
+    Mutant("wrap-angle-uncorrected", CIRCUIT,
+           "if wrapped > math.pi:",
+           "if wrapped > 4.0:"),
+    Mutant("wrap-angle-reduces-past-2-52", CIRCUIT,
+           "if not abs(angle) < 2.0 ** 52:",
+           "if not abs(angle) < math.inf:"),
     Mutant("memory-guard-ignores-cgroup", CLI,
            "    if cgroup < limit:\n",
            "    if cgroup < 0:\n"),
