@@ -65,7 +65,13 @@ class PhaseProfile:
     provenance: str = "custom"
 
     def __post_init__(self):
-        arr = np.asarray(self.thetas, dtype=np.float64).reshape(-1)
+        try:
+            arr = np.asarray(self.thetas)
+        except ValueError:  # a ragged nesting is no array
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iuf":
+            raise GridError(f"phase profile entries must be real numbers, got {self.thetas!r:.60}")
+        arr = np.asarray(arr, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "thetas", arr)
         if self.span not in ("full", "half"):
             raise GridError(f"span must be 'full' or 'half', got {self.span!r}")
@@ -74,8 +80,8 @@ class PhaseProfile:
         if not np.all(np.isfinite(arr)):
             raise GridError("phase profile entries must be finite")
         if self.span == "full" and self.provenance == "kinetic":
-            if np.max(np.abs(arr - arr[::-1])) > 1e-12:
-                raise GridError("full kinetic profile must be palindromic")
+            if not (arr.size and np.max(np.abs(arr - arr[::-1])) <= 1e-12):
+                raise GridError("full kinetic profile must be a nonempty palindrome")
 
     def __len__(self) -> int:
         return len(self.thetas)

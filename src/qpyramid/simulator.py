@@ -38,9 +38,10 @@ them.  `run` takes a `Plan` or a `Circuit`; it keeps the plan it compiles
 for a `Circuit` on the circuit itself and reuses it while the circuit still
 equals the plan's snapshot, so a loop of `run` calls compiles once.
 `extract_unitary` and `extract_diagonal` run a plan of their own, so every
-reading of a circuit is one `compile_circuit`.  A table covers one half of
-the state, over the qubits its terms touch; a half of one-qubit phases over
-two or more qubits gets two small Kronecker factor tables instead.
+reading of a circuit is one `compile_circuit`.  A diagonal op's table
+covers the qubits its terms touch and broadcasts over the rest; an op of
+one-qubit phases over two or more qubits gets two small Kronecker factor
+tables instead.
 
 Randomness comes from numpy's PCG64 via `RandomSource`; a seed fixes the
 stream of draws.  The draws read a state's probabilities, whose bits are bound
@@ -233,67 +234,49 @@ def _phase_tables(n: int, terms: dict, control: int | None = None,
                   targets: frozenset = frozenset()) -> Iterator[tuple]:
     """The (index, table) pairs that `_diagonal` multiplies by to apply
     exp(i * sum of terms): `terms` maps () to a constant angle, (q,) to the
-    angle of bit q, and (q, r) with q < r to that of b_q b_r.  With a
-    `control`, which no term touches, they apply the mirrored diagonal
-    `_flip(control, targets)` . exp(i * sum of terms) . `_flip(control,
-    targets)` instead (see `_mirrored`).
+    angle of bit q, and (q, r) with q < r to that of b_q b_r.
 
-    With lo the lowest qubit in a term, the halves where qubit lo is 0 and 1
-    each get a read-only `_phase_table` of the terms that hold there, over
-    only the qubits those terms touch, shaped to broadcast over the others.
-    A half where no term holds is left out (for a Fourier cascade, the half
-    where the target bit is 0), so a table never has more than 2^(n-1)
-    entries.  A half with no pairwise term is a tensor product of one-qubit
-    phases; if it touches k >= 2 qubits it gets two tables at the same index
-    instead, one over the first k // 2 of its ascending touched qubits, with
-    the constant, and one over the rest.  They hold 2^floor(k/2) +
-    2^ceil(k/2) entries in place of 2^k, and cost the state one more
-    rounding.
+    The op gets one read-only `_phase_table` over the qubits its terms
+    touch, shaped over all n axes and the batch axis so that it broadcasts
+    over the others, at index ().  An op with no pairwise term is a tensor
+    product of one-qubit phases; if it touches k >= 2 qubits it gets two
+    tables at the same index instead, one over the first k // 2 of its
+    ascending touched qubits, with the constant, and one over the rest.
+    They hold 2^floor(k/2) + 2^ceil(k/2) entries in place of 2^k, and cost
+    the state one more rounding.
+
+    With a `control`, which no term touches, the pairs apply the mirrored
+    diagonal `_flip(control, targets)` . exp(i * sum of terms) .
+    `_flip(control, targets)` instead: each table on the slice where
+    `control` is 0, and on the slice where it is 1 the entry at the target
+    bits flipped, which is the same table reversed over the target axes as a
+    view.  The slices keep the control axis, over which the tables
+    broadcast.
     """
     factors = np.exp(1j * np.array(list(terms.values()), dtype=np.longdouble))
-    lo = min((q for key in terms for q in key), default=0)
-    for bit in (0, 1):
-        held = [(key[1:] if lo in key else key, factor)
-                for key, factor in zip(terms, factors) if bit or lo not in key]
-        if not held:
-            continue
-        const, linear, rows = 1, {}, {}
-        for key, factor in held:
-            if not key:
-                const = const * factor
-            elif len(key) == 1:
-                linear[key[0]] = linear.get(key[0], 1) * factor
-            else:
-                rows.setdefault(key[0], {})[key[1]] = factor
-        touched = sorted(set(linear).union(rows, *rows.values()))
-        parts = [(touched, const)]
-        if not rows and len(touched) > 1:
-            cut = len(touched) // 2
-            parts = [(touched[:cut], const), (touched[cut:], 1)]
-        for qubits, constant in parts:
-            shape = [1] * (n - lo)  # qubits lo+1..n-1, then the batch axis
-            for q in qubits:
-                shape[q - lo - 1] = 2
-            table = _phase_table(qubits, constant, linear, rows).reshape(shape)
-            if control is None:
-                yield (slice(None),) * lo + (bit,), table
-            else:
-                yield from _mirrored(table, lo, bit, control, targets)
-
-
-def _mirrored(table: np.ndarray, lo: int, bit: int, control: int, targets: frozenset) -> Iterator[tuple]:
-    """The (index, table) pairs of `table`, the one for the half where qubit
-    lo is `bit`, under the mirrored diagonal of `_phase_tables`: on the half
-    where `control` is 0 the table itself, and on the half where it is 1 the
-    entry at the target bits flipped, which is the same table reversed over
-    the target axes as a view, on the other lo half if lo is a target.  The
-    control axis stays in the view as a slice, over which the table, which
-    no term spreads along it, broadcasts."""
-    index = [slice(None)] * (max(lo, control) + 1)
-    index[lo], index[control] = bit, slice(0, 1)
-    yield tuple(index), table
-    index[lo], index[control] = bit ^ (lo in targets), slice(1, 2)
-    yield tuple(index), np.flip(table, [t - lo - 1 for t in targets if t > lo])
+    const, linear, rows = 1, {}, {}
+    for key, factor in zip(terms, factors):
+        if not key:
+            const = factor
+        elif len(key) == 1:
+            linear[key[0]] = factor
+        else:
+            rows.setdefault(key[0], {})[key[1]] = factor
+    touched = sorted(set(linear).union(rows, *rows.values()))
+    parts = [(touched, const)]
+    if not rows and len(touched) > 1:
+        cut = len(touched) // 2
+        parts = [(touched[:cut], const), (touched[cut:], 1)]
+    for qubits, constant in parts:
+        shape = [1] * (n + 1)  # qubits 0..n-1, then the batch axis
+        for q in qubits:
+            shape[q] = 2
+        table = _phase_table(qubits, constant, linear, rows).reshape(shape)
+        if control is None:
+            yield (), table
+        else:
+            yield (slice(None),) * control + (slice(0, 1),), table
+            yield (slice(None),) * control + (slice(1, 2),), np.flip(table, sorted(targets))
 
 
 def _diagonal(tensor: np.ndarray, n: int, tables: tuple) -> None:
@@ -517,12 +500,12 @@ class Plan:
     """A validated circuit compiled once, to run any number of times: a
     snapshot of its width, gates and global phase, and its finished ops,
     whose tables are read-only.  Gates added to the circuit later do not
-    reach the plan.  Each `_diagonal` op with pairwise angles keeps up to
-    one statevector's worth of tables for the plan's lifetime; a half of
-    one-qubit phases over k >= 2 qubits keeps 2^floor(k/2) + 2^ceil(k/2)
-    entries.  A mirrored `_diagonal` op (see `_fold`) keeps only
-    its payload's tables, over half the state or less, and reads them for
-    the control-1 half through reversed views.  From
+    reach the plan.  Each `_diagonal` op with pairwise angles keeps one
+    table over the qubits it touches, up to one statevector, for the plan's
+    lifetime; an op of one-qubit phases over k >= 2 qubits keeps
+    2^floor(k/2) + 2^ceil(k/2) entries.  A mirrored `_diagonal` op (see
+    `_fold`) keeps only its payload's tables, over half the state or less,
+    and reads them for the control-1 half through reversed views.  From
     `_SPLIT_FOURIER_MIN_QUBITS` on, the Fourier ops share one pair of
     twiddle tables of about 2^(3n/4 + 1) entries.  The ops act on memory
     axes through `_compile`'s layout map, and a plan that would end in

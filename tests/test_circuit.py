@@ -452,6 +452,9 @@ _WRONG_KIND = {
                                   "beta qubit .* is not an integer", [{(1, 2.0): 0.0}, {(True, 2): 0.0}]),
     "QateCoefficients.beta": (lambda v: QateCoefficients(3, 0.0, _ALPHA, v), InvalidWidth, "beta must cover",
                               [None, [(1, 2)], {(1, 2): 0.0, 3: 0.0}]),
+    "PhaseProfile.thetas": (PhaseProfile, GridError, "must be real numbers", [[1j], "abc", [True], [[0.1, 0.2], [0.3]]]),
+    "PhaseProfile.thetas kinetic": (lambda v: PhaseProfile(v, "full", "kinetic"), GridError,
+                                    "must be a nonempty palindrome", [()]),
     "EvolutionConfig.grid": (EvolutionConfig, GridError, "is not a Grid", [(10, 3), None]),
     "EvolutionConfig.packet": (lambda v: EvolutionConfig(_GRID, packet=v), GridError, "is not a PacketSpec",
                                [None, 1.0]),

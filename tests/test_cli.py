@@ -551,10 +551,10 @@ _GOLDEN = {
     "evolve": (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1", "--shots", "10"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
-            '0,00,0.0014644433274900472,-0.001985805770344754,6.088018816964643e-06\n'
+            '0,00,0.0014644433274900194,-0.001985805770344754,6.088018816964562e-06\n'
             '1,01,-0.5705755997614916,-0.42164374033077034,0.503339958803308\n'
             '2,10,-0.5624016031838419,0.4246790575191991,0.49664786515915077\n'
-            '3,11,-0.0014888301518523866,-0.0019675882452791548,6.088018724025505e-06\n'
+            '3,11,-0.0014888301518523666,-0.001967588245279135,6.088018724025366e-06\n'
         ),
         "step_001_hist.csv": (
             'bitstring,count,frequency\n'
@@ -580,17 +580,17 @@ _GOLDEN = {
         "fidelity.csv": (
             'n,mode,Nt,exact,swap_estimate,std_error,reference,deviation_note\n'
             '2,centered,1,0.9423214502329919,0.6000000000000001,0.12649110640673517,,\n'
-            '3,centered,1,0.9867116251971642,1.0,0.0,0.73,deviates from reference 0.73 by 0.257\n'
+            '3,centered,1,0.9867116251971639,1.0,0.0,0.73,deviates from reference 0.73 by 0.257\n'
         ),
     }),
     "evolve-potential": (["evolve", "--qubits", "2", "--steps", "1", "--trotter-steps", "1",
                           "--shots", "10", "--potential", "multi", "--positions", "0,1"], {
         "step_001_state.csv": (
             'index,bitstring,real,imag,probability\n'
-            '0,00,0.0012588774348545925,-0.0021220853939849654,6.088018815350403e-06\n'
-            '1,01,-0.5705755997614905,-0.42164374033077373,0.5033399588033095\n'
-            '2,10,-0.562401603183843,0.4246790575191958,0.4966478651591492\n'
-            '3,11,-0.0012849611463656265,-0.002106393500263109,6.0880187256199375e-06\n'
+            '0,00,0.0012588774348546259,-0.002122085393984914,6.088018815350271e-06\n'
+            '1,01,-0.5705755997614906,-0.4216437403307736,0.5033399588033095\n'
+            '2,10,-0.5624016031838431,0.4246790575191958,0.4966478651591494\n'
+            '3,11,-0.0012849611463656868,-0.002106393500263094,6.08801872562003e-06\n'
         ),
         "step_001_hist.csv": (
             'bitstring,count,frequency\n'
@@ -602,7 +602,7 @@ _GOLDEN = {
         "summary.csv": (
             'step,exact_fidelity,swap_fidelity,norm\n'
             '0,0.9999999999999998,1.0,0.9999999999999999\n'
-            '1,0.9999999999999998,1.0,0.9999999999999999\n'
+            '1,1.0,1.0,0.9999999999999999\n'
         ),
     }),
     "metrics-json": (["metrics", "--qubits", "6..7", "--format", "json"], {
@@ -651,7 +651,7 @@ def test_table_bytes_golden(runner, tmp_path, args, tables):
 # the bytes must not depend on the chunk size.
 _MULTI_CHUNK_GOLDEN = {
     "encode-ke": (["encode-ke", "--qubits", "16"], {
-        "diagonal.csv": "c962eb996e7f4cd31116ca79748d68b32df98203b6a68c926426d94674849c79",
+        "diagonal.csv": "1f55b412690f4b106bfb791a4312940d4222af592255351c0ce0e7faf1734e2d",
         "target.csv": "0958fcbc4c7a2ab3c55dc709d943432c267f7ca8d1f980f1272d9f617e5b51a1",
         "profile.csv": "957aaf43bfe7fdac9319ae774131a9d8bc8103aadeabf90e78d8fbc27094c3e9",
     }),

@@ -164,6 +164,16 @@ def test_wide_centered_substep_is_five_ops():
     assert [kernel for kernel, _ in plan.ops] == [_diagonal, _fourier, _diagonal, _fourier, _diagonal]
 
 
+@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+                         ids=["free", "single"])
+def test_centered_substep_runs_six_table_multiplies(potential):
+    # each outer ramp op, the potential half included, is two factor tables
+    # over the whole state, and the mirrored QATE op one table read on both
+    # control slices
+    plan = compile_circuit(trotter_step_circuit(_config(n=14, potential=potential)))
+    assert [len(args[0]) for kernel, args in plan.ops if kernel is _diagonal] == [2, 2, 2]
+
+
 @pytest.mark.parametrize("mode", ["centered", "paper"])
 @pytest.mark.parametrize("n", [6, 14])
 def test_substep_plan_never_reorders_the_state(n, mode):
@@ -182,8 +192,8 @@ def _buffer(table):
 
 def test_substep_plan_holds_under_one_statevector_of_tables():
     # the two outer ramp ops are one-qubit phases, held as two small factor
-    # tables per half; only the mirrored QATE op holds a full table, whose
-    # control-1 half reads the control-0 tables reversed, as views; and the
+    # tables each; only the mirrored QATE op holds a full table, over half
+    # the state, whose control-1 slice reads it reversed, as a view; and the
     # two Fourier ops share one pair of small twiddle tables
     plan = compile_circuit(trotter_step_circuit(_config(n=16)))
     diagonals = [args[0] for kernel, args in plan.ops if kernel is _diagonal]

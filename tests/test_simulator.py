@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpyramid import simulator
+from qpyramid import cli, simulator
 from qpyramid.cli import write_table
 from qpyramid.circuit import (
     PHASE_KINDS,
@@ -243,8 +243,7 @@ def _record_table_sizes(monkeypatch) -> list:
 
 
 def _wide_phase_run():
-    """P gates on all 12 qubits: each half touches 11 qubits and is two
-    factor tables over 5 and 6."""
+    """P gates on all 12 qubits: one op of two factor tables over 6 and 6."""
     return Circuit(12, [Gate(GateKind.PHASE, (q,), 0.1 * q + 0.1) for q in range(12)])
 
 
@@ -354,10 +353,9 @@ def test_folded_shells_match_kron_oracle_split(case):
 
 @pytest.mark.parametrize("n", [*range(3, 12), 14])
 def test_phase_run_matches_summed_angles(monkeypatch, n):
-    # both halves of a run of P gates over n qubits touch the k = n - 1 below
-    # qubit 0, so each is applied as factor tables over k // 2 and the rest
-    # of them, however narrow; the reference sums every index's angles in
-    # long double
+    # a run of P gates over n qubits is one op applied as factor tables over
+    # the first n // 2 qubits and the rest, however narrow; the reference
+    # sums every index's angles in long double
     rng = np.random.default_rng(n)
     qubits = list(range(n)) + [int(q) for q in rng.integers(0, n, size=2 * n)]
     circuit = Circuit(n, global_phase=float(rng.uniform(-math.pi, math.pi)))
@@ -365,7 +363,7 @@ def test_phase_run_matches_summed_angles(monkeypatch, n):
         circuit.p(q, float(rng.uniform(-math.pi, math.pi)))
     sizes = _record_table_sizes(monkeypatch)
     diagonal = extract_diagonal(circuit)
-    assert sizes == [1 << (n - 1) // 2, 1 << n // 2] * 2
+    assert sizes == [1 << n // 2, 1 << (n + 1) // 2]
     angles = np.zeros(n, dtype=np.longdouble)
     for gate in circuit.gates:
         angles[gate.qubits[0]] += gate.angle
@@ -394,9 +392,9 @@ def test_run_sees_gates_appended_between_calls():
 def test_plan_tables_are_read_only():
     plan = compile_circuit(Circuit(3).p(0, 0.3).cp(1, 2, 0.5).h(0).rz(1, 0.2))
     tables = [table for kernel, args in plan.ops if kernel is _diagonal for _, table in args[0]]
-    assert len(tables) == 4  # both halves of each of the two diagonal ops
+    assert len(tables) == 2  # one table for each of the two diagonal ops
     [(kernel, (factors,))] = compile_circuit(_wide_phase_run()).ops
-    assert kernel is _diagonal and [table.size for _, table in factors] == [32, 64, 32, 64]
+    assert kernel is _diagonal and [table.size for _, table in factors] == [64, 64]
     tables += [table for _, table in factors]
     for table in tables:
         with pytest.raises(ValueError):
@@ -434,15 +432,15 @@ def test_gate_tensor_kernel_has_no_phase_or_hadamard_branch(gate):
 
 
 def test_phase_table_covers_only_touched_qubits(monkeypatch):
-    # one CP between the outermost qubits needs a table over qubit n-1 alone,
-    # broadcast over the ten qubits between them
+    # one CP between the outermost qubits needs one table over qubits 0 and
+    # n-1 alone, broadcast over the ten qubits between them
     sizes = _record_table_sizes(monkeypatch)
     n = 12
     state = StateVector.from_amplitudes(np.arange(1, (1 << n) + 1))
     out = run(Circuit(n).cp(0, n - 1, 0.3), state)
-    assert sizes == [2]
-    [(kernel, (halves,))] = compile_circuit(Circuit(n).cp(0, n - 1, 0.3)).ops
-    assert kernel is _diagonal and [table.size for _, table in halves] == [2]
+    assert sizes == [4]
+    [(kernel, (tables,))] = compile_circuit(Circuit(n).cp(0, n - 1, 0.3)).ops
+    assert kernel is _diagonal and [(index, table.size) for index, table in tables] == [((), 4)]
     expected = state.amplitudes.copy()
     expected[(1 << (n - 1)) + 1::2] *= np.exp(0.3j)
     np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-15)
@@ -906,6 +904,33 @@ def test_extract_diagonal_peaks_under_two_and_a_half_statevectors():
         tracemalloc.stop()
     assert peak < 2.5 * diagonal.nbytes
     np.testing.assert_allclose(diagonal[:1 << (n - 1)], np.exp(-1j * kinetic.thetas), rtol=0, atol=1e-9)
+
+
+def _qate_circuit(n):
+    """The QATE circuit `encode-ke --qubits n` builds with the default grid."""
+    return build_qate_circuit(n, solve_qate(kinetic_phase_profile(Grid(10.0, n), 0.1).first_half()))
+
+
+def test_mirrored_op_reads_its_one_table_reversed_as_a_view():
+    # the payload is one table over qubits 1..5, applied where the control,
+    # qubit 0, is 0, and reversed over the ladder's targets where it is 1
+    [(kernel, (pairs,))] = compile_circuit(_qate_circuit(6)).ops
+    assert kernel is _diagonal and len(pairs) == 2
+    (low, table), (high, flipped) = pairs
+    assert (low, high) == ((slice(0, 1),), (slice(1, 2),))
+    assert table.shape == (1, 2, 2, 2, 2, 2, 1)
+    assert np.shares_memory(flipped, table)
+    assert np.array_equal(flipped, table[:, ::-1, ::-1, ::-1, ::-1, ::-1])
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_qate_diagonal_columns_are_exact_palindromes(n):
+    # index reversal flips every bit, and the control-1 slice reads the
+    # control-0 table with every target bit flipped, so the diagonal reads
+    # the same reversed bit for bit; `write_table` then formats each of
+    # encode-ke's diagonal.csv columns once per pair of rows
+    diagonal = extract_diagonal(_qate_circuit(n))
+    assert all(cli._mirrored(column) for column in (diagonal.real, diagonal.imag, np.angle(diagonal)))
 
 
 # --- sampling ---

@@ -86,8 +86,11 @@ MUTANTS = [
     # reads the payload's tables reversed over the targets, and a diagonal
     # op after it merges into the one before it
     Mutant("mirror-uses-unflipped-tables", SIMULATOR,
-           "yield tuple(index), np.flip(table, [t - lo - 1 for t in targets if t > lo])",
-           "yield tuple(index), table"),
+           "(slice(1, 2),), np.flip(table, sorted(targets))",
+           "(slice(1, 2),), table"),
+    Mutant("mirror-misses-a-target", SIMULATOR,
+           "np.flip(table, sorted(targets))",
+           "np.flip(table, sorted(targets)[1:])"),
     Mutant("fold-ignores-control-term", SIMULATOR,
            "                and last_kernel is _diagonal and len(last_args) == 1\n"
            "                and all(args[0] not in key for key in last_args[0])):",
