@@ -284,19 +284,19 @@ def _column_chunks(column):
 
 
 def write_table(path, header: list[str], columns) -> None:
-    """CSV table with one sequence per column: floats in shortest round-trip
-    repr, None as an empty cell, a `Bitstrings` column as its finished text.
-    Each chunk of TABLE_CHUNK_ROWS (4096) rows is formatted column by column
-    and written at once, so no string or list of cells of the whole table is
-    built.  A float64 array column equal to its reverse, bit for bit, is
-    formatted once per mirrored pair of rows; the text of its first half is
-    held until the second half reuses it, which beside one chunk's cells is
-    what the writer keeps.  The file's directory is made if it does not
-    exist."""
+    """CSV table with one sequence per header name, all of one length (else
+    ValueError): floats in shortest round-trip repr, None as an empty cell, a
+    `Bitstrings` column as its finished text.  Each chunk of TABLE_CHUNK_ROWS
+    (4096) rows is formatted column by column and written at once, so no
+    string or list of cells of the whole table is built.  A float64 array
+    column equal to its reverse, bit for bit, is formatted once per mirrored
+    pair of rows; the text of its first half is held until the second half
+    reuses it, which beside one chunk's cells is what the writer keeps.  The
+    file's directory is made if it does not exist."""
     columns = list(columns)
     n_rows = len(columns[0]) if columns else 0
-    if any(len(column) != n_rows for column in columns):
-        raise ValueError("table columns differ in length")
+    if len(columns) != len(header) or any(len(column) != n_rows for column in columns):
+        raise ValueError(f"a table needs one column per header name ({len(header)}), all of one length")
     chunks = [_column_chunks(column) for column in columns]
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -333,18 +333,20 @@ FIDELITY_REFERENCE_BAND = 0.15
 
 
 def emit_report(out_dir, section: str, rows, fmt: str = "csv") -> list[str]:
-    """Write one report table, whose columns REPORT_HEADERS[section] names;
-    deterministic byte-for-byte.
+    """Write one report table, whose columns REPORT_HEADERS[section] names,
+    one cell each per row (else ValueError); deterministic byte-for-byte.
 
     csv format writes `<section>.csv`; json writes report.json holding
     {section: [one object per row]}.  Returns the list of paths written.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    header = REPORT_HEADERS[section]
+    header, rows = REPORT_HEADERS[section], list(rows)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"each {section} row must have {len(header)} cells, one per column")
     if fmt == "csv":
         path = os.path.join(out_dir, f"{section}.csv")
-        write_table(path, header, zip(*rows))
+        write_table(path, header, [[row[i] for row in rows] for i in range(len(header))])
     else:
         path = os.path.join(out_dir, "report.json")
         write_json(path, {section: [dict(zip(header, row)) for row in rows]})
@@ -490,9 +492,9 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
     grid = Grid(d, qubits)
     profile = kinetic_phase_profile(grid, dt, mass)
     if method == "qate":
-        circuit = build_qate_circuit(qubits, solve_qate(profile.first_half()))
+        circuit = build_qate_circuit(solve_qate(profile.first_half()))
     elif method == "direct":
-        circuit = build_direct_diagonal(qubits, profile)
+        circuit = build_direct_diagonal(profile)
     else:
         if window is None:
             raise click.UsageError("--window is required for method qwe")
@@ -501,7 +503,7 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
         if indices and not (0 <= indices[0] and indices[-1] < half_size):
             raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
         spec = WindowSpec(frozenset(indices), cp_budget)
-        circuit = build_qwe_circuit(qubits, profile.first_half(), spec)
+        circuit = build_qwe_circuit(profile.first_half(), spec)
     diagonal = extract_diagonal(circuit)
 
     write_json(os.path.join(out, "circuit.json"), circuit_to_dict(circuit))

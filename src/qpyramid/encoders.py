@@ -55,16 +55,16 @@ class QateCoefficients:
                                           finite_real(b, CircuitError, "beta") for pair, b in self.beta.items()})
 
 
-def _interpolate_quadratic(
-    theta: np.ndarray, n: int, first: int
-) -> tuple[float, dict[int, float], dict[tuple[int, int], float]]:
-    """Interpolate `theta` at its popcount <= 2 indices over qubits first..n-1,
-    where qubit q's bit has weight w_q = 2^(n-1-q):
+def _interpolate_quadratic(profile: PhaseProfile) -> tuple[float, dict[int, float], dict[tuple[int, int], float]]:
+    """Interpolate theta at its popcount <= 2 indices over the qubits its
+    index spans, 0..n-1 for a full profile and 1..n-1 for a half one, where
+    qubit q's bit has weight w_q = 2^(n-1-q):
 
     a = theta[0]; alpha[q] = theta[w_q] - a;
     beta[(q,r)] = theta[w_q + w_r] - alpha[q] - alpha[r] - a  (q < r).
     """
-    weight = {q: 1 << (n - 1 - q) for q in range(first, n)}
+    theta, n = profile.thetas, profile.n_qubits
+    weight = {q: 1 << (n - 1 - q) for q in range(profile.span == "half", n)}
     a = float(theta[0])
     alpha = {q: float(theta[w]) - a for q, w in weight.items()}
     beta = {(q, r): float(theta[weight[q] + weight[r]]) - alpha[q] - alpha[r] - a
@@ -86,16 +86,11 @@ def _emit_phase_gates(
 
 def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
     """Interpolate a half profile at the popcount <= 2 half-indices, over the
-    payload qubits 1..n-1 (`_interpolate_quadratic`); its length 2^(n-1)
-    sets the width."""
+    payload qubits 1..n-1 (`_interpolate_quadratic`), at the profile's width
+    n; `QateCoefficients` needs n >= 2."""
     if profile_half.span != "half":
         raise GridError("solve_qate expects a half-span profile")
-    theta = profile_half.thetas
-    length = len(theta)
-    if length < 2 or length & (length - 1):
-        raise InvalidWidth(f"half profile length {length} is not 2^(n-1) with n >= 2")
-    n = length.bit_length()
-    return QateCoefficients(n, *_interpolate_quadratic(theta, n, first=1))
+    return QateCoefficients(profile_half.n_qubits, *_interpolate_quadratic(profile_half))
 
 
 def build_qpa_shell(n: int) -> Circuit:
@@ -111,14 +106,12 @@ def build_qpa_shell(n: int) -> Circuit:
     return ladder
 
 
-def build_qate_circuit(n: int, coeffs: QateCoefficients) -> Circuit:
-    """ladder . [Phase(k, -alpha[k]); CPhase(k, l, -beta[(k,l)])] . ladder,
-    with the one `build_qpa_shell(n)` ladder, global phase -a_global.  The
-    gate order does not depend on the coefficients, so the counts agree with
-    qate_gate_count(n) for every coefficient set."""
-    n = exact_int(n, InvalidWidth, "n", low=2)
-    if coeffs.n_qubits != n:
-        raise InvalidWidth(f"coefficients sized for n={coeffs.n_qubits}, circuit wants n={n}")
+def build_qate_circuit(coeffs: QateCoefficients) -> Circuit:
+    """ladder . [Phase(k, -alpha[k]); CPhase(k, l, -beta[(k,l)])] . ladder, with
+    the one `build_qpa_shell(n)` ladder at n = coeffs.n_qubits, global phase
+    -a_global.  The gate order does not depend on the coefficients, so the
+    counts agree with qate_gate_count(n) for every coefficient set."""
+    n = coeffs.n_qubits
     ladder = build_qpa_shell(n).gates
     circuit = Circuit(n, list(ladder), wrap_angle(-coeffs.a_global))
     _emit_phase_gates(circuit, coeffs.alpha, coeffs.beta)
@@ -148,28 +141,23 @@ class WindowSpec:
 def _lstsq_residual(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.ndarray, float]:
     matrix = np.stack(columns, axis=1) if columns else np.zeros((len(target), 0))
     solution, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    residual = float(np.max(np.abs(matrix @ solution - target))) if len(target) else 0.0
-    return solution, residual
+    return solution, float(np.max(np.abs(matrix @ solution - target)))
 
 
-def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) -> Circuit:
-    """Windowed encoder: exact on `window.indices`, unconstrained elsewhere.
+def build_qwe_circuit(profile_half: PhaseProfile, window: WindowSpec) -> Circuit:
+    """Windowed encoder at the profile's width, exact on `window.indices` only.
 
     Anchors the global phase at theta[0], emits one phase gate per qubit whose
     bit varies over the window, then adds controlled-phase pairs greedily (best
     residual first, canonical order on ties) until the window interpolates
     exactly or the budget runs out.
     """
-    n = exact_int(n, InvalidWidth, "n", low=1)
     if profile_half.span != "half":
         raise GridError("build_qwe_circuit expects a half-span profile")
-    theta = profile_half.thetas
-    half_size = 1 << (n - 1)
-    if len(theta) != half_size:
-        raise InvalidWidth(f"half profile length {len(theta)} != {half_size}")
+    theta, n = profile_half.thetas, profile_half.n_qubits
     indices = sorted(window.indices)
-    if indices[0] < 0 or indices[-1] >= half_size:
-        raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
+    if indices[0] < 0 or indices[-1] >= len(theta):
+        raise InfeasibleWindow(f"window indices must lie in [0, {len(theta)})")
     budget = window.cp_budget if window.cp_budget is not None else n - 1
 
     a_global = float(theta[0])
@@ -182,7 +170,7 @@ def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) ->
     pairs = [((k, l), (bits[k] & bits[l]).astype(np.float64)) for k in range(1, n) for l in range(k + 1, n)]
     candidate_pairs = [(pair, col) for pair, col in pairs if col.any()]
 
-    scale = max(1.0, float(np.max(np.abs(target))) if len(target) else 1.0)
+    scale = max(1.0, float(np.max(np.abs(target))))
     chosen: list[tuple[int, int]] = []
     solution, residual = _lstsq_residual(columns, target)
     while residual > _EXACT_TOL * scale and len(chosen) < budget and candidate_pairs:
@@ -191,8 +179,7 @@ def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) ->
             _, res = _lstsq_residual(columns + [col], target)
             if best is None or res < best[0] - 1e-15:
                 best = (res, idx)
-        res, idx = best
-        pair, col = candidate_pairs.pop(idx)
+        pair, col = candidate_pairs.pop(best[1])
         chosen.append(pair)
         columns.append(col)
         solution, residual = _lstsq_residual(columns, target)
@@ -211,18 +198,14 @@ def build_qwe_circuit(n: int, profile_half: PhaseProfile, window: WindowSpec) ->
     return circuit
 
 
-def build_direct_diagonal(n: int, profile_full: PhaseProfile) -> Circuit:
-    """Degree-two multilinear encoder over full indices, without the reflection
-    shell: phase gates on all n qubits plus controlled phases on all pairs.
-    Exact whenever the profile is quadratic in the full index."""
-    n = exact_int(n, InvalidWidth, "n", low=1)
+def build_direct_diagonal(profile_full: PhaseProfile) -> Circuit:
+    """Degree-two multilinear encoder over the full indices of a profile of
+    width n, no reflection shell: phase gates on all n qubits plus controlled
+    phases on all pairs; exact whenever the profile is quadratic in the index."""
     if profile_full.span != "full":
         raise GridError("build_direct_diagonal expects a full-span profile")
-    theta = profile_full.thetas
-    if len(theta) != 1 << n:
-        raise InvalidWidth(f"full profile length {len(theta)} != {1 << n}")
-    a_global, alpha, beta = _interpolate_quadratic(theta, n, first=0)
-    return _emit_phase_gates(Circuit(n, global_phase=wrap_angle(-a_global)), alpha, beta)
+    a_global, alpha, beta = _interpolate_quadratic(profile_full)
+    return _emit_phase_gates(Circuit(profile_full.n_qubits, global_phase=wrap_angle(-a_global)), alpha, beta)
 
 
 def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit:
@@ -235,9 +218,7 @@ def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit
     n = exact_int(n, InvalidWidth, "n", low=1)
     circuit = Circuit(n)
     angle = 2.0 * spec.eta * finite_real(time, GridError, "time")
-    for q in spec.qubit_positions:
-        if not 0 <= q < n:
-            raise GridError(f"potential qubit {q} outside width {n}")
+    for q in spec.positions_in(n):
         circuit.rz(q, angle)
     return circuit
 

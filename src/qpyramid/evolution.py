@@ -78,21 +78,22 @@ class EvolutionConfig:
             object.__setattr__(self, name, exact_int(getattr(self, name), GridError, name, low))
         for name, sign in (("dt", "nonnegative"), ("mass", "positive")):
             object.__setattr__(self, name, finite_real(getattr(self, name), GridError, name, sign))
-        for q in self.potential.qubit_positions:
-            if not 0 <= q < self.grid.n_qubits:
-                raise GridError(f"potential qubit position {q} outside width {self.grid.n_qubits}")
+        self.potential.positions_in(self.grid.n_qubits)
 
 
 @dataclass(frozen=True)
 class EvolutionStep:
     """One reported step: the circuit-evolved state, the split-step reference,
-    the sampled histogram, their exact fidelity and the swap-test report."""
+    the sampled histogram and the swap-test report of their fidelity."""
 
     state: StateVector
     reference: StateVector
     histogram: Histogram
-    exact_fidelity: float
     swap_report: FidelityReport
+
+    @property
+    def exact_fidelity(self) -> float:
+        return self.swap_report.exact
 
 
 def _ramp_coefficient(n: int, mode: str) -> float:
@@ -137,7 +138,7 @@ def trotter_step_circuit(config: EvolutionConfig) -> Circuit:
     n = config.grid.n_qubits
     delta = config.dt / config.trotter_steps
     kinetic = kinetic_phase_profile(config.grid, delta, config.mass)
-    u_kinetic = build_qate_circuit(n, solve_qate(kinetic.first_half()))
+    u_kinetic = build_qate_circuit(solve_qate(kinetic.first_half()))
     v_half = build_potential_circuit(n, config.potential, delta / 2)
     to_momentum = momentum_transform_circuit(n, config.mode)
     to_position = momentum_transform_circuit(n, config.mode, inverse=True)
@@ -225,7 +226,7 @@ def evolve_quantum(config: EvolutionConfig) -> Iterator[EvolutionStep]:
         reference = StateVector(config.grid.n_qubits, amplitudes)
         histogram = sample(state, config.shots, rng)
         report = swap_test_estimate(reference, state, config.shots, rng)
-        yield EvolutionStep(state, reference, histogram, report.exact, report)
+        yield EvolutionStep(state, reference, histogram, report)
 
 
 def free_packet_reference(grid: Grid, packet: PacketSpec, time: float, mass: float = 1.0) -> StateVector:

@@ -56,8 +56,8 @@ def momentum_samples(grid: Grid) -> np.ndarray:
 class PhaseProfile:
     """Angle array theta (radians) targeted by the encoders as diag(e^{-i theta}).
 
-    `span` is "full" (length N) or "half" (length N/2); a full kinetic profile
-    is palindromic: theta[j] == theta[N-1-j].
+    `span` is "full" (length N = 2^n >= 2, n = `n_qubits`) or "half" (length
+    N/2); a full kinetic profile is palindromic: theta[j] == theta[N-1-j].
     """
 
     thetas: np.ndarray
@@ -75,16 +75,24 @@ class PhaseProfile:
         object.__setattr__(self, "thetas", arr)
         if self.span not in ("full", "half"):
             raise GridError(f"span must be 'full' or 'half', got {self.span!r}")
+        least = 2 if self.span == "full" else 1
+        if arr.size < least or arr.size & (arr.size - 1):
+            raise GridError(f"{self.span} profile length {arr.size} is not a power of two >= {least}")
         if self.provenance not in ("kinetic", "custom"):
             raise GridError(f"provenance must be 'kinetic' or 'custom', got {self.provenance!r}")
         if not np.all(np.isfinite(arr)):
             raise GridError("phase profile entries must be finite")
         if self.span == "full" and self.provenance == "kinetic":
-            if not (arr.size and np.max(np.abs(arr - arr[::-1])) <= 1e-12):
-                raise GridError("full kinetic profile must be a nonempty palindrome")
+            if np.max(np.abs(arr - arr[::-1])) > 1e-12:
+                raise GridError("full kinetic profile must be palindromic")
 
     def __len__(self) -> int:
         return len(self.thetas)
+
+    @property
+    def n_qubits(self) -> int:
+        """The width n read from the bits of the length, 2^n or 2^(n-1)."""
+        return len(self.thetas).bit_length() - (self.span == "full")
 
     def first_half(self) -> "PhaseProfile":
         if self.span != "full":
@@ -142,6 +150,13 @@ class PotentialSpec:
             raise GridError(f"potential qubit positions {self.qubit_positions!r} are not a collection") from None
         object.__setattr__(self, "qubit_positions", positions)
 
+    def positions_in(self, n: int) -> tuple[int, ...]:
+        """The position qubits, each checked to lie inside width n."""
+        for q in self.qubit_positions:
+            if not 0 <= q < n:
+                raise GridError(f"potential qubit position {q} outside width {n}")
+        return self.qubit_positions
+
     @staticmethod
     def none() -> "PotentialSpec":
         return PotentialSpec()
@@ -165,9 +180,7 @@ def potential_profile(grid: Grid, spec: PotentialSpec) -> np.ndarray:
     -eta where it is 1, as its Z rotation does."""
     profile = np.zeros(grid.n_samples)
     k = np.arange(grid.n_samples)
-    for q in spec.qubit_positions:
-        if not 0 <= q < grid.n_qubits:
-            raise GridError(f"qubit position {q} outside width {grid.n_qubits}")
+    for q in spec.positions_in(grid.n_qubits):
         bits = (k >> (grid.n_qubits - 1 - q)) & 1
         profile += spec.eta * (1.0 - 2.0 * bits)
     return profile

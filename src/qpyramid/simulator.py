@@ -9,13 +9,13 @@ run of X or same-control CX gates, and one per controlled swap; a Swap gate
 only relabels qubits.  A run of phase gates between two equal same-control
 CX runs that it does not touch, such as the QATE payload in its reflection
 shell, is one mirrored diagonal op instead of three ops, and a diagonal op
-right after it merges into one right before it, so a centered Trotter
-substep runs as five ops: diagonal, Fourier, mirrored payload, Fourier,
-diagonal.  Ops act on a rank-n tensor view (one axis per qubit plus a
-trailing batch axis), so the same code drives single states,
-column-batched unitaries and the basis labels that `extract_diagonal`
-tracks.  Results equal gate-by-gate application to rounding, not bit for
-bit.
+right after it merges into one right before it, dropping each angle that
+sums to a multiple of 2 pi, so a Trotter substep in either mode runs as
+five ops: diagonal, Fourier, mirrored payload, Fourier, diagonal.  Ops act
+on a rank-n tensor view (one axis per qubit plus a trailing batch axis), so
+the same code drives single states, column-batched unitaries and the basis
+labels that `extract_diagonal` tracks.  Results equal gate-by-gate
+application to rounding, not bit for bit.
 
 A Fourier op is one in-place numpy FFT below `_SPLIT_FOURIER_MIN_QUBITS`
 and two in-place passes of short batched FFTs from there on (see
@@ -469,9 +469,10 @@ def _fold(ops: list) -> list:
     builds the payload's tables once and mirrors them onto the control-1
     half as views.  Diagonal ops commute, so a plain `_diagonal` op right
     after a mirrored one is merged into a plain one right before it: the
-    angles of each key are summed, a sum of exactly 0.0 drops its key, and
-    an op left with no terms is dropped.  In a Trotter substep the two
-    momentum ramps around the kinetic payload cancel so.
+    angles of each key are summed, an exact multiple of 2 pi (0.0 too) drops
+    its key, and an op left with no terms is dropped.  In a Trotter substep
+    the momentum ramps around the kinetic payload cancel so, to 2 pi in
+    paper mode.
     """
     folded: list = []
     for kernel, args in ops:
@@ -486,7 +487,7 @@ def _fold(ops: list) -> list:
             terms = before[1][0]
             for key, angle in args[0].items():
                 terms[key] = terms.get(key, 0.0) + angle
-                if terms[key] == 0.0:
+                if math.remainder(terms[key], 2 * math.pi) == 0.0:
                     del terms[key]
             if not terms:
                 del folded[-2]

@@ -130,12 +130,13 @@ def qate_phase_at(coeffs, j: int) -> float:
     return phase
 
 
-def reference_qwe_circuit(n: int, profile_half, window) -> Circuit:
+def reference_qwe_circuit(profile_half, window) -> Circuit:
     """`build_qwe_circuit` with every window bit read one index at a time,
     (j >> (n - 1 - k)) & 1 for qubit k, in Python loops: the reference that
     the encoder's per-qubit bit arrays are checked against, gate for gate
     and message for message.  The greedy fit is the encoder's own."""
-    half_size = 1 << (n - 1)
+    half_size = len(profile_half.thetas)
+    n = half_size.bit_length()
     indices = sorted(window.indices)
     if indices[0] < 0 or indices[-1] >= half_size:
         raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
@@ -151,7 +152,7 @@ def reference_qwe_circuit(n: int, profile_half, window) -> Circuit:
             col = np.array([bit(j, k) & bit(j, l) for j in indices], dtype=np.float64)
             if col.any():
                 candidates.append(((k, l), col))
-    scale = max(1.0, float(np.max(np.abs(target))) if len(target) else 1.0)
+    scale = max(1.0, float(np.max(np.abs(target))))
     chosen = []
     solution, residual = _lstsq_residual(columns, target)
     while residual > _EXACT_TOL * scale and len(chosen) < budget and candidates:

@@ -70,13 +70,13 @@ def test_criterion_2_qate_exactness():
         for _ in range(25):
             c0, c1, c2 = rng.uniform(-1.0, 1.0, 3)
             half = c0 + c1 * indices + c2 * indices * indices
-            circuit = build_qate_circuit(n, solve_qate(PhaseProfile(half, "half")))
+            circuit = build_qate_circuit(solve_qate(PhaseProfile(half, "half")))
             diagonal = extract_diagonal(circuit)
             target = np.exp(-1j * np.concatenate([half, half[::-1]]))
             aligned = diagonal * (target[0] / diagonal[0])
             worst = max(worst, float(np.max(np.abs(aligned - target))))
     kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1)
-    circuit = build_qate_circuit(5, solve_qate(kinetic.first_half()))
+    circuit = build_qate_circuit(solve_qate(kinetic.first_half()))
     kinetic_error = float(
         np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * kinetic.thetas)))
     )
@@ -93,7 +93,7 @@ def test_criterion_2_qate_exactness():
 def test_criterion_3_gate_counts():
     for n in range(2, 11):
         profile = PhaseProfile(np.linspace(0.0, 2.0, 1 << (n - 1)), "half")
-        metrics = count_gates(build_qate_circuit(n, solve_qate(profile)))
+        metrics = count_gates(build_qate_circuit(solve_qate(profile)))
         assert metrics.one_qubit_count == n - 1
         assert metrics.two_qubit_count == math.comb(n - 1, 2) + 2 * (n - 1)
         assert metrics == qate_gate_count(n)
@@ -109,7 +109,7 @@ def test_criterion_4_windowed_worked_examples():
         ("mid", range(11, 16), 4),
         ("side", range(1, 5), 3),
     ):
-        circuit = build_qwe_circuit(5, kinetic, WindowSpec(frozenset(window)))
+        circuit = build_qwe_circuit(kinetic, WindowSpec(frozenset(window)))
         phases = sum(1 for g in circuit.gates if g.kind is GateKind.PHASE)
         pairs = sum(1 for g in circuit.gates if g.kind is GateKind.CONTROLLED_PHASE)
         assert phases == expected_phases

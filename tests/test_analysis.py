@@ -376,6 +376,17 @@ def test_write_table_rejects_ragged_columns(tmp_path):
         write_table(tmp_path / "t.csv", ["a", "b"], [range(3), [0.5, 1.5]])
 
 
+def test_report_writers_reject_a_cell_count_other_than_the_header(tmp_path):
+    # zip used to cut every csv row to the shortest one, and a json row to
+    # its first keys, and a table had two cells per row under one name
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="each summary row must have 4 cells"):
+            emit_report(tmp_path, "summary", [[0, 1.0, 0.9, 1.0], [1, 0.5]], fmt=fmt)
+    with pytest.raises(ValueError, match=r"one column per header name \(1\)"):
+        write_table(tmp_path / "t.csv", ["a"], [[1, 2], [3, 4]])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_table_numpy_scalars_as_plain_floats(tmp_path):
     write_table(tmp_path / "t.csv", ["x"], [[np.float64(0.1), np.float64(1e-300)]])
     assert (tmp_path / "t.csv").read_text() == "x\n0.1\n1e-300\n"

@@ -34,11 +34,9 @@ from qpyramid.encoders import (
     InfeasibleWindow,
     QateCoefficients,
     WindowSpec,
-    build_direct_diagonal,
     build_potential_circuit,
     build_qate_circuit,
     build_qpa_shell,
-    build_qwe_circuit,
     solve_qate,
 )
 from qpyramid.evolution import EvolutionConfig, free_packet_reference, momentum_transform_circuit
@@ -161,14 +159,14 @@ def test_qate_count_matches_built_circuit():
     # formula cross-checked against counting an actually built encoder
     for n in range(2, 11):
         profile = PhaseProfile(np.linspace(0.0, 1.0, 1 << (n - 1)), "half")
-        built = count_gates(build_qate_circuit(n, solve_qate(profile)))
+        built = count_gates(build_qate_circuit(solve_qate(profile)))
         predicted = qate_gate_count(n)
         assert built == predicted
         assert built.one_qubit_count == n - 1
         assert built.two_qubit_count == math.comb(n - 1, 2) + 2 * (n - 1)
     # wider encoders from all-zero coefficients, which need no 2^(n-1) profile
     for n in [*range(2, 65), 200]:
-        assert count_gates(build_qate_circuit(n, _zero_coefficients(n))) == qate_gate_count(n)
+        assert count_gates(build_qate_circuit(_zero_coefficients(n))) == qate_gate_count(n)
 
 
 def test_qate_count_builds_no_circuit(monkeypatch):
@@ -303,7 +301,6 @@ def test_momentum_transform_phase_is_refused_from_52_qubits():
 _GRID = Grid(10.0, 3)
 _ONE = StateVector.zero_state(1)
 _ALPHA, _BETA = {1: 0.2, 2: 0.3}, {(1, 2): 0.4}
-_HALF, _FULL = PhaseProfile([0.5], "half"), PhaseProfile([0.1, 0.3])
 
 # (build from the one value under test, the error it must raise, the kind of
 # field): "real" takes any finite real number, "time" also takes +inf, and
@@ -339,10 +336,6 @@ _NUMERIC_FIELDS = {
     "baseline_gate_count": (baseline_gate_count, InvalidWidth, "integer"),
     "build_qft": (build_qft, InvalidWidth, "integer"),
     "build_qpa_shell.n": (build_qpa_shell, InvalidWidth, "integer"),
-    "build_qate_circuit.n": (lambda v: build_qate_circuit(v, QateCoefficients(3, 0.1, _ALPHA, _BETA)),
-                             InvalidWidth, "integer"),
-    "build_qwe_circuit.n": (lambda v: build_qwe_circuit(v, _HALF, WindowSpec({0})), InvalidWidth, "integer"),
-    "build_direct_diagonal.n": (lambda v: build_direct_diagonal(v, _FULL), InvalidWidth, "integer"),
     "momentum_transform_circuit.n": (lambda v: momentum_transform_circuit(v, "centered"), InvalidWidth,
                                      "integer"),
     "build_potential_circuit.n": (lambda v: build_potential_circuit(v, PotentialSpec(0.5, (0,)), 0.1),
@@ -411,10 +404,6 @@ _BOUNDED = {
     "baseline_gate_count": (baseline_gate_count, InvalidWidth, 1),
     "build_qft": (build_qft, InvalidWidth, 1),
     "build_qpa_shell.n": (build_qpa_shell, InvalidWidth, 2),
-    "build_qate_circuit.n": (lambda v: build_qate_circuit(v, QateCoefficients(2, 0.1, {1: 0.2}, {})),
-                             InvalidWidth, 2),
-    "build_qwe_circuit.n": (lambda v: build_qwe_circuit(v, _HALF, WindowSpec({0})), InvalidWidth, 1),
-    "build_direct_diagonal.n": (lambda v: build_direct_diagonal(v, _FULL), InvalidWidth, 1),
     "momentum_transform_circuit.n": (lambda v: momentum_transform_circuit(v, "centered"), InvalidWidth, 1),
     "build_potential_circuit.n": (lambda v: build_potential_circuit(v, PotentialSpec.none(), 0.1), InvalidWidth,
                                   1),
@@ -454,7 +443,7 @@ _WRONG_KIND = {
                               [None, [(1, 2)], {(1, 2): 0.0, 3: 0.0}]),
     "PhaseProfile.thetas": (PhaseProfile, GridError, "must be real numbers", [[1j], "abc", [True], [[0.1, 0.2], [0.3]]]),
     "PhaseProfile.thetas kinetic": (lambda v: PhaseProfile(v, "full", "kinetic"), GridError,
-                                    "must be a nonempty palindrome", [()]),
+                                    "full profile length 0 is not a power of two", [()]),
     "EvolutionConfig.grid": (EvolutionConfig, GridError, "is not a Grid", [(10, 3), None]),
     "EvolutionConfig.packet": (lambda v: EvolutionConfig(_GRID, packet=v), GridError, "is not a PacketSpec",
                                [None, 1.0]),

@@ -25,6 +25,7 @@ from qpyramid.encoders import (
     build_qwe_circuit,
     solve_qate,
 )
+from qpyramid.evolution import EvolutionConfig
 from qpyramid.grids import (
     Grid,
     GridError,
@@ -119,11 +120,24 @@ def test_solve_composite_relation_n3():
     assert coeffs.beta[(1, 2)] == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("length", [0, 1, 3])
-def test_solve_rejects_a_half_profile_not_of_length_2_to_the_n_minus_1(length):
-    # the width is read from the bits of the length, never from a logarithm
-    with pytest.raises(InvalidWidth, match=f"half profile length {length} is not"):
-        solve_qate(PhaseProfile(np.zeros(length), "half"))
+@pytest.mark.parametrize("span,length", [("half", 0), ("half", 3), ("full", 0), ("full", 1), ("full", 3)])
+def test_profile_rejects_a_length_that_fixes_no_width(span, length):
+    # a full profile of 2^n entries or a half one of 2^(n-1) has width n,
+    # read from the bits of the length, never from a logarithm
+    with pytest.raises(GridError, match=f"{span} profile length {length} is not a power of two"):
+        PhaseProfile(np.zeros(length), span)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_profile_width_is_read_from_its_length(n):
+    full = PhaseProfile(np.zeros(1 << n))
+    assert full.n_qubits == full.first_half().n_qubits == n
+
+
+def test_solve_rejects_a_one_qubit_half_profile():
+    # one entry is a half profile of width 1, below the payload's two qubits
+    with pytest.raises(InvalidWidth, match="n_qubits must be >= 2, got 1"):
+        solve_qate(PhaseProfile([0.3], "half"))
 
 
 def test_coefficients_validate_shape():
@@ -136,20 +150,20 @@ def test_coefficients_validate_shape():
 
 def test_encoder_quadratic_profile_exact():
     target_half = np.array([0.0, 0.05, 0.2, 0.45])
-    circuit = build_qate_circuit(3, solve_qate(PhaseProfile(target_half, "half")))
+    circuit = build_qate_circuit(solve_qate(PhaseProfile(target_half, "half")))
     full = np.concatenate([target_half, target_half[::-1]])
     np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * full), atol=1e-12)
 
 
 def test_encoder_zero_coefficients_identity():
     coeffs = solve_qate(PhaseProfile(np.zeros(8), "half"))
-    unitary = extract_unitary(build_qate_circuit(4, coeffs))
+    unitary = extract_unitary(build_qate_circuit(coeffs))
     np.testing.assert_allclose(unitary, np.eye(16), atol=1e-14)
 
 
 def test_encoder_kinetic_profile_matches_classical():
     kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1)
-    circuit = build_qate_circuit(5, solve_qate(kinetic.first_half()))
+    circuit = build_qate_circuit(solve_qate(kinetic.first_half()))
     np.testing.assert_allclose(
         extract_diagonal(circuit), np.exp(-1j * kinetic.thetas), atol=1e-12
     )
@@ -161,7 +175,7 @@ def test_encoder_exact_for_random_quadratics():
         for _ in range(5):
             c0, c1, c2 = RNG.uniform(-1.0, 1.0, 3)
             half = c0 + c1 * j + c2 * j * j
-            circuit = build_qate_circuit(n, solve_qate(PhaseProfile(half, "half")))
+            circuit = build_qate_circuit(solve_qate(PhaseProfile(half, "half")))
             full = np.concatenate([half, half[::-1]])
             diagonal = extract_diagonal(circuit)
             # align out the global phase before comparing
@@ -178,7 +192,7 @@ def test_encoder_exact_for_any_quadratic_half_profile(n, coeffs):
     j = np.arange(1 << (n - 1), dtype=float)
     half = c0 + c1 * j + c2 * j * j
     full = np.concatenate([half, half[::-1]])
-    circuit = build_qate_circuit(n, solve_qate(PhaseProfile(half, "half")))
+    circuit = build_qate_circuit(solve_qate(PhaseProfile(half, "half")))
     error = np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * full)))
     assert error <= len(circuit.gates) * 2.0**-52 * max(1.0, np.max(np.abs(full)))
 
@@ -187,7 +201,7 @@ def test_encoder_interpolates_low_popcount_indices():
     # arbitrary profiles are matched wherever the half-index has <= 2 set bits
     n = 5
     profile = _random_half_profile(n)
-    circuit = build_qate_circuit(n, solve_qate(profile))
+    circuit = build_qate_circuit(solve_qate(profile))
     diagonal = extract_diagonal(circuit)
     for j in range(1 << (n - 1)):
         if bin(j).count("1") <= 2:
@@ -197,14 +211,14 @@ def test_encoder_interpolates_low_popcount_indices():
 def test_encoder_exact_for_any_profile_up_to_n3():
     for n in (2, 3):
         profile = _random_half_profile(n)
-        circuit = build_qate_circuit(n, solve_qate(profile))
+        circuit = build_qate_circuit(solve_qate(profile))
         full = np.concatenate([profile.thetas, profile.thetas[::-1]])
         np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * full), atol=1e-12)
 
 
 def test_encoder_diagonal_always_bisymmetric():
     for n in (3, 5):
-        circuit = build_qate_circuit(n, solve_qate(_random_half_profile(n)))
+        circuit = build_qate_circuit(solve_qate(_random_half_profile(n)))
         diagonal = extract_diagonal(circuit)
         size = 1 << n
         for i in range(size // 2):
@@ -213,14 +227,8 @@ def test_encoder_diagonal_always_bisymmetric():
 
 def test_encoder_counts_match_prediction():
     for n in (2, 4, 6):
-        circuit = build_qate_circuit(n, solve_qate(_random_half_profile(n)))
+        circuit = build_qate_circuit(solve_qate(_random_half_profile(n)))
         assert count_gates(circuit) == qate_gate_count(n)
-
-
-def test_encoder_size_mismatch():
-    coeffs = solve_qate(_random_half_profile(3))
-    with pytest.raises(InvalidWidth):
-        build_qate_circuit(4, coeffs)
 
 
 # --- windowed encoder ---
@@ -228,7 +236,7 @@ def test_encoder_size_mismatch():
 
 def test_qwe_mid_window_budget_and_values():
     kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1).first_half()
-    circuit = build_qwe_circuit(5, kinetic, WindowSpec(frozenset(range(11, 16))))
+    circuit = build_qwe_circuit(kinetic, WindowSpec(frozenset(range(11, 16))))
     tally = _gate_tally(circuit)
     assert tally[GateKind.PHASE] == 4
     assert tally[GateKind.CONTROLLED_PHASE] == 1
@@ -239,7 +247,7 @@ def test_qwe_mid_window_budget_and_values():
 
 def test_qwe_side_window_budget_and_values():
     kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1).first_half()
-    circuit = build_qwe_circuit(5, kinetic, WindowSpec(frozenset(range(1, 5))))
+    circuit = build_qwe_circuit(kinetic, WindowSpec(frozenset(range(1, 5))))
     tally = _gate_tally(circuit)
     assert tally[GateKind.PHASE] == 3
     assert tally[GateKind.CONTROLLED_PHASE] == 1
@@ -253,7 +261,7 @@ def test_qwe_random_profiles_exact_on_window():
         profile = _random_half_profile(5)
         window = frozenset(int(j) for j in RNG.choice(16, size=4, replace=False))
         try:
-            circuit = build_qwe_circuit(5, profile, WindowSpec(window))
+            circuit = build_qwe_circuit(profile, WindowSpec(window))
         except InfeasibleWindow:
             continue
         diagonal = extract_diagonal(circuit)
@@ -263,7 +271,7 @@ def test_qwe_random_profiles_exact_on_window():
 
 def test_qwe_anchor_window_needs_no_gates():
     profile = _random_half_profile(5)
-    circuit = build_qwe_circuit(5, profile, WindowSpec(frozenset({0})))
+    circuit = build_qwe_circuit(profile, WindowSpec(frozenset({0})))
     assert circuit.gates == []
     assert np.exp(1j * circuit.global_phase) == pytest.approx(
         np.exp(-1j * profile.thetas[0]), abs=1e-12
@@ -276,13 +284,13 @@ def test_qwe_anchor_window_needs_no_gates():
 def test_qwe_infeasible_window():
     profile = _random_half_profile(5)
     with pytest.raises(InfeasibleWindow):
-        build_qwe_circuit(5, profile, WindowSpec(frozenset(range(16)), cp_budget=1))
+        build_qwe_circuit(profile, WindowSpec(frozenset(range(16)), cp_budget=1))
 
 
 def test_qwe_respects_budget_bounds():
     # six constraints, six degrees of freedom (3 phases + 3 pairs)
     profile = _random_half_profile(4)
-    circuit = build_qwe_circuit(4, profile, WindowSpec(frozenset(range(1, 7)), cp_budget=3))
+    circuit = build_qwe_circuit(profile, WindowSpec(frozenset(range(1, 7)), cp_budget=3))
     tally = _gate_tally(circuit)
     assert tally.get(GateKind.PHASE, 0) <= 3
     assert tally.get(GateKind.CONTROLLED_PHASE, 0) <= 3
@@ -295,7 +303,7 @@ def test_qwe_full_half_window_needs_cubic_term():
     # 2^(n-1) constraints exceed the quadratic encoder's degrees of freedom
     profile = _random_half_profile(4)
     with pytest.raises(InfeasibleWindow):
-        build_qwe_circuit(4, profile, WindowSpec(frozenset(range(8)), cp_budget=3))
+        build_qwe_circuit(profile, WindowSpec(frozenset(range(8)), cp_budget=3))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -309,7 +317,7 @@ def test_qwe_all_contiguous_small_windows(n):
         for start in range(half_size - width + 1):
             window = WindowSpec(frozenset(range(start, start + width)))
             try:
-                circuit = build_qwe_circuit(n, profile, window)
+                circuit = build_qwe_circuit(profile, window)
             except InfeasibleWindow:
                 rejected += 1
                 continue
@@ -323,9 +331,9 @@ def test_qwe_all_contiguous_small_windows(n):
     assert built > 0
 
 
-def _qwe_outcome(build, n, profile, window):
+def _qwe_outcome(build, profile, window):
     try:
-        return circuit_to_json(build(n, profile, window))
+        return circuit_to_json(build(profile, window))
     except InfeasibleWindow as error:
         return f"InfeasibleWindow: {error}"
 
@@ -347,8 +355,8 @@ def test_qwe_equals_per_index_reference_gate_for_gate():
             for indices in sorted(windows, key=sorted):
                 for budget in (None, 0, 2):
                     window = WindowSpec(indices, cp_budget=budget)
-                    expected = _qwe_outcome(reference_qwe_circuit, n, profile, window)
-                    assert _qwe_outcome(build_qwe_circuit, n, profile, window) == expected, (n, sorted(indices))
+                    expected = _qwe_outcome(reference_qwe_circuit, profile, window)
+                    assert _qwe_outcome(build_qwe_circuit, profile, window) == expected, (n, sorted(indices))
                     outcomes += 1
                     built += not expected.startswith("InfeasibleWindow")
     assert outcomes > 250 and 0 < built < outcomes
@@ -376,7 +384,7 @@ def test_window_spec_rejects_indices_that_are_not_a_collection(indices):
 def test_qwe_index_out_of_range():
     profile = _random_half_profile(4)
     with pytest.raises(InfeasibleWindow):
-        build_qwe_circuit(4, profile, WindowSpec(frozenset({9})))
+        build_qwe_circuit(profile, WindowSpec(frozenset({9})))
 
 
 # --- direct (unreflected) encoder ---
@@ -384,7 +392,7 @@ def test_qwe_index_out_of_range():
 
 def test_direct_quadratic_exact():
     theta = np.array([0.0, 0.1, 0.4, 0.9])
-    circuit = build_direct_diagonal(2, PhaseProfile(theta, "full"))
+    circuit = build_direct_diagonal(PhaseProfile(theta, "full"))
     np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * theta), atol=1e-12)
 
 
@@ -396,19 +404,19 @@ def test_direct_exact_for_random_quadratics(n, coefficients):
     c0, c1, c2 = coefficients
     k = np.arange(1 << n, dtype=float)
     theta = c0 + c1 * k + c2 * k * k
-    circuit = build_direct_diagonal(n, PhaseProfile(theta, "full"))
+    circuit = build_direct_diagonal(PhaseProfile(theta, "full"))
     assert np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * theta))) < 1e-9
 
 
 def test_direct_constant_profile_is_pure_phase():
-    circuit = build_direct_diagonal(3, PhaseProfile(np.full(8, 1.1), "full"))
+    circuit = build_direct_diagonal(PhaseProfile(np.full(8, 1.1), "full"))
     unitary = extract_unitary(circuit)
     np.testing.assert_allclose(unitary, np.exp(-1.1j) * np.eye(8), atol=1e-12)
 
 
 def test_direct_kinetic_profile_exact():
     kinetic = kinetic_phase_profile(Grid(10.0, 3), 0.1)
-    circuit = build_direct_diagonal(3, kinetic)
+    circuit = build_direct_diagonal(kinetic)
     np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * kinetic.thetas), atol=1e-12)
     tally = _gate_tally(circuit)
     assert tally[GateKind.PHASE] == 3
@@ -445,6 +453,17 @@ def test_potential_invalid_position():
     for qubit in (2, 5, -1):
         with pytest.raises(GridError):
             build_potential_circuit(2, PotentialSpec.single_step(1.0, qubit=qubit), 0.05)
+
+
+@pytest.mark.parametrize("caller", ["build_potential_circuit", "potential_profile", "EvolutionConfig"])
+@pytest.mark.parametrize("qubit", [-1, 3])
+def test_potential_position_outside_the_width_has_one_message(caller, qubit):
+    spec, grid = PotentialSpec.single_step(1.0, qubit), Grid(10.0, 3)
+    build = {"build_potential_circuit": lambda: build_potential_circuit(3, spec, 0.05),
+             "potential_profile": lambda: potential_profile(grid, spec),
+             "EvolutionConfig": lambda: EvolutionConfig(grid, potential=spec)}[caller]
+    with pytest.raises(GridError, match=rf"^potential qubit position {qubit} outside width 3$"):
+        build()
 
 
 def test_potential_circuit_diagonal_matches_profile():

@@ -48,7 +48,7 @@ from qpyramid.simulator import (
     run,
 )
 
-from oracles import centered_transform_matrix, index_bitstring, reference_write_table
+from oracles import centered_transform_matrix, circuit_unitary, index_bitstring, reference_write_table
 
 
 def _config(n=5, **overrides):
@@ -117,7 +117,7 @@ def test_paper_step_equals_plain_transform_with_reordered_profile():
 
     ramped = Circuit(n)
     ramped.extend(momentum_transform_circuit(n, "paper"))
-    ramped.extend(build_qate_circuit(n, solve_qate(profile.first_half())))
+    ramped.extend(build_qate_circuit(solve_qate(profile.first_half())))
     ramped.extend(momentum_transform_circuit(n, "paper", inverse=True))
 
     from qpyramid.encoders import build_qft
@@ -125,7 +125,7 @@ def test_paper_step_equals_plain_transform_with_reordered_profile():
     shifted = np.roll(profile.thetas, size // 2)
     plain = Circuit(n)
     plain.extend(build_qft(n, inverse=True))
-    plain.extend(build_qate_circuit(n, solve_qate(PhaseProfile(shifted[: size // 2], "half"))))
+    plain.extend(build_qate_circuit(solve_qate(PhaseProfile(shifted[: size // 2], "half"))))
     plain.extend(build_qft(n))
 
     difference = extract_unitary(ramped) - extract_unitary(plain)
@@ -150,18 +150,26 @@ def test_transform_rejects_unknown_mode():
 @pytest.mark.parametrize("mode", ["centered", "paper"])
 def test_step_runs_both_transforms_as_fourier_ops(mode):
     # the QATE payload and its CX ladders are one mirrored diagonal op, and
-    # the momentum ramps on either side of it are merged: in centered mode
-    # they cancel, in paper mode a 2 pi phase on the last qubit is left
+    # the momentum ramps on either side of it are merged away: in centered
+    # mode they cancel to 0.0, in paper mode they sum to 2 pi on the last qubit
     config = _config(n=6, mode=mode, potential=PotentialSpec.multi_step(0.5, (0, 2)))
     kernels = [kernel for kernel, _ in compile_circuit(trotter_step_circuit(config)).ops]
     assert kernels.count(_fourier) == 2
-    assert kernels.count(_diagonal) == {"centered": 3, "paper": 4}[mode]  # the tables a held plan keeps
+    assert kernels.count(_diagonal) == 3  # the tables a held plan keeps
     assert _hadamard not in kernels and _flip not in kernels
 
 
-def test_wide_centered_substep_is_five_ops():
-    plan = compile_circuit(trotter_step_circuit(_config(n=18)))
-    assert [kernel for kernel, _ in plan.ops] == [_diagonal, _fourier, _diagonal, _fourier, _diagonal]
+@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+                         ids=["free", "single"])
+@pytest.mark.parametrize("mode", ["centered", "paper"])
+def test_substep_is_five_ops_in_either_mode(mode, potential):
+    # paper mode's two P(pi) ramps on the last qubit meet as one angle of
+    # 2 pi, a multiple of 2 pi as a double, and drop like the centered 0.0
+    for n in (3, 8, 18):
+        plan = compile_circuit(trotter_step_circuit(_config(n=n, mode=mode, potential=potential)))
+        assert [kernel for kernel, _ in plan.ops] == [_diagonal, _fourier, _diagonal, _fourier, _diagonal]
+    circuit = trotter_step_circuit(_config(n=4, mode=mode, potential=potential))
+    np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
@@ -227,7 +235,7 @@ def test_step_gate_count_composition():
     config = _config(n=5, potential=PotentialSpec.single_step(1.0))
     metrics = count_gates(trotter_step_circuit(config))
     kinetic = kinetic_phase_profile(config.grid, config.dt / config.trotter_steps)
-    encoder = count_gates(build_qate_circuit(5, solve_qate(kinetic.first_half())))
+    encoder = count_gates(build_qate_circuit(solve_qate(kinetic.first_half())))
     transforms = count_gates(momentum_transform_circuit(5, "centered"))
     assert metrics.total == 2 * 1 + 2 * transforms.total + encoder.total
 
@@ -302,6 +310,7 @@ def test_zero_steps_returns_initial_only():
     records = list(evolve_quantum(_config(n=4, total_steps=0)))
     assert len(records) == 1
     assert records[0].exact_fidelity == pytest.approx(1.0)
+    assert records[0].exact_fidelity == records[0].swap_report.exact  # one number, read from the report
 
 
 def test_centered_mode_matches_oracle_for_any_config():
@@ -507,7 +516,7 @@ def test_export_frequency_is_python_division(tmp_path):
     shots = 2**60 + 1
     c = next(c for c in range(shots // 3, shots // 3 + 1000) if np.int64(c) / shots != c / shots)
     state = StateVector.zero_state(1)
-    record = EvolutionStep(state, state, Histogram(shots, [c, shots - c]), 1.0,
+    record = EvolutionStep(state, state, Histogram(shots, [c, shots - c]),
                            FidelityReport(1.0, 1.0, shots, 0.0))
     export_evolution([record], tmp_path)
     rows = (tmp_path / "step_000_hist.csv").read_text().splitlines()[1:]
@@ -523,7 +532,7 @@ def test_export_peak_holds_no_table_sized_list(tmp_path):
     state = StateVector.from_amplitudes(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
     counts = np.zeros(1 << n, dtype=np.int64)
     counts[::4096] = 625
-    record = EvolutionStep(state, state, Histogram(10000, counts), 1.0,
+    record = EvolutionStep(state, state, Histogram(10000, counts),
                            FidelityReport(1.0, 1.0, 10000, 0.0))
     tracemalloc.start()
     try:

@@ -895,7 +895,7 @@ def test_extract_diagonal_peaks_under_two_and_a_half_statevectors():
     # vector that becomes the diagonal one more; nothing copies it
     n = 14
     kinetic = kinetic_phase_profile(Grid(20.0, n), 0.01).first_half()
-    circuit = build_qate_circuit(n, solve_qate(kinetic))
+    circuit = build_qate_circuit(solve_qate(kinetic))
     tracemalloc.start()
     try:
         diagonal = extract_diagonal(circuit)
@@ -908,7 +908,7 @@ def test_extract_diagonal_peaks_under_two_and_a_half_statevectors():
 
 def _qate_circuit(n):
     """The QATE circuit `encode-ke --qubits n` builds with the default grid."""
-    return build_qate_circuit(n, solve_qate(kinetic_phase_profile(Grid(10.0, n), 0.1).first_half()))
+    return build_qate_circuit(solve_qate(kinetic_phase_profile(Grid(10.0, n), 0.1).first_half()))
 
 
 def test_mirrored_op_reads_its_one_table_reversed_as_a_view():

@@ -40,6 +40,7 @@ SIMULATOR = "src/qpyramid/simulator.py"
 CLI = "src/qpyramid/cli.py"
 EVOLUTION = "src/qpyramid/evolution.py"
 CIRCUIT = "src/qpyramid/circuit.py"
+GRIDS = "src/qpyramid/grids.py"
 # suites run at once: each is a separate pytest process, so threads suffice
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -98,6 +99,9 @@ MUTANTS = [
     Mutant("merge-across-plain-flip", SIMULATOR,
            "last_kernel is _diagonal and len(last_args) == 3",
            "(last_kernel is _diagonal and len(last_args) == 3 or last_kernel is _flip)"),
+    Mutant("merge-keeps-2pi-multiples", SIMULATOR,
+           "if math.remainder(terms[key], 2 * math.pi) == 0.0:",
+           "if terms[key] == 0.0:"),
     # `run` keeps a circuit's plan only while the circuit equals its snapshot
     Mutant("memo-compares-gate-count", SIMULATOR,
            "(plan.n_qubits, plan.global_phase, plan.gates) != (\n"
@@ -188,8 +192,8 @@ MUTANTS = [
            "counts / shots if shots <= 2**53 else",
            "counts / shots if True else"),
     Mutant("stream-keeps-previous-record", EVOLUTION,
-           "        yield EvolutionStep(state, reference, histogram, report.exact, report)",
-           "        record = EvolutionStep(state, reference, histogram, report.exact, report)\n"
+           "        yield EvolutionStep(state, reference, histogram, report)",
+           "        record = EvolutionStep(state, reference, histogram, report)\n"
            "        yield record\n"
            "        previous = record"),
     Mutant("stream-keeps-initial-state", EVOLUTION,
@@ -250,6 +254,14 @@ MUTANTS = [
     Mutant("memory-guard-ignores-cgroup", CLI,
            "    if cgroup < limit:\n",
            "    if cgroup < 0:\n"),
+    # a profile's length fixes the width every encoder reads, and one check
+    # holds a potential's positions inside the width
+    Mutant("profile-width-drops-half-bit", GRIDS,
+           "return len(self.thetas).bit_length() - (self.span == \"full\")",
+           "return len(self.thetas).bit_length() - 1"),
+    Mutant("potential-position-allows-width", GRIDS,
+           "if not 0 <= q < n:",
+           "if not 0 <= q <= n:"),
 ]
 
 
