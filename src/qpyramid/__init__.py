@@ -48,7 +48,6 @@ from .grids import (
 )
 from .encoders import (
     InfeasibleWindow,
-    QateCoefficients,
     WindowSpec,
     build_direct_diagonal,
     build_potential_circuit,
@@ -56,7 +55,6 @@ from .encoders import (
     build_qft,
     build_qpa_shell,
     build_qwe_circuit,
-    solve_qate,
 )
 from .evolution import (
     EvolutionConfig,

@@ -26,14 +26,7 @@ import numpy as np
 
 from .analysis import ErrorBudgetParams, FidelityReport, error_budget, error_budget_terms
 from .circuit import CircuitError, baseline_gate_count, circuit_to_dict, qate_gate_count
-from .encoders import (
-    InfeasibleWindow,
-    WindowSpec,
-    build_direct_diagonal,
-    build_qate_circuit,
-    build_qwe_circuit,
-    solve_qate,
-)
+from .encoders import InfeasibleWindow, WindowSpec, build_direct_diagonal, build_qate_circuit, build_qwe_circuit
 from .evolution import EvolutionConfig, EvolutionStep, evolve_quantum, fidelity_sweep
 from .grids import Grid, GridError, PacketSpec, PotentialSpec, kinetic_phase_profile
 from .simulator import extract_diagonal
@@ -492,7 +485,7 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
     grid = Grid(d, qubits)
     profile = kinetic_phase_profile(grid, dt, mass)
     if method == "qate":
-        circuit = build_qate_circuit(solve_qate(profile.first_half()))
+        circuit = build_qate_circuit(profile)
     elif method == "direct":
         circuit = build_direct_diagonal(profile)
     else:
@@ -503,7 +496,7 @@ def cmd_encode_ke(qubits, d, dt, mass, method, window, cp_budget, out):
         if indices and not (0 <= indices[0] and indices[-1] < half_size):
             raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
         spec = WindowSpec(frozenset(indices), cp_budget)
-        circuit = build_qwe_circuit(profile.first_half(), spec)
+        circuit = build_qwe_circuit(profile, spec)
     diagonal = extract_diagonal(circuit)
 
     write_json(os.path.join(out, "circuit.json"), circuit_to_dict(circuit))

@@ -11,6 +11,8 @@ set, and a controlled phase on (k, l) shifts indices with both bits set.
 Interpolating a target angle array at the indices of popcount <= 2 therefore
 reproduces any profile that is a degree-two polynomial of the half-index
 exactly (bits are idempotent), which covers every quadratic kinetic profile.
+Every encoder takes one `PhaseProfile`, whose length 2^n fixes the width; the
+shell encoders read its first half and require the palindrome they mirror.
 """
 from __future__ import annotations
 
@@ -28,43 +30,16 @@ class InfeasibleWindow(CircuitError):
     """Window positions over-constrain the available phase/controlled-phase terms."""
 
 
-@dataclass(frozen=True)
-class QateCoefficients:
-    """Solved encoding of a half profile: one global angle, per-qubit linear
-    angles alpha[k] (k = 1..n-1), and per-pair quadratic angles beta[(k, l)]."""
-
-    n_qubits: int
-    a_global: float
-    alpha: dict[int, float]
-    beta: dict[tuple[int, int], float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_qubits", exact_int(self.n_qubits, InvalidWidth, "n_qubits", low=2))
-        n = self.n_qubits
-        if not isinstance(self.alpha, dict) or self.alpha.keys() != set(range(1, n)):
-            raise InvalidWidth(f"alpha must cover qubits 1..{n - 1}")
-        pairs = {(k, l) for k in range(1, n) for l in range(k + 1, n)}
-        if not isinstance(self.beta, dict) or self.beta.keys() != pairs:
-            raise InvalidWidth(f"beta must cover all qubit pairs of 1..{n - 1}")
-        object.__setattr__(self, "a_global", finite_real(self.a_global, CircuitError, "a_global"))
-        # new dicts in the same order, which sets the gate order; a key that only
-        # equals a qubit index, such as 1.0 or True, is not an integer
-        object.__setattr__(self, "alpha", {exact_int(k, InvalidWidth, "alpha qubit"):
-                                           finite_real(a, CircuitError, "alpha") for k, a in self.alpha.items()})
-        object.__setattr__(self, "beta", {tuple(exact_int(q, InvalidWidth, "beta qubit") for q in pair):
-                                          finite_real(b, CircuitError, "beta") for pair, b in self.beta.items()})
-
-
-def _interpolate_quadratic(profile: PhaseProfile) -> tuple[float, dict[int, float], dict[tuple[int, int], float]]:
-    """Interpolate theta at its popcount <= 2 indices over the qubits its
-    index spans, 0..n-1 for a full profile and 1..n-1 for a half one, where
-    qubit q's bit has weight w_q = 2^(n-1-q):
+def _interpolate_quadratic(profile: PhaseProfile, first_qubit: int) -> tuple[float, dict, dict]:
+    """Interpolate theta at its popcount <= 2 indices over qubits
+    first_qubit..n-1 (1 reads the first half only), where qubit q's bit has
+    weight w_q = 2^(n-1-q):
 
     a = theta[0]; alpha[q] = theta[w_q] - a;
     beta[(q,r)] = theta[w_q + w_r] - alpha[q] - alpha[r] - a  (q < r).
     """
     theta, n = profile.thetas, profile.n_qubits
-    weight = {q: 1 << (n - 1 - q) for q in range(profile.span == "half", n)}
+    weight = {q: 1 << (n - 1 - q) for q in range(first_qubit, n)}
     a = float(theta[0])
     alpha = {q: float(theta[w]) - a for q, w in weight.items()}
     beta = {(q, r): float(theta[weight[q] + weight[r]]) - alpha[q] - alpha[r] - a
@@ -84,13 +59,12 @@ def _emit_phase_gates(
     return circuit
 
 
-def solve_qate(profile_half: PhaseProfile) -> QateCoefficients:
-    """Interpolate a half profile at the popcount <= 2 half-indices, over the
-    payload qubits 1..n-1 (`_interpolate_quadratic`), at the profile's width
-    n; `QateCoefficients` needs n >= 2."""
-    if profile_half.span != "half":
-        raise GridError("solve_qate expects a half-span profile")
-    return QateCoefficients(profile_half.n_qubits, *_interpolate_quadratic(profile_half))
+def _mirrored_half(theta: np.ndarray) -> np.ndarray:
+    """The first half of `theta`, which the reflection shell mirrors onto the
+    second; an array that is not that mirror image raises GridError."""
+    if np.max(np.abs(theta - theta[::-1])) > 1e-12:
+        raise GridError("a shell encoder's profile must be palindromic")
+    return theta[: len(theta) // 2]
 
 
 def build_qpa_shell(n: int) -> Circuit:
@@ -106,15 +80,19 @@ def build_qpa_shell(n: int) -> Circuit:
     return ladder
 
 
-def build_qate_circuit(coeffs: QateCoefficients) -> Circuit:
+def build_qate_circuit(profile: PhaseProfile) -> Circuit:
     """ladder . [Phase(k, -alpha[k]); CPhase(k, l, -beta[(k,l)])] . ladder, with
-    the one `build_qpa_shell(n)` ladder at n = coeffs.n_qubits, global phase
-    -a_global.  The gate order does not depend on the coefficients, so the
-    counts agree with qate_gate_count(n) for every coefficient set."""
-    n = coeffs.n_qubits
+    the one `build_qpa_shell(n)` ladder at the profile's width n >= 2 and
+    global phase -a, where a, alpha and beta interpolate the first half of
+    the palindromic profile over qubits 1..n-1 (`_interpolate_quadratic`).
+    The gate order does not depend on the angles, so the counts agree with
+    qate_gate_count(n) for every profile."""
+    n = exact_int(profile.n_qubits, InvalidWidth, "n_qubits", low=2)
+    _mirrored_half(profile.thetas)
+    a_global, alpha, beta = _interpolate_quadratic(profile, 1)
     ladder = build_qpa_shell(n).gates
-    circuit = Circuit(n, list(ladder), wrap_angle(-coeffs.a_global))
-    _emit_phase_gates(circuit, coeffs.alpha, coeffs.beta)
+    circuit = Circuit(n, list(ladder), wrap_angle(-a_global))
+    _emit_phase_gates(circuit, alpha, beta)
     circuit.gates += ladder  # not extend(): that would turn a -0.0 global phase into 0.0
     return circuit
 
@@ -144,17 +122,16 @@ def _lstsq_residual(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.n
     return solution, float(np.max(np.abs(matrix @ solution - target)))
 
 
-def build_qwe_circuit(profile_half: PhaseProfile, window: WindowSpec) -> Circuit:
-    """Windowed encoder at the profile's width, exact on `window.indices` only.
+def build_qwe_circuit(profile: PhaseProfile, window: WindowSpec) -> Circuit:
+    """Windowed encoder at the profile's width, exact on the half-indices
+    `window.indices` of the palindromic profile's first half only.
 
     Anchors the global phase at theta[0], emits one phase gate per qubit whose
     bit varies over the window, then adds controlled-phase pairs greedily (best
     residual first, canonical order on ties) until the window interpolates
     exactly or the budget runs out.
     """
-    if profile_half.span != "half":
-        raise GridError("build_qwe_circuit expects a half-span profile")
-    theta, n = profile_half.thetas, profile_half.n_qubits
+    theta, n = _mirrored_half(profile.thetas), profile.n_qubits
     indices = sorted(window.indices)
     if indices[0] < 0 or indices[-1] >= len(theta):
         raise InfeasibleWindow(f"window indices must lie in [0, {len(theta)})")
@@ -198,14 +175,12 @@ def build_qwe_circuit(profile_half: PhaseProfile, window: WindowSpec) -> Circuit
     return circuit
 
 
-def build_direct_diagonal(profile_full: PhaseProfile) -> Circuit:
+def build_direct_diagonal(profile: PhaseProfile) -> Circuit:
     """Degree-two multilinear encoder over the full indices of a profile of
     width n, no reflection shell: phase gates on all n qubits plus controlled
     phases on all pairs; exact whenever the profile is quadratic in the index."""
-    if profile_full.span != "full":
-        raise GridError("build_direct_diagonal expects a full-span profile")
-    a_global, alpha, beta = _interpolate_quadratic(profile_full)
-    return _emit_phase_gates(Circuit(profile_full.n_qubits, global_phase=wrap_angle(-a_global)), alpha, beta)
+    a_global, alpha, beta = _interpolate_quadratic(profile, 0)
+    return _emit_phase_gates(Circuit(profile.n_qubits, global_phase=wrap_angle(-a_global)), alpha, beta)
 
 
 def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit:
@@ -217,7 +192,8 @@ def build_potential_circuit(n: int, spec: PotentialSpec, time: float) -> Circuit
     """
     n = exact_int(n, InvalidWidth, "n", low=1)
     circuit = Circuit(n)
-    angle = 2.0 * spec.eta * finite_real(time, GridError, "time")
+    time = finite_real(time, GridError, "time")
+    angle = finite_real(2.0 * spec.eta * time, GridError, "potential angle 2 eta time")
     for q in spec.positions_in(n):
         circuit.rz(q, angle)
     return circuit

@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import FidelityReport, swap_test_estimate
 from .circuit import Circuit, InvalidWidth, exact_int, finite_real, wrap_angle
-from .encoders import build_potential_circuit, build_qate_circuit, build_qft, solve_qate
+from .encoders import build_potential_circuit, build_qate_circuit, build_qft
 from .grids import (
     Grid,
     GridError,
@@ -138,7 +138,7 @@ def trotter_step_circuit(config: EvolutionConfig) -> Circuit:
     n = config.grid.n_qubits
     delta = config.dt / config.trotter_steps
     kinetic = kinetic_phase_profile(config.grid, delta, config.mass)
-    u_kinetic = build_qate_circuit(solve_qate(kinetic.first_half()))
+    u_kinetic = build_qate_circuit(kinetic)
     v_half = build_potential_circuit(n, config.potential, delta / 2)
     to_momentum = momentum_transform_circuit(n, config.mode)
     to_position = momentum_transform_circuit(n, config.mode, inverse=True)

@@ -56,13 +56,11 @@ def momentum_samples(grid: Grid) -> np.ndarray:
 class PhaseProfile:
     """Angle array theta (radians) targeted by the encoders as diag(e^{-i theta}).
 
-    `span` is "full" (length N = 2^n >= 2, n = `n_qubits`) or "half" (length
-    N/2); a full kinetic profile is palindromic: theta[j] == theta[N-1-j].
+    Its length N = 2^n >= 2 fixes the width n = `n_qubits`.  A kinetic profile
+    is palindromic, theta[j] == theta[N-1-j], which the shell encoders check.
     """
 
     thetas: np.ndarray
-    span: str = "full"
-    provenance: str = "custom"
 
     def __post_init__(self):
         try:
@@ -73,42 +71,29 @@ class PhaseProfile:
             raise GridError(f"phase profile entries must be real numbers, got {self.thetas!r:.60}")
         arr = np.asarray(arr, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "thetas", arr)
-        if self.span not in ("full", "half"):
-            raise GridError(f"span must be 'full' or 'half', got {self.span!r}")
-        least = 2 if self.span == "full" else 1
-        if arr.size < least or arr.size & (arr.size - 1):
-            raise GridError(f"{self.span} profile length {arr.size} is not a power of two >= {least}")
-        if self.provenance not in ("kinetic", "custom"):
-            raise GridError(f"provenance must be 'kinetic' or 'custom', got {self.provenance!r}")
+        if arr.size < 2 or arr.size & (arr.size - 1):
+            raise GridError(f"profile length {arr.size} is not a power of two >= 2")
         if not np.all(np.isfinite(arr)):
             raise GridError("phase profile entries must be finite")
-        if self.span == "full" and self.provenance == "kinetic":
-            if np.max(np.abs(arr - arr[::-1])) > 1e-12:
-                raise GridError("full kinetic profile must be palindromic")
 
     def __len__(self) -> int:
         return len(self.thetas)
 
     @property
     def n_qubits(self) -> int:
-        """The width n read from the bits of the length, 2^n or 2^(n-1)."""
-        return len(self.thetas).bit_length() - (self.span == "full")
-
-    def first_half(self) -> "PhaseProfile":
-        if self.span != "full":
-            raise GridError("first_half requires a full-span profile")
-        return PhaseProfile(self.thetas[: len(self.thetas) // 2], "half", self.provenance)
+        """The width n read from the bits of the length 2^n."""
+        return len(self.thetas).bit_length() - 1
 
 
 def kinetic_phase_profile(grid: Grid, dt: float, mass: float = 1.0) -> PhaseProfile:
-    """theta_j = p_j^2 dt / (2m), stored as nonnegative magnitudes (full span).
+    """theta_j = p_j^2 dt / (2m), stored as nonnegative magnitudes.
 
     The encoders emit diag(e^{-i theta}), so the sign lives at gate construction.
     """
     mass = finite_real(mass, GridError, "mass", sign="positive")
     dt = finite_real(dt, GridError, "dt", sign="nonnegative")
     p = momentum_samples(grid)
-    return PhaseProfile(p * p * dt / (2.0 * mass), "full", "kinetic")
+    return PhaseProfile(p * p * dt / (2.0 * mass))
 
 
 @dataclass(frozen=True)

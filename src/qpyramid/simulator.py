@@ -387,6 +387,15 @@ def _fourier_block(gates: list, start: int, n: int) -> tuple[bool, int] | None:
     return (inverse, stop) if list(gates[start:stop]) == template else None
 
 
+def _add_angle(terms: dict, key: tuple, angle: float) -> float:
+    """Add `angle` to the term of `key` (0.0 when absent) and return the sum;
+    a sum past the float range raises CircuitError."""
+    total = terms[key] = terms.get(key, 0.0) + angle
+    if not math.isfinite(total):
+        raise CircuitError(f"phase angles on one term sum to {total}, past the float range")
+    return total
+
+
 def _compile(circuit: Circuit) -> list:
     """The ops of a validated circuit: a list of (kernel, args) pairs.
 
@@ -438,10 +447,9 @@ def _compile(circuit: Circuit) -> list:
                 last_args = ({},)
                 ops.append((_diagonal, last_args))
             terms = last_args[0]
-            key = tuple(sorted(qubits))
-            terms[key] = terms.get(key, 0.0) + gate.angle
+            _add_angle(terms, tuple(sorted(qubits)), gate.angle)
             if kind is GateKind.ROTATION_Z:
-                terms[()] = terms.get((), 0.0) - 0.5 * gate.angle
+                _add_angle(terms, (), -0.5 * gate.angle)
         elif kind is GateKind.HADAMARD:
             ops.append((_hadamard, qubits))
         elif kind in (GateKind.PAULI_X, GateKind.CONTROLLED_NOT):
@@ -486,8 +494,7 @@ def _fold(ops: list) -> list:
               and before[0] is _diagonal and len(before[1]) == 1):
             terms = before[1][0]
             for key, angle in args[0].items():
-                terms[key] = terms.get(key, 0.0) + angle
-                if math.remainder(terms[key], 2 * math.pi) == 0.0:
+                if math.remainder(_add_angle(terms, key, angle), 2 * math.pi) == 0.0:
                     del terms[key]
             if not terms:
                 del folded[-2]

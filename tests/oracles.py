@@ -118,32 +118,33 @@ def centered_transform_matrix(grid: Grid) -> np.ndarray:
     return np.exp(-1j * np.outer(p, x)) / math.sqrt(grid.n_samples)
 
 
-def qate_phase_at(coeffs, j: int) -> float:
-    """Phase the QATE encoder realizes at half-index j (before the e^{-i...}
-    sign): the global angle plus every alpha_k and beta_kl whose bits of j
-    are set, qubit k being bit n-1-k of j."""
-    n = coeffs.n_qubits
+def qate_phase_at(circuit, j: int) -> float:
+    """Angle theta_j of the e^{-i theta_j} a QATE circuit realizes at
+    half-index j, to a multiple of 2 pi: minus its global phase and minus
+    every Phase and ControlledPhase angle whose qubits' bits of j are all set,
+    qubit k being bit n-1-k of j."""
+    n = circuit.n_qubits
     bit = lambda k: (j >> (n - 1 - k)) & 1
-    phase = coeffs.a_global
-    phase += sum(a for k, a in coeffs.alpha.items() if bit(k))
-    phase += sum(b for (k, l), b in coeffs.beta.items() if bit(k) and bit(l))
+    phase = -circuit.global_phase
+    phase -= sum(g.angle for g in circuit.gates if g.angle is not None and all(bit(k) for k in g.qubits))
     return phase
 
 
-def reference_qwe_circuit(profile_half, window) -> Circuit:
+def reference_qwe_circuit(profile, window) -> Circuit:
     """`build_qwe_circuit` with every window bit read one index at a time,
     (j >> (n - 1 - k)) & 1 for qubit k, in Python loops: the reference that
     the encoder's per-qubit bit arrays are checked against, gate for gate
-    and message for message.  The greedy fit is the encoder's own."""
-    half_size = len(profile_half.thetas)
+    and message for message, on palindromic profiles.  The greedy fit is the
+    encoder's own."""
+    half_size = len(profile.thetas) // 2
     n = half_size.bit_length()
     indices = sorted(window.indices)
     if indices[0] < 0 or indices[-1] >= half_size:
         raise InfeasibleWindow(f"window indices must lie in [0, {half_size})")
     budget = window.cp_budget if window.cp_budget is not None else n - 1
     bit = lambda j, k: (j >> (n - 1 - k)) & 1
-    a_global = float(profile_half.thetas[0])
-    target = np.array([profile_half.thetas[j] - a_global for j in indices], dtype=np.float64)
+    a_global = float(profile.thetas[0])
+    target = np.array([profile.thetas[j] - a_global for j in indices], dtype=np.float64)
     active = [k for k in range(1, n) if any(bit(j, k) for j in indices)]
     columns = [np.array([bit(j, k) for j in indices], dtype=np.float64) for k in active]
     candidates = []

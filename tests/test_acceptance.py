@@ -12,7 +12,7 @@ from qpyramid.analysis import swap_test_estimate
 from qpyramid.circuit import Circuit, GateKind, baseline_gate_count, count_gates, qate_gate_count
 from qpyramid.cli import emit_report, fidelity_row
 from qpyramid.cli import main as cli_main
-from qpyramid.encoders import WindowSpec, build_qate_circuit, build_qwe_circuit, solve_qate
+from qpyramid.encoders import WindowSpec, build_qate_circuit, build_qwe_circuit
 from qpyramid.evolution import (
     EvolutionConfig,
     evolve_classical_oracle,
@@ -70,13 +70,13 @@ def test_criterion_2_qate_exactness():
         for _ in range(25):
             c0, c1, c2 = rng.uniform(-1.0, 1.0, 3)
             half = c0 + c1 * indices + c2 * indices * indices
-            circuit = build_qate_circuit(solve_qate(PhaseProfile(half, "half")))
-            diagonal = extract_diagonal(circuit)
-            target = np.exp(-1j * np.concatenate([half, half[::-1]]))
+            full = np.concatenate([half, half[::-1]])
+            diagonal = extract_diagonal(build_qate_circuit(PhaseProfile(full)))
+            target = np.exp(-1j * full)
             aligned = diagonal * (target[0] / diagonal[0])
             worst = max(worst, float(np.max(np.abs(aligned - target))))
     kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1)
-    circuit = build_qate_circuit(solve_qate(kinetic.first_half()))
+    circuit = build_qate_circuit(kinetic)
     kinetic_error = float(
         np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * kinetic.thetas)))
     )
@@ -92,8 +92,8 @@ def test_criterion_2_qate_exactness():
 
 def test_criterion_3_gate_counts():
     for n in range(2, 11):
-        profile = PhaseProfile(np.linspace(0.0, 2.0, 1 << (n - 1)), "half")
-        metrics = count_gates(build_qate_circuit(solve_qate(profile)))
+        half = np.linspace(0.0, 2.0, 1 << (n - 1))
+        metrics = count_gates(build_qate_circuit(PhaseProfile(np.concatenate([half, half[::-1]]))))
         assert metrics.one_qubit_count == n - 1
         assert metrics.two_qubit_count == math.comb(n - 1, 2) + 2 * (n - 1)
         assert metrics == qate_gate_count(n)
@@ -103,7 +103,7 @@ def test_criterion_3_gate_counts():
 
 
 def test_criterion_4_windowed_worked_examples():
-    kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1).first_half()
+    kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1)
     budgets = {}
     for name, window, expected_phases in (
         ("mid", range(11, 16), 4),

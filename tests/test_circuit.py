@@ -30,15 +30,7 @@ from qpyramid.circuit import (
     validate,
     wrap_angle,
 )
-from qpyramid.encoders import (
-    InfeasibleWindow,
-    QateCoefficients,
-    WindowSpec,
-    build_potential_circuit,
-    build_qate_circuit,
-    build_qpa_shell,
-    solve_qate,
-)
+from qpyramid.encoders import InfeasibleWindow, WindowSpec, build_potential_circuit, build_qate_circuit, build_qpa_shell
 from qpyramid.evolution import EvolutionConfig, free_packet_reference, momentum_transform_circuit
 from qpyramid.grids import Grid, GridError, PacketSpec, PhaseProfile, PotentialSpec, kinetic_phase_profile
 from qpyramid.simulator import Histogram, RandomSource, StateVector, sample
@@ -150,23 +142,18 @@ def test_qate_count_formula_values(n, expected_1q, expected_2q):
     assert metrics.total == expected_1q + expected_2q
 
 
-def _zero_coefficients(n):
-    pairs = [(k, l) for k in range(1, n) for l in range(k + 1, n)]
-    return QateCoefficients(n, 0.0, dict.fromkeys(range(1, n), 0.0), dict.fromkeys(pairs, 0.0))
-
-
 def test_qate_count_matches_built_circuit():
     # formula cross-checked against counting an actually built encoder
     for n in range(2, 11):
-        profile = PhaseProfile(np.linspace(0.0, 1.0, 1 << (n - 1)), "half")
-        built = count_gates(build_qate_circuit(solve_qate(profile)))
+        half = np.linspace(0.0, 1.0, 1 << (n - 1))
+        built = count_gates(build_qate_circuit(PhaseProfile(np.concatenate([half, half[::-1]]))))
         predicted = qate_gate_count(n)
         assert built == predicted
         assert built.one_qubit_count == n - 1
         assert built.two_qubit_count == math.comb(n - 1, 2) + 2 * (n - 1)
-    # wider encoders from all-zero coefficients, which need no 2^(n-1) profile
-    for n in [*range(2, 65), 200]:
-        assert count_gates(build_qate_circuit(_zero_coefficients(n))) == qate_gate_count(n)
+    # wider encoders from all-zero profiles
+    for n in (16, 20):
+        assert count_gates(build_qate_circuit(PhaseProfile(np.zeros(1 << n)))) == qate_gate_count(n)
 
 
 def test_qate_count_builds_no_circuit(monkeypatch):
@@ -300,7 +287,6 @@ def test_momentum_transform_phase_is_refused_from_52_qubits():
 
 _GRID = Grid(10.0, 3)
 _ONE = StateVector.zero_state(1)
-_ALPHA, _BETA = {1: 0.2, 2: 0.3}, {(1, 2): 0.4}
 
 # (build from the one value under test, the error it must raise, the kind of
 # field): "real" takes any finite real number, "time" also takes +inf, and
@@ -318,10 +304,6 @@ _NUMERIC_FIELDS = {
                                      ValueError, kind)
        for name, kind in [("h", "real"), ("dt", "real"), ("gate_variance", "real"), ("readout_variance", "real"),
                           ("t1", "time"), ("t2", "time"), ("l2_gates", "integer")]},
-    "QateCoefficients.n_qubits": (lambda v: QateCoefficients(v, 0.1, _ALPHA, _BETA), InvalidWidth, "integer"),
-    "QateCoefficients.a_global": (lambda v: QateCoefficients(3, v, _ALPHA, _BETA), CircuitError, "real"),
-    "QateCoefficients.alpha": (lambda v: QateCoefficients(3, 0.1, {1: 0.2, 2: v}, _BETA), CircuitError, "real"),
-    "QateCoefficients.beta": (lambda v: QateCoefficients(3, 0.1, _ALPHA, {(1, 2): v}), CircuitError, "real"),
     "Circuit.global_phase": (lambda v: validate(Circuit(1, global_phase=v)), CircuitError, "real"),
     "Gate.angle": (lambda v: validate(Circuit(1).p(0, v)), CircuitError, "real"),
     "Histogram.shots": (lambda v: Histogram(v, [1, 0]), ValueError, "integer"),
@@ -394,8 +376,8 @@ _BOUNDED = {
        for name, bound in [("h", "positive"), ("dt", "nonnegative"), ("gate_variance", "nonnegative"),
                            ("readout_variance", "nonnegative"), ("t1", "positive"), ("t2", "positive"),
                            ("l2_gates", 0)]},
-    "QateCoefficients.n_qubits": (lambda v: QateCoefficients(v, 0.1, {k: 0.2 for k in range(1, v)}, {}),
-                                  InvalidWidth, 2),
+    "build_qate_circuit.profile width": (lambda v: build_qate_circuit(PhaseProfile(np.zeros(1 << v))),
+                                         InvalidWidth, 2),
     "WindowSpec.cp_budget": (lambda v: WindowSpec({0}, v), InfeasibleWindow, 0),
     "Histogram.shots": (lambda v: Histogram(v, [v, 0]), ValueError, 1),
     "sample.shots": (lambda v: sample(_ONE, v, RandomSource(1)), ValueError, 1),
@@ -433,17 +415,8 @@ def test_bounded_field_accepts_its_bound_and_rejects_one_step_past_it(field):
 _WRONG_KIND = {
     "PotentialSpec.qubit_positions": (lambda v: PotentialSpec(1.0, v), GridError, "are not a collection",
                                       [None, 3]),
-    "QateCoefficients.alpha": (lambda v: QateCoefficients(3, 0.0, v, _BETA), InvalidWidth, "alpha must cover",
-                               [None, [1, 2], {1: 0.0, "2": 0.0}]),
-    "QateCoefficients.alpha key": (lambda v: QateCoefficients(3, 0.0, v, _BETA), InvalidWidth,
-                                   "alpha qubit .* is not an integer", [{1.0: 0.0, 2: 0.0}, {True: 0.0, 2: 0.0}]),
-    "QateCoefficients.beta key": (lambda v: QateCoefficients(3, 0.0, _ALPHA, v), InvalidWidth,
-                                  "beta qubit .* is not an integer", [{(1, 2.0): 0.0}, {(True, 2): 0.0}]),
-    "QateCoefficients.beta": (lambda v: QateCoefficients(3, 0.0, _ALPHA, v), InvalidWidth, "beta must cover",
-                              [None, [(1, 2)], {(1, 2): 0.0, 3: 0.0}]),
     "PhaseProfile.thetas": (PhaseProfile, GridError, "must be real numbers", [[1j], "abc", [True], [[0.1, 0.2], [0.3]]]),
-    "PhaseProfile.thetas kinetic": (lambda v: PhaseProfile(v, "full", "kinetic"), GridError,
-                                    "full profile length 0 is not a power of two", [()]),
+    "PhaseProfile.thetas empty": (PhaseProfile, GridError, "profile length 0 is not a power of two", [()]),
     "EvolutionConfig.grid": (EvolutionConfig, GridError, "is not a Grid", [(10, 3), None]),
     "EvolutionConfig.packet": (lambda v: EvolutionConfig(_GRID, packet=v), GridError, "is not a PacketSpec",
                                [None, 1.0]),
@@ -477,9 +450,6 @@ def test_integer_fields_reject_what_is_out_of_range():
     with pytest.raises(ValueError, match="seed"):
         RandomSource(-1)
     assert RandomSource(0).seed == 0
-    # QateCoefficients used to build at any width below 2 with empty angle maps
-    with pytest.raises(InvalidWidth, match="n_qubits must be >= 2"):
-        QateCoefficients(-3, 0.0, {}, {})
     assert type(RandomSource(np.int64(7)).seed) is int
     assert RandomSource(np.int64(7)).binomial(1000, 0.5) == RandomSource(7).binomial(1000, 0.5)
     # counts are a 1-D array of non-negative integers that fit int64
@@ -501,8 +471,5 @@ def test_finite_real_returns_a_python_float_of_any_real_type():
     assert not is_finite_real(10**400) and is_finite_real(10**300)
     assert type(Grid(10, 3).d) is float and Grid(10, 3).d == 10.0
     assert type(EvolutionConfig(_GRID, dt=np.float64(0.1)).dt) is float
-    coefficients = QateCoefficients(np.int64(3), np.float32(0.5), _ALPHA, {(1, 2): 1})
-    assert type(coefficients.n_qubits) is int and type(coefficients.beta[(1, 2)]) is float
-    assert list(coefficients.alpha) == [1, 2] and coefficients.alpha is not _ALPHA
     params = ErrorBudgetParams(np.float64(1e-3), t1=np.inf, t2=50)
     assert (params.t1, params.t2) == (math.inf, 50.0) and type(params.t2) is float

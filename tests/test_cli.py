@@ -180,6 +180,8 @@ _QUICK = ["--steps", "1", "--shots", "64"]
     ["fidelity", "--qubits", "3..5", "--potential", "multi", "--positions", "0,3", *_QUICK],
     ["evolve", "--qubits", "3", "--eta", "inf", "--potential", "single", *_QUICK],
     ["evolve", "--qubits", "3", "--eta", "nan", "--potential", "single", *_QUICK],
+    # a finite eta whose rotation angle 2 eta t is not
+    ["evolve", "--qubits", "3", "--potential", "single", "--eta", "1e308", *_QUICK],
     ["error-budget", "--h", "nan"],
     ["error-budget", "--h", "inf"],
     ["error-budget", "--h", "0.1", "--t1", "nan"],

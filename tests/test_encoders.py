@@ -15,7 +15,6 @@ from qpyramid.circuit import (
 )
 from qpyramid.encoders import (
     InfeasibleWindow,
-    QateCoefficients,
     WindowSpec,
     build_direct_diagonal,
     build_potential_circuit,
@@ -23,7 +22,6 @@ from qpyramid.encoders import (
     build_qft,
     build_qpa_shell,
     build_qwe_circuit,
-    solve_qate,
 )
 from qpyramid.evolution import EvolutionConfig
 from qpyramid.grids import (
@@ -48,8 +46,19 @@ def _gate_tally(circuit):
     return tally
 
 
-def _random_half_profile(n, rng=RNG):
-    return PhaseProfile(rng.uniform(-math.pi, math.pi, 1 << (n - 1)), "half")
+def _mirrored(half):
+    """The palindromic profile whose first half is `half`."""
+    half = np.asarray(half, dtype=float)
+    return PhaseProfile(np.concatenate([half, half[::-1]]))
+
+
+def _random_palindrome(n, rng=RNG):
+    return _mirrored(rng.uniform(-math.pi, math.pi, 1 << (n - 1)))
+
+
+def _payload_angles(circuit):
+    """{qubits: angle} of the circuit's Phase and ControlledPhase gates."""
+    return {g.qubits: g.angle for g in circuit.gates if g.kind in (GateKind.PHASE, GateKind.CONTROLLED_PHASE)}
 
 
 # --- reflection shell ---
@@ -93,77 +102,86 @@ def test_shell_invalid_width():
         build_qpa_shell(1)
 
 
-# --- coefficient solving ---
+# --- interpolated angles ---
 
 
 def test_solve_quadratic_example():
-    coeffs = solve_qate(PhaseProfile([0.0, 0.05, 0.2, 0.45], "half"))
-    assert coeffs.a_global == pytest.approx(0.0)
-    assert coeffs.alpha == {1: pytest.approx(0.2), 2: pytest.approx(0.05)}
-    assert coeffs.beta[(1, 2)] == pytest.approx(0.2)
-    assert qate_phase_at(coeffs, 3) == pytest.approx(0.45)
+    circuit = build_qate_circuit(_mirrored([0.0, 0.05, 0.2, 0.45]))
+    assert circuit.global_phase == pytest.approx(0.0)
+    angles = _payload_angles(circuit)
+    assert angles == {(1,): pytest.approx(-0.2), (2,): pytest.approx(-0.05), (1, 2): pytest.approx(-0.2)}
+    assert qate_phase_at(circuit, 3) == pytest.approx(0.45)
 
 
 def test_solve_constant_profile():
-    coeffs = solve_qate(PhaseProfile([0.7] * 8, "half"))
-    assert coeffs.a_global == pytest.approx(0.7)
-    assert all(v == pytest.approx(0.0) for v in coeffs.alpha.values())
-    assert all(v == pytest.approx(0.0) for v in coeffs.beta.values())
+    circuit = build_qate_circuit(PhaseProfile([0.7] * 16))
+    assert circuit.global_phase == pytest.approx(-0.7)
+    assert all(v == pytest.approx(0.0) for v in _payload_angles(circuit).values())
 
 
 def test_solve_composite_relation_n3():
-    # pair angle = composite target minus both primaries minus the global
-    profile = _random_half_profile(3)
+    # pair angle = composite target minus both primaries minus the global,
+    # to a multiple of 2 pi, since each emitted angle is wrapped
+    profile = _random_palindrome(3)
     theta = profile.thetas
-    coeffs = solve_qate(profile)
-    expected = theta[3] - (coeffs.alpha[1] + coeffs.alpha[2]) - theta[0]
-    assert coeffs.beta[(1, 2)] == pytest.approx(expected)
+    angles = _payload_angles(build_qate_circuit(profile))
+    expected = theta[3] + angles[(1,)] + angles[(2,)] - theta[0]
+    assert np.exp(-1j * angles[(1, 2)]) == pytest.approx(np.exp(1j * expected))
 
 
-@pytest.mark.parametrize("span,length", [("half", 0), ("half", 3), ("full", 0), ("full", 1), ("full", 3)])
-def test_profile_rejects_a_length_that_fixes_no_width(span, length):
-    # a full profile of 2^n entries or a half one of 2^(n-1) has width n,
-    # read from the bits of the length, never from a logarithm
-    with pytest.raises(GridError, match=f"{span} profile length {length} is not a power of two"):
-        PhaseProfile(np.zeros(length), span)
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_profile_rejects_a_length_that_fixes_no_width(length):
+    # a profile of 2^n entries has width n, read from the bits of the
+    # length, never from a logarithm
+    with pytest.raises(GridError, match=f"^profile length {length} is not a power of two >= 2$"):
+        PhaseProfile(np.zeros(length))
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_profile_width_is_read_from_its_length(n):
-    full = PhaseProfile(np.zeros(1 << n))
-    assert full.n_qubits == full.first_half().n_qubits == n
+    assert PhaseProfile(np.zeros(1 << n)).n_qubits == n
 
 
-def test_solve_rejects_a_one_qubit_half_profile():
-    # one entry is a half profile of width 1, below the payload's two qubits
+def test_qate_rejects_a_one_qubit_profile():
+    # two entries are a profile of width 1, below the shell's two qubits
     with pytest.raises(InvalidWidth, match="n_qubits must be >= 2, got 1"):
-        solve_qate(PhaseProfile([0.3], "half"))
+        build_qate_circuit(PhaseProfile([0.3, 0.3]))
 
 
-def test_coefficients_validate_shape():
-    with pytest.raises(InvalidWidth):
-        QateCoefficients(3, 0.0, {1: 0.0}, {(1, 2): 0.0})
+@pytest.mark.parametrize("build", [build_qate_circuit, lambda p: build_qwe_circuit(p, WindowSpec({1}))],
+                         ids=["qate", "qwe"])
+def test_shell_encoders_reject_a_profile_that_is_no_palindrome(build):
+    # the shell mirrors the first half, so any other second half is refused;
+    # the direct encoder has no shell and encodes the same profile
+    theta = np.array([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(GridError, match="must be palindromic"):
+        build(PhaseProfile(theta))
+    np.testing.assert_allclose(extract_diagonal(build_direct_diagonal(PhaseProfile(theta))),
+                               np.exp(-1j * theta), atol=1e-12)
+    # the tolerance is 1e-12 on any entry
+    near = _mirrored([0.1, 0.4]).thetas
+    build(PhaseProfile(near + [0.0, 0.0, 0.0, 0.5e-12]))
+    with pytest.raises(GridError, match="must be palindromic"):
+        build(PhaseProfile(near + [0.0, 0.0, 0.0, 2e-12]))
 
 
 # --- full encoder ---
 
 
 def test_encoder_quadratic_profile_exact():
-    target_half = np.array([0.0, 0.05, 0.2, 0.45])
-    circuit = build_qate_circuit(solve_qate(PhaseProfile(target_half, "half")))
-    full = np.concatenate([target_half, target_half[::-1]])
-    np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * full), atol=1e-12)
+    profile = _mirrored([0.0, 0.05, 0.2, 0.45])
+    circuit = build_qate_circuit(profile)
+    np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * profile.thetas), atol=1e-12)
 
 
 def test_encoder_zero_coefficients_identity():
-    coeffs = solve_qate(PhaseProfile(np.zeros(8), "half"))
-    unitary = extract_unitary(build_qate_circuit(coeffs))
+    unitary = extract_unitary(build_qate_circuit(PhaseProfile(np.zeros(16))))
     np.testing.assert_allclose(unitary, np.eye(16), atol=1e-14)
 
 
 def test_encoder_kinetic_profile_matches_classical():
     kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1)
-    circuit = build_qate_circuit(solve_qate(kinetic.first_half()))
+    circuit = build_qate_circuit(kinetic)
     np.testing.assert_allclose(
         extract_diagonal(circuit), np.exp(-1j * kinetic.thetas), atol=1e-12
     )
@@ -175,9 +193,8 @@ def test_encoder_exact_for_random_quadratics():
         for _ in range(5):
             c0, c1, c2 = RNG.uniform(-1.0, 1.0, 3)
             half = c0 + c1 * j + c2 * j * j
-            circuit = build_qate_circuit(solve_qate(PhaseProfile(half, "half")))
             full = np.concatenate([half, half[::-1]])
-            diagonal = extract_diagonal(circuit)
+            diagonal = extract_diagonal(build_qate_circuit(PhaseProfile(full)))
             # align out the global phase before comparing
             aligned = diagonal * np.exp(-1j * np.angle(diagonal[0] * np.exp(1j * half[0])))
             assert np.max(np.abs(aligned - np.exp(-1j * full))) < 1e-10
@@ -192,7 +209,7 @@ def test_encoder_exact_for_any_quadratic_half_profile(n, coeffs):
     j = np.arange(1 << (n - 1), dtype=float)
     half = c0 + c1 * j + c2 * j * j
     full = np.concatenate([half, half[::-1]])
-    circuit = build_qate_circuit(solve_qate(PhaseProfile(half, "half")))
+    circuit = build_qate_circuit(PhaseProfile(full))
     error = np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * full)))
     assert error <= len(circuit.gates) * 2.0**-52 * max(1.0, np.max(np.abs(full)))
 
@@ -200,8 +217,8 @@ def test_encoder_exact_for_any_quadratic_half_profile(n, coeffs):
 def test_encoder_interpolates_low_popcount_indices():
     # arbitrary profiles are matched wherever the half-index has <= 2 set bits
     n = 5
-    profile = _random_half_profile(n)
-    circuit = build_qate_circuit(solve_qate(profile))
+    profile = _random_palindrome(n)
+    circuit = build_qate_circuit(profile)
     diagonal = extract_diagonal(circuit)
     for j in range(1 << (n - 1)):
         if bin(j).count("1") <= 2:
@@ -210,15 +227,14 @@ def test_encoder_interpolates_low_popcount_indices():
 
 def test_encoder_exact_for_any_profile_up_to_n3():
     for n in (2, 3):
-        profile = _random_half_profile(n)
-        circuit = build_qate_circuit(solve_qate(profile))
-        full = np.concatenate([profile.thetas, profile.thetas[::-1]])
-        np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * full), atol=1e-12)
+        profile = _random_palindrome(n)
+        circuit = build_qate_circuit(profile)
+        np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * profile.thetas), atol=1e-12)
 
 
 def test_encoder_diagonal_always_bisymmetric():
     for n in (3, 5):
-        circuit = build_qate_circuit(solve_qate(_random_half_profile(n)))
+        circuit = build_qate_circuit(_random_palindrome(n))
         diagonal = extract_diagonal(circuit)
         size = 1 << n
         for i in range(size // 2):
@@ -227,7 +243,7 @@ def test_encoder_diagonal_always_bisymmetric():
 
 def test_encoder_counts_match_prediction():
     for n in (2, 4, 6):
-        circuit = build_qate_circuit(solve_qate(_random_half_profile(n)))
+        circuit = build_qate_circuit(_random_palindrome(n))
         assert count_gates(circuit) == qate_gate_count(n)
 
 
@@ -235,7 +251,7 @@ def test_encoder_counts_match_prediction():
 
 
 def test_qwe_mid_window_budget_and_values():
-    kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1).first_half()
+    kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1)
     circuit = build_qwe_circuit(kinetic, WindowSpec(frozenset(range(11, 16))))
     tally = _gate_tally(circuit)
     assert tally[GateKind.PHASE] == 4
@@ -246,7 +262,7 @@ def test_qwe_mid_window_budget_and_values():
 
 
 def test_qwe_side_window_budget_and_values():
-    kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1).first_half()
+    kinetic = kinetic_phase_profile(Grid(10.0, 5), 0.1)
     circuit = build_qwe_circuit(kinetic, WindowSpec(frozenset(range(1, 5))))
     tally = _gate_tally(circuit)
     assert tally[GateKind.PHASE] == 3
@@ -258,7 +274,7 @@ def test_qwe_side_window_budget_and_values():
 
 def test_qwe_random_profiles_exact_on_window():
     for trial in range(5):
-        profile = _random_half_profile(5)
+        profile = _random_palindrome(5)
         window = frozenset(int(j) for j in RNG.choice(16, size=4, replace=False))
         try:
             circuit = build_qwe_circuit(profile, WindowSpec(window))
@@ -270,7 +286,7 @@ def test_qwe_random_profiles_exact_on_window():
 
 
 def test_qwe_anchor_window_needs_no_gates():
-    profile = _random_half_profile(5)
+    profile = _random_palindrome(5)
     circuit = build_qwe_circuit(profile, WindowSpec(frozenset({0})))
     assert circuit.gates == []
     assert np.exp(1j * circuit.global_phase) == pytest.approx(
@@ -282,14 +298,14 @@ def test_qwe_anchor_window_needs_no_gates():
 
 
 def test_qwe_infeasible_window():
-    profile = _random_half_profile(5)
+    profile = _random_palindrome(5)
     with pytest.raises(InfeasibleWindow):
         build_qwe_circuit(profile, WindowSpec(frozenset(range(16)), cp_budget=1))
 
 
 def test_qwe_respects_budget_bounds():
     # six constraints, six degrees of freedom (3 phases + 3 pairs)
-    profile = _random_half_profile(4)
+    profile = _random_palindrome(4)
     circuit = build_qwe_circuit(profile, WindowSpec(frozenset(range(1, 7)), cp_budget=3))
     tally = _gate_tally(circuit)
     assert tally.get(GateKind.PHASE, 0) <= 3
@@ -301,7 +317,7 @@ def test_qwe_respects_budget_bounds():
 
 def test_qwe_full_half_window_needs_cubic_term():
     # 2^(n-1) constraints exceed the quadratic encoder's degrees of freedom
-    profile = _random_half_profile(4)
+    profile = _random_palindrome(4)
     with pytest.raises(InfeasibleWindow):
         build_qwe_circuit(profile, WindowSpec(frozenset(range(8)), cp_budget=3))
 
@@ -310,7 +326,7 @@ def test_qwe_full_half_window_needs_cubic_term():
 def test_qwe_all_contiguous_small_windows(n):
     # every window of up to n half-indices is handled: either built exactly on
     # the window within budget, or rejected as infeasible
-    profile = _random_half_profile(n)
+    profile = _random_palindrome(n)
     half_size = 1 << (n - 1)
     built = rejected = 0
     for width in (2, n):
@@ -350,7 +366,7 @@ def test_qwe_equals_per_index_reference_gate_for_gate():
                    frozenset(range(half_size // 2, half_size // 2 + min(half_size // 2, 3)))}
         windows |= {frozenset(int(j) for j in rng.choice(half_size, size=min(half_size, size), replace=False))
                     for size in (2, n)}
-        profiles = (kinetic_phase_profile(Grid(10.0, n), 0.1).first_half(), _random_half_profile(n, rng))
+        profiles = (kinetic_phase_profile(Grid(10.0, n), 0.1), _random_palindrome(n, rng))
         for profile in profiles:
             for indices in sorted(windows, key=sorted):
                 for budget in (None, 0, 2):
@@ -382,7 +398,7 @@ def test_window_spec_rejects_indices_that_are_not_a_collection(indices):
 
 
 def test_qwe_index_out_of_range():
-    profile = _random_half_profile(4)
+    profile = _random_palindrome(4)
     with pytest.raises(InfeasibleWindow):
         build_qwe_circuit(profile, WindowSpec(frozenset({9})))
 
@@ -392,7 +408,7 @@ def test_qwe_index_out_of_range():
 
 def test_direct_quadratic_exact():
     theta = np.array([0.0, 0.1, 0.4, 0.9])
-    circuit = build_direct_diagonal(PhaseProfile(theta, "full"))
+    circuit = build_direct_diagonal(PhaseProfile(theta))
     np.testing.assert_allclose(extract_diagonal(circuit), np.exp(-1j * theta), atol=1e-12)
 
 
@@ -404,12 +420,12 @@ def test_direct_exact_for_random_quadratics(n, coefficients):
     c0, c1, c2 = coefficients
     k = np.arange(1 << n, dtype=float)
     theta = c0 + c1 * k + c2 * k * k
-    circuit = build_direct_diagonal(PhaseProfile(theta, "full"))
+    circuit = build_direct_diagonal(PhaseProfile(theta))
     assert np.max(np.abs(extract_diagonal(circuit) - np.exp(-1j * theta))) < 1e-9
 
 
 def test_direct_constant_profile_is_pure_phase():
-    circuit = build_direct_diagonal(PhaseProfile(np.full(8, 1.1), "full"))
+    circuit = build_direct_diagonal(PhaseProfile(np.full(8, 1.1)))
     unitary = extract_unitary(circuit)
     np.testing.assert_allclose(unitary, np.exp(-1.1j) * np.eye(8), atol=1e-12)
 
@@ -447,6 +463,12 @@ def test_potential_zero_eta_identity():
 def test_potential_none_empty():
     assert build_potential_circuit(4, PotentialSpec.none(), 0.05).gates == []
     assert build_potential_circuit(4, PotentialSpec.multi_step(1.0, ()), 0.05).gates == []
+
+
+def test_potential_angle_past_the_float_range_names_the_potential():
+    # eta and time are each finite, and 2 eta time is not
+    with pytest.raises(GridError, match="^potential angle 2 eta time must be a finite real number, got inf$"):
+        build_potential_circuit(3, PotentialSpec.single_step(1e308), 0.005)
 
 
 def test_potential_invalid_position():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qpyramid.circuit import Circuit, count_gates
-from qpyramid.encoders import build_qate_circuit, solve_qate
+from qpyramid.encoders import build_qate_circuit
 from qpyramid.analysis import FidelityReport
 from qpyramid.cli import export_evolution
 from qpyramid.evolution import (
@@ -117,7 +117,7 @@ def test_paper_step_equals_plain_transform_with_reordered_profile():
 
     ramped = Circuit(n)
     ramped.extend(momentum_transform_circuit(n, "paper"))
-    ramped.extend(build_qate_circuit(solve_qate(profile.first_half())))
+    ramped.extend(build_qate_circuit(profile))
     ramped.extend(momentum_transform_circuit(n, "paper", inverse=True))
 
     from qpyramid.encoders import build_qft
@@ -125,7 +125,7 @@ def test_paper_step_equals_plain_transform_with_reordered_profile():
     shifted = np.roll(profile.thetas, size // 2)
     plain = Circuit(n)
     plain.extend(build_qft(n, inverse=True))
-    plain.extend(build_qate_circuit(solve_qate(PhaseProfile(shifted[: size // 2], "half"))))
+    plain.extend(build_qate_circuit(PhaseProfile(shifted)))
     plain.extend(build_qft(n))
 
     difference = extract_unitary(ramped) - extract_unitary(plain)
@@ -235,7 +235,7 @@ def test_step_gate_count_composition():
     config = _config(n=5, potential=PotentialSpec.single_step(1.0))
     metrics = count_gates(trotter_step_circuit(config))
     kinetic = kinetic_phase_profile(config.grid, config.dt / config.trotter_steps)
-    encoder = count_gates(build_qate_circuit(solve_qate(kinetic.first_half())))
+    encoder = count_gates(build_qate_circuit(kinetic))
     transforms = count_gates(momentum_transform_circuit(5, "centered"))
     assert metrics.total == 2 * 1 + 2 * transforms.total + encoder.total
 

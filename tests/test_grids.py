@@ -84,8 +84,7 @@ def test_kinetic_profile_zero_dt():
 def test_kinetic_profile_palindromic_exactly():
     profile = kinetic_phase_profile(Grid(10.0, 6), 0.1)
     assert np.array_equal(profile.thetas, profile.thetas[::-1])
-    assert profile.provenance == "kinetic"
-    assert profile.span == "full"
+    assert len(profile) == 64 and profile.n_qubits == 6
 
 
 def test_kinetic_profile_nonnegative_and_mass():
@@ -100,18 +99,18 @@ def test_kinetic_profile_nonnegative_and_mass():
 def test_kinetic_half_is_quadratic_in_index():
     # constant second finite difference on the first half
     profile = kinetic_phase_profile(Grid(10.0, 7), 0.1)
-    half = profile.first_half().thetas
+    half = profile.thetas[:64]
     second = np.diff(half, 2)
     assert np.max(np.abs(second - second[0])) < 1e-10
 
 
 def test_profile_validation():
-    with pytest.raises(GridError):
-        PhaseProfile([0.0, np.inf], "half")
-    with pytest.raises(GridError):
-        PhaseProfile([0.0, 1.0, 2.0, 3.0], "full", "kinetic")  # not palindromic
-    with pytest.raises(GridError):
-        PhaseProfile([0.0], "sideways")
+    with pytest.raises(GridError, match="finite"):
+        PhaseProfile([0.0, np.inf])
+    with pytest.raises(GridError, match="not a power of two"):
+        PhaseProfile([0.0])
+    # a profile need not be a palindrome: only the shell encoders require one
+    assert PhaseProfile([0.0, 1.0, 2.0, 3.0]).n_qubits == 2
 
 
 def test_gaussian_packet_normalized():

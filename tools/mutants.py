@@ -41,6 +41,7 @@ CLI = "src/qpyramid/cli.py"
 EVOLUTION = "src/qpyramid/evolution.py"
 CIRCUIT = "src/qpyramid/circuit.py"
 GRIDS = "src/qpyramid/grids.py"
+ENCODERS = "src/qpyramid/encoders.py"
 # suites run at once: each is a separate pytest process, so threads suffice
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -99,9 +100,13 @@ MUTANTS = [
     Mutant("merge-across-plain-flip", SIMULATOR,
            "last_kernel is _diagonal and len(last_args) == 3",
            "(last_kernel is _diagonal and len(last_args) == 3 or last_kernel is _flip)"),
+    # a sum of finite angles past the float range is refused, not tabled
+    Mutant("angle-sum-unchecked", SIMULATOR,
+           "if not math.isfinite(total):",
+           "if False:"),
     Mutant("merge-keeps-2pi-multiples", SIMULATOR,
-           "if math.remainder(terms[key], 2 * math.pi) == 0.0:",
-           "if terms[key] == 0.0:"),
+           "if math.remainder(_add_angle(terms, key, angle), 2 * math.pi) == 0.0:",
+           "if _add_angle(terms, key, angle) == 0.0:"),
     # `run` keeps a circuit's plan only while the circuit equals its snapshot
     Mutant("memo-compares-gate-count", SIMULATOR,
            "(plan.n_qubits, plan.global_phase, plan.gates) != (\n"
@@ -254,14 +259,22 @@ MUTANTS = [
     Mutant("memory-guard-ignores-cgroup", CLI,
            "    if cgroup < limit:\n",
            "    if cgroup < 0:\n"),
-    # a profile's length fixes the width every encoder reads, and one check
-    # holds a potential's positions inside the width
-    Mutant("profile-width-drops-half-bit", GRIDS,
-           "return len(self.thetas).bit_length() - (self.span == \"full\")",
-           "return len(self.thetas).bit_length() - 1"),
+    # one check holds a potential's positions inside the width
     Mutant("potential-position-allows-width", GRIDS,
            "if not 0 <= q < n:",
            "if not 0 <= q <= n:"),
+    # the shell encoders mirror only a palindrome, QATE interpolates the
+    # first half over the payload qubits 1..n-1, and a pair angle is what
+    # the pair's index holds beyond both single angles and the global one
+    Mutant("shell-accepts-any-profile", ENCODERS,
+           "if np.max(np.abs(theta - theta[::-1])) > 1e-12:",
+           "if False:"),
+    Mutant("qate-interpolates-over-qubit-0", ENCODERS,
+           "_interpolate_quadratic(profile, 1)",
+           "_interpolate_quadratic(profile, 0)"),
+    Mutant("beta-drops-global-term", ENCODERS,
+           "- alpha[q] - alpha[r] - a\n",
+           "- alpha[q] - alpha[r]\n"),
 ]
 
 
