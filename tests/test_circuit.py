@@ -306,6 +306,8 @@ _NUMERIC_FIELDS = {
                           ("t1", "time"), ("t2", "time"), ("l2_gates", "integer")]},
     "Circuit.global_phase": (lambda v: validate(Circuit(1, global_phase=v)), CircuitError, "real"),
     "Gate.angle": (lambda v: validate(Circuit(1).p(0, v)), CircuitError, "real"),
+    "WindowSpec.indices": (lambda v: WindowSpec({v}), InfeasibleWindow, "integer"),
+    "WindowSpec.cp_budget": (lambda v: WindowSpec({0}, v), InfeasibleWindow, "integer"),
     "Histogram.shots": (lambda v: Histogram(v, [1, 0]), ValueError, "integer"),
     "sample.shots": (lambda v: sample(_ONE, v, RandomSource(1)), ValueError, "integer"),
     "swap_test_estimate.shots": (lambda v: swap_test_estimate(_ONE, _ONE, v, RandomSource(1)), ValueError,
@@ -415,6 +417,7 @@ def test_bounded_field_accepts_its_bound_and_rejects_one_step_past_it(field):
 _WRONG_KIND = {
     "PotentialSpec.qubit_positions": (lambda v: PotentialSpec(1.0, v), GridError, "are not a collection",
                                       [None, 3]),
+    "WindowSpec.indices": (WindowSpec, InfeasibleWindow, "are not a collection", [None, 3]),
     "PhaseProfile.thetas": (PhaseProfile, GridError, "must be real numbers", [[1j], "abc", [True], [[0.1, 0.2], [0.3]]]),
     "PhaseProfile.thetas empty": (PhaseProfile, GridError, "profile length 0 is not a power of two", [()]),
     "EvolutionConfig.grid": (EvolutionConfig, GridError, "is not a Grid", [(10, 3), None]),

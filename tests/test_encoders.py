@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qpyramid.circuit import (
     Circuit,
+    CircuitError,
     GateKind,
     InvalidWidth,
     circuit_to_json,
@@ -129,7 +130,7 @@ def test_solve_composite_relation_n3():
     assert np.exp(-1j * angles[(1, 2)]) == pytest.approx(np.exp(1j * expected))
 
 
-@pytest.mark.parametrize("length", [0, 1, 3])
+@pytest.mark.parametrize("length", [0, 1, 3, 6, 12])
 def test_profile_rejects_a_length_that_fixes_no_width(length):
     # a profile of 2^n entries has width n, read from the bits of the
     # length, never from a logarithm
@@ -148,11 +149,13 @@ def test_qate_rejects_a_one_qubit_profile():
         build_qate_circuit(PhaseProfile([0.3, 0.3]))
 
 
-@pytest.mark.parametrize("build", [build_qate_circuit, lambda p: build_qwe_circuit(p, WindowSpec({1}))],
-                         ids=["qate", "qwe"])
+@pytest.mark.parametrize("build", [build_qate_circuit, lambda p: build_qwe_circuit(p, WindowSpec({1})),
+                                   lambda p: build_qwe_circuit(p, WindowSpec({0}))],
+                         ids=["qate", "qwe", "qwe-anchor"])
 def test_shell_encoders_reject_a_profile_that_is_no_palindrome(build):
-    # the shell mirrors the first half, so any other second half is refused;
-    # the direct encoder has no shell and encodes the same profile
+    # the shell mirrors the first half, so any other second half is refused,
+    # even by a window that needs no shell; the direct encoder has no shell
+    # and encodes the same profile
     theta = np.array([0.0, 1.0, 2.0, 3.0])
     with pytest.raises(GridError, match="must be palindromic"):
         build(PhaseProfile(theta))
@@ -163,6 +166,15 @@ def test_shell_encoders_reject_a_profile_that_is_no_palindrome(build):
     build(PhaseProfile(near + [0.0, 0.0, 0.0, 0.5e-12]))
     with pytest.raises(GridError, match="must be palindromic"):
         build(PhaseProfile(near + [0.0, 0.0, 0.0, 2e-12]))
+
+
+@pytest.mark.parametrize("build", [build_qate_circuit, lambda p: build_qwe_circuit(p, WindowSpec({1})),
+                                   build_direct_diagonal], ids=["qate", "qwe", "direct"])
+def test_encoders_refuse_an_angle_too_large_to_reduce(build):
+    # an interpolated angle of 2^52 or more holds no phase: each encoder
+    # raises CircuitError for it rather than emitting a gate
+    with pytest.raises(CircuitError, match="too large to reduce modulo 2"):
+        build(PhaseProfile([0.0, 1e16, 1e16, 0.0]))
 
 
 # --- full encoder ---
