@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import ErrorBudgetParams, FidelityReport, error_budget, error_budget_terms
 from .circuit import CircuitError, baseline_gate_count, circuit_to_dict, qate_gate_count
 from .encoders import InfeasibleWindow, WindowSpec, build_direct_diagonal, build_qate_circuit, build_qwe_circuit
-from .evolution import EvolutionConfig, EvolutionStep, evolve_quantum, fidelity_sweep
+from .evolution import MODES, EvolutionConfig, EvolutionStep, evolve_quantum, fidelity_sweep
 from .grids import Grid, GridError, PacketSpec, PotentialSpec, kinetic_phase_profile
 from .simulator import extract_diagonal
 
@@ -142,27 +142,24 @@ def _checked(parse, expected: str):
 _QUBIT_RANGE = _checked(_parse_qubit_range, "n or a..b with integers a <= b")
 
 
-_POTENTIALS = {"single": PotentialSpec.single_step, "double": PotentialSpec.double_step,
-               "multi": PotentialSpec.multi_step}
+# Each --potential kind: the positions it takes when --positions is not
+# given, and how many --positions may give (None: one or more).
+_POTENTIAL_KINDS = {"none": ((), 0), "single": ((0,), 1), "double": ((1,), 1), "multi": ((0, 1), None)}
 
 
 def _potential_spec(kind: str, eta: float, positions: str | None) -> PotentialSpec:
-    """--potential picks the PotentialSpec factory, whose defaults hold the
-    positions; --positions is passed on only when given.  `none` takes no
-    positions and `single`/`double` exactly one."""
-    if kind == "none":
-        if positions is not None:
-            raise click.BadParameter("--potential none takes no positions", param_hint="'--positions'")
-        return PotentialSpec.none()
+    """PotentialSpec(eta, positions) of a --potential kind: at --positions
+    when given, which may list as many positions as the kind takes, else at
+    the kind's default positions (`_POTENTIAL_KINDS`).  Every kind builds the
+    spec, so eta is checked under `none` too."""
+    default, most = _POTENTIAL_KINDS[kind]
     if positions is None:
-        return _POTENTIALS[kind](eta)
+        return PotentialSpec(eta, default)
     qubits = _parse_positions(positions)
-    if kind == "multi":
-        return _POTENTIALS[kind](eta, qubits)
-    if len(qubits) != 1:
-        raise click.BadParameter(f"--potential {kind} takes exactly one position, got {positions!r}",
-                                 param_hint="'--positions'")
-    return _POTENTIALS[kind](eta, qubits[0])
+    if most is not None and len(qubits) > most:
+        raise click.BadParameter(f"--potential {kind} takes {most or 'no'} position{'s' * (most != 1)}, "
+                                 f"got {positions!r}", param_hint="'--positions'")
+    return PotentialSpec(eta, qubits)
 
 
 # A command's peak resident memory, estimated before anything is allocated:
@@ -307,6 +304,7 @@ def write_json(path, document) -> None:
         fh.write("\n")
 
 
+REPORT_FORMATS = ("csv", "json")
 REPORT_HEADERS = {
     "metrics": ["n", "qate_1q", "qate_2q", "qate_total", "baseline_total",
                 "depth_ours", "depth_paper_ref", "depth_baseline_paper_ref"],
@@ -332,8 +330,8 @@ def emit_report(out_dir, section: str, rows, fmt: str = "csv") -> list[str]:
     csv format writes `<section>.csv`; json writes report.json holding
     {section: [one object per row]}.  Returns the list of paths written.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"format must be {' or '.join(REPORT_FORMATS)}, got {fmt!r}")
     header, rows = REPORT_HEADERS[section], list(rows)
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"each {section} row must have {len(header)} cells, one per column")
@@ -425,17 +423,17 @@ _EVOLVE_OPTS = _options(
     click.option("--steps", type=int, default=5, help="reported steps"),
     click.option("--trotter-steps", type=int, default=10, help="substeps per reported step"),
     click.option("--k0", type=float, default=1.0, help="packet wave number"),
-    click.option("--potential", type=click.Choice(["none", "single", "double", "multi"]),
+    click.option("--potential", type=click.Choice(list(_POTENTIAL_KINDS)),
                  default="none", help="step potential kind"),
     click.option("--eta", type=float, default=1.0, help="barrier magnitude"),
     click.option("--positions", callback=_checked(_parse_positions, "comma-separated integers"),
                  help="comma-separated potential qubit positions"),
     click.option("--shots", type=int, default=10000, help="measurement shots"),
     click.option("--seed", type=int, default=1234, help="RNG seed"),
-    click.option("--mode", type=click.Choice(["paper", "centered"]), default="centered",
+    click.option("--mode", type=click.Choice(MODES), default="centered",
                  help="transform convention"),
 )
-_FORMAT_OPT = click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
+_FORMAT_OPT = click.option("--format", type=click.Choice(REPORT_FORMATS), default="csv",
                            help="report format")
 
 

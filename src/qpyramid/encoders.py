@@ -30,6 +30,13 @@ class InfeasibleWindow(CircuitError):
     """Window positions over-constrain the available phase/controlled-phase terms."""
 
 
+def _phase_profile(profile) -> PhaseProfile:
+    """`profile`, checked by every encoder to be a PhaseProfile."""
+    if not isinstance(profile, PhaseProfile):
+        raise GridError(f"encoder input {profile!r:.60} is not a PhaseProfile")
+    return profile
+
+
 def _interpolate_quadratic(profile: PhaseProfile, first_qubit: int) -> tuple[float, dict, dict]:
     """Interpolate theta at its popcount <= 2 indices over qubits
     first_qubit..n-1 (1 reads the first half only), where qubit q's bit has
@@ -87,7 +94,7 @@ def build_qate_circuit(profile: PhaseProfile) -> Circuit:
     the palindromic profile over qubits 1..n-1 (`_interpolate_quadratic`).
     The gate order does not depend on the angles, so the counts agree with
     qate_gate_count(n) for every profile."""
-    n = exact_int(profile.n_qubits, InvalidWidth, "n_qubits", low=2)
+    n = exact_int(_phase_profile(profile).n_qubits, InvalidWidth, "n_qubits", low=2)
     _mirrored_half(profile.thetas)
     a_global, alpha, beta = _interpolate_quadratic(profile, 1)
     ladder = build_qpa_shell(n).gates
@@ -117,9 +124,15 @@ class WindowSpec:
 
 
 def _lstsq_residual(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares angles over `columns` and their largest residual; a
+    target or angles past the float range leave it non-finite: CircuitError."""
     matrix = np.stack(columns, axis=1) if columns else np.zeros((len(target), 0))
     solution, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    return solution, float(np.max(np.abs(matrix @ solution - target)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(matrix @ solution - target)))
+    if not np.isfinite(residual):
+        raise CircuitError("window angles theta[j] - theta[0], or their least-squares fit, are not finite")
+    return solution, residual
 
 
 def build_qwe_circuit(profile: PhaseProfile, window: WindowSpec) -> Circuit:
@@ -131,14 +144,14 @@ def build_qwe_circuit(profile: PhaseProfile, window: WindowSpec) -> Circuit:
     residual first, canonical order on ties) until the window interpolates
     exactly or the budget runs out.
     """
-    theta, n = _mirrored_half(profile.thetas), profile.n_qubits
+    theta, n = _mirrored_half(_phase_profile(profile).thetas), profile.n_qubits
     indices = sorted(window.indices)
     if indices[0] < 0 or indices[-1] >= len(theta):
         raise InfeasibleWindow(f"window indices must lie in [0, {len(theta)})")
     budget = window.cp_budget if window.cp_budget is not None else n - 1
 
     a_global = float(theta[0])
-    target = np.array([theta[j] - a_global for j in indices], dtype=np.float64)
+    target = np.array([t - a_global for t in theta[indices].tolist()])  # as floats: overflow is inf, no warning
 
     # bits[k] holds qubit k's bit, of weight 2^(n-1-k), of every window index
     bits = (np.array(indices) >> np.arange(n - 1, -1, -1)[:, None]) & 1
@@ -179,7 +192,7 @@ def build_direct_diagonal(profile: PhaseProfile) -> Circuit:
     """Degree-two multilinear encoder over the full indices of a profile of
     width n, no reflection shell: phase gates on all n qubits plus controlled
     phases on all pairs; exact whenever the profile is quadratic in the index."""
-    a_global, alpha, beta = _interpolate_quadratic(profile, 0)
+    a_global, alpha, beta = _interpolate_quadratic(_phase_profile(profile), 0)
     return _emit_phase_gates(Circuit(profile.n_qubits, global_phase=wrap_angle(-a_global)), alpha, beta)
 
 

@@ -57,7 +57,7 @@ MODES = ("paper", "centered")
 class EvolutionConfig:
     grid: Grid
     packet: PacketSpec = PacketSpec()
-    potential: PotentialSpec = PotentialSpec.none()
+    potential: PotentialSpec = PotentialSpec()
     dt: float = 0.1              # reported-step duration
     trotter_steps: int = 10      # substeps per reported step
     total_steps: int = 1

@@ -116,7 +116,9 @@ def gaussian_packet(grid: Grid, spec: PacketSpec) -> StateVector:
 @dataclass(frozen=True)
 class PotentialSpec:
     """Step potential of barrier magnitude eta, one Z rotation per entry of
-    `qubit_positions`; no positions means no potential.
+    `qubit_positions`; no positions means no potential, so `PotentialSpec()`
+    is none.  A single, double or multi step is only a choice of positions,
+    e.g. `PotentialSpec(1.0, (0,))`; the CLI's `--potential` kinds name them.
 
     The circuit applies e^{-i eta Z t} on each position qubit, and
     `potential_profile` samples the potential those rotations induce,
@@ -141,22 +143,6 @@ class PotentialSpec:
             if not 0 <= q < n:
                 raise GridError(f"potential qubit position {q} outside width {n}")
         return self.qubit_positions
-
-    @staticmethod
-    def none() -> "PotentialSpec":
-        return PotentialSpec()
-
-    @staticmethod
-    def single_step(eta: float, qubit: int = 0) -> "PotentialSpec":
-        return PotentialSpec(eta, (qubit,))
-
-    @staticmethod
-    def double_step(eta: float, qubit: int = 1) -> "PotentialSpec":
-        return PotentialSpec(eta, (qubit,))
-
-    @staticmethod
-    def multi_step(eta: float, qubits: tuple[int, ...] = (0, 1)) -> "PotentialSpec":
-        return PotentialSpec(eta, tuple(qubits))
 
 
 def potential_profile(grid: Grid, spec: PotentialSpec) -> np.ndarray:

@@ -148,7 +148,8 @@ def _norm(amplitudes: np.ndarray) -> float:
 @dataclass
 class Histogram:
     """Measurement counts: counts[i] for basis index i, summing to `shots`;
-    any 1-D integer (not bool) array of counts in [0, 2^63), kept as int64."""
+    any 1-D integer (not bool) array of counts in [0, 2^63), kept as int64,
+    an int64 array as given, not copied."""
 
     shots: int
     counts: np.ndarray
@@ -161,7 +162,7 @@ class Histogram:
         top = int(counts.max(initial=0))
         if counts.min(initial=0) < 0 or top >= 2**63:
             raise ValueError("counts must lie in [0, 2^63)")
-        self.counts = counts.astype(np.int64)
+        self.counts = counts.astype(np.int64, copy=False)
         # the int64 sum is exact unless it could reach 2^63
         total = int(self.counts.sum()) if top * counts.size < 2**63 else sum(counts.tolist())
         if total != self.shots:

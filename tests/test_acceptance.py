@@ -128,7 +128,7 @@ def test_criterion_5_trotter_order():
     base = EvolutionConfig(
         grid=Grid(10.0, 6),
         packet=PacketSpec(1.0),
-        potential=PotentialSpec.single_step(1.0),
+        potential=PotentialSpec(1.0, (0,)),
         dt=0.1,
         trotter_steps=10,
         total_steps=10,
@@ -156,7 +156,7 @@ def test_criterion_6_fidelity_trend(tmp_path):
     template = EvolutionConfig(
         grid=Grid(10.0, 3),
         packet=PacketSpec(1.0),
-        potential=PotentialSpec.none(),
+        potential=PotentialSpec(),
         dt=0.1,
         trotter_steps=10,
         total_steps=5,

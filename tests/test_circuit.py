@@ -30,7 +30,15 @@ from qpyramid.circuit import (
     validate,
     wrap_angle,
 )
-from qpyramid.encoders import InfeasibleWindow, WindowSpec, build_potential_circuit, build_qate_circuit, build_qpa_shell
+from qpyramid.encoders import (
+    InfeasibleWindow,
+    WindowSpec,
+    build_direct_diagonal,
+    build_potential_circuit,
+    build_qate_circuit,
+    build_qpa_shell,
+    build_qwe_circuit,
+)
 from qpyramid.evolution import EvolutionConfig, free_packet_reference, momentum_transform_circuit
 from qpyramid.grids import Grid, GridError, PacketSpec, PhaseProfile, PotentialSpec, kinetic_phase_profile
 from qpyramid.simulator import Histogram, RandomSource, StateVector, sample
@@ -389,7 +397,7 @@ _BOUNDED = {
     "build_qft": (build_qft, InvalidWidth, 1),
     "build_qpa_shell.n": (build_qpa_shell, InvalidWidth, 2),
     "momentum_transform_circuit.n": (lambda v: momentum_transform_circuit(v, "centered"), InvalidWidth, 1),
-    "build_potential_circuit.n": (lambda v: build_potential_circuit(v, PotentialSpec.none(), 0.1), InvalidWidth,
+    "build_potential_circuit.n": (lambda v: build_potential_circuit(v, PotentialSpec(), 0.1), InvalidWidth,
                                   1),
 }
 _SIGN_EDGES = {"positive": (5e-324, 0.0), "nonnegative": (0.0, -5e-324)}
@@ -420,6 +428,10 @@ _WRONG_KIND = {
     "WindowSpec.indices": (WindowSpec, InfeasibleWindow, "are not a collection", [None, 3]),
     "PhaseProfile.thetas": (PhaseProfile, GridError, "must be real numbers", [[1j], "abc", [True], [[0.1, 0.2], [0.3]]]),
     "PhaseProfile.thetas empty": (PhaseProfile, GridError, "profile length 0 is not a power of two", [()]),
+    "build_qate_circuit profile": (build_qate_circuit, GridError, "is not a PhaseProfile", [np.zeros(4)]),
+    "build_direct_diagonal profile": (build_direct_diagonal, GridError, "is not a PhaseProfile", [np.zeros(4)]),
+    "build_qwe_circuit profile": (lambda v: build_qwe_circuit(v, WindowSpec({0})), GridError,
+                                  "is not a PhaseProfile", [np.zeros(4)]),
     "EvolutionConfig.grid": (EvolutionConfig, GridError, "is not a Grid", [(10, 3), None]),
     "EvolutionConfig.packet": (lambda v: EvolutionConfig(_GRID, packet=v), GridError, "is not a PacketSpec",
                                [None, 1.0]),

@@ -19,6 +19,7 @@ import qpyramid
 from qpyramid import cli
 from qpyramid.cli import main
 from qpyramid.circuit import circuit_from_json
+from qpyramid.grids import PotentialSpec
 from qpyramid.simulator import sample
 
 
@@ -180,8 +181,12 @@ _QUICK = ["--steps", "1", "--shots", "64"]
     ["fidelity", "--qubits", "3..5", "--potential", "multi", "--positions", "0,3", *_QUICK],
     ["evolve", "--qubits", "3", "--eta", "inf", "--potential", "single", *_QUICK],
     ["evolve", "--qubits", "3", "--eta", "nan", "--potential", "single", *_QUICK],
+    # every --potential builds its spec from eta, `none` (the default) too
+    ["evolve", "--qubits", "3", "--eta", "inf", *_QUICK],
+    ["evolve", "--qubits", "3", "--eta", "nan", *_QUICK],
     # a finite eta whose rotation angle 2 eta t is not
     ["evolve", "--qubits", "3", "--potential", "single", "--eta", "1e308", *_QUICK],
+    ["evolve", "--qubits", "3", "--eta", "1e308", "--dt", "1000", *_QUICK],
     ["error-budget", "--h", "nan"],
     ["error-budget", "--h", "inf"],
     ["error-budget", "--h", "0.1", "--t1", "nan"],
@@ -441,7 +446,15 @@ def test_failure_after_step_0_keeps_written_steps_and_no_manifest(runner, tmp_pa
     assert sorted(p.name for p in out.iterdir()) == ["step_000_hist.csv", "step_000_state.csv"]
 
 
-def test_evolve_multi_step_positions(runner, tmp_path):
+@pytest.mark.parametrize("kind, positions, expected", [
+    ("none", None, ()), ("single", None, (0,)), ("double", None, (1,)), ("multi", None, (0, 1)),
+    ("single", "2", (2,)), ("double", "0", (0,)), ("multi", "3", (3,)), ("multi", "0,2,3", (0, 2, 3)),
+])
+def test_potential_kind_is_eta_at_its_positions(kind, positions, expected):
+    assert cli._potential_spec(kind, 0.5, positions) == PotentialSpec(0.5, expected)
+
+
+def test_evolve_multi_positions(runner, tmp_path):
     out = tmp_path / "ev"
     result = runner.invoke(main, ["evolve", "--qubits", "4", "--steps", "1", "--shots", "64",
                                   "--potential", "multi", "--positions", "0,2",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ def test_encoders_refuse_an_angle_too_large_to_reduce(build):
     # raises CircuitError for it rather than emitting a gate
     with pytest.raises(CircuitError, match="too large to reduce modulo 2"):
         build(PhaseProfile([0.0, 1e16, 1e16, 0.0]))
+
+
+@pytest.mark.parametrize("method", ["qate", "qwe", "direct"])
+@pytest.mark.parametrize("thetas, window", [
+    ([-1e308, 1e308, 1e308, -1e308], {0, 1}),
+    ([0.0, 1.7e308, -1.7e308, -1.7e308, -1.7e308, -1.7e308, 1.7e308, 0.0], {0, 1, 2, 3}),
+], ids=["target-overflows", "solution-overflows"])
+def test_encoders_refuse_angles_past_the_float_range_without_warning(method, thetas, window):
+    # QWE's target theta[j] - theta[0] of the first profile, and its
+    # least-squares angles of the second, leave the float range: every
+    # encoder raises CircuitError, and numpy warns of nothing
+    build = {"qate": build_qate_circuit, "direct": build_direct_diagonal,
+             "qwe": lambda p: build_qwe_circuit(p, WindowSpec(window))}[method]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CircuitError):
+            build(PhaseProfile(thetas))
 
 
 # --- full encoder ---
@@ -454,9 +472,9 @@ def test_direct_kinetic_profile_exact():
 # --- potential factors ---
 
 
-def test_potential_single_step_tensor_value():
+def test_potential_on_qubit_0_tensor_value():
     eta, time = 1.7, 0.15
-    circuit = build_potential_circuit(2, PotentialSpec.single_step(eta), time)
+    circuit = build_potential_circuit(2, PotentialSpec(eta, (0,)), time)
     expected = np.kron(rz_mat(2 * eta * time), np.eye(2))
     np.testing.assert_allclose(extract_unitary(circuit), expected, atol=1e-14)
     t = eta * time
@@ -468,31 +486,31 @@ def test_potential_single_step_tensor_value():
 
 
 def test_potential_zero_eta_identity():
-    circuit = build_potential_circuit(3, PotentialSpec.single_step(0.0), 0.25)
+    circuit = build_potential_circuit(3, PotentialSpec(0.0, (0,)), 0.25)
     np.testing.assert_allclose(extract_unitary(circuit), np.eye(8), atol=1e-15)
 
 
 def test_potential_none_empty():
-    assert build_potential_circuit(4, PotentialSpec.none(), 0.05).gates == []
-    assert build_potential_circuit(4, PotentialSpec.multi_step(1.0, ()), 0.05).gates == []
+    assert build_potential_circuit(4, PotentialSpec(), 0.05).gates == []
+    assert build_potential_circuit(4, PotentialSpec(1.0, ()), 0.05).gates == []
 
 
 def test_potential_angle_past_the_float_range_names_the_potential():
     # eta and time are each finite, and 2 eta time is not
     with pytest.raises(GridError, match="^potential angle 2 eta time must be a finite real number, got inf$"):
-        build_potential_circuit(3, PotentialSpec.single_step(1e308), 0.005)
+        build_potential_circuit(3, PotentialSpec(1e308, (0,)), 0.005)
 
 
 def test_potential_invalid_position():
     for qubit in (2, 5, -1):
         with pytest.raises(GridError):
-            build_potential_circuit(2, PotentialSpec.single_step(1.0, qubit=qubit), 0.05)
+            build_potential_circuit(2, PotentialSpec(1.0, (qubit,)), 0.05)
 
 
 @pytest.mark.parametrize("caller", ["build_potential_circuit", "potential_profile", "EvolutionConfig"])
 @pytest.mark.parametrize("qubit", [-1, 3])
 def test_potential_position_outside_the_width_has_one_message(caller, qubit):
-    spec, grid = PotentialSpec.single_step(1.0, qubit), Grid(10.0, 3)
+    spec, grid = PotentialSpec(1.0, (qubit,)), Grid(10.0, 3)
     build = {"build_potential_circuit": lambda: build_potential_circuit(3, spec, 0.05),
              "potential_profile": lambda: potential_profile(grid, spec),
              "EvolutionConfig": lambda: EvolutionConfig(grid, potential=spec)}[caller]

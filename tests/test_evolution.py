@@ -55,7 +55,7 @@ def _config(n=5, **overrides):
     base = dict(
         grid=Grid(10.0, n),
         packet=PacketSpec(1.0),
-        potential=PotentialSpec.none(),
+        potential=PotentialSpec(),
         dt=0.1,
         trotter_steps=10,
         total_steps=1,
@@ -152,14 +152,14 @@ def test_step_runs_both_transforms_as_fourier_ops(mode):
     # the QATE payload and its CX ladders are one mirrored diagonal op, and
     # the momentum ramps on either side of it are merged away: in centered
     # mode they cancel to 0.0, in paper mode they sum to 2 pi on the last qubit
-    config = _config(n=6, mode=mode, potential=PotentialSpec.multi_step(0.5, (0, 2)))
+    config = _config(n=6, mode=mode, potential=PotentialSpec(0.5, (0, 2)))
     kernels = [kernel for kernel, _ in compile_circuit(trotter_step_circuit(config)).ops]
     assert kernels.count(_fourier) == 2
     assert kernels.count(_diagonal) == 3  # the tables a held plan keeps
     assert _hadamard not in kernels and _flip not in kernels
 
 
-@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+@pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(1.0, (0,))],
                          ids=["free", "single"])
 @pytest.mark.parametrize("mode", ["centered", "paper"])
 def test_substep_is_five_ops_in_either_mode(mode, potential):
@@ -172,7 +172,7 @@ def test_substep_is_five_ops_in_either_mode(mode, potential):
     np.testing.assert_allclose(extract_unitary(circuit), circuit_unitary(circuit), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+@pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(1.0, (0,))],
                          ids=["free", "single"])
 def test_centered_substep_runs_six_table_multiplies(potential):
     # each outer ramp op, the potential half included, is two factor tables
@@ -187,7 +187,7 @@ def test_centered_substep_runs_six_table_multiplies(potential):
 def test_substep_plan_never_reorders_the_state(n, mode):
     # below the split cut-off both Fourier ops read and leave natural order;
     # from it on the inverse op reads the rotated layout the forward op left
-    config = _config(n=n, mode=mode, potential=PotentialSpec.single_step(1.0))
+    config = _config(n=n, mode=mode, potential=PotentialSpec(1.0, (0,)))
     kernels = [kernel for kernel, _ in compile_circuit(trotter_step_circuit(config)).ops]
     assert kernels.count(_fourier) == 2 and _permute not in kernels
 
@@ -214,7 +214,7 @@ def test_substep_plan_holds_under_one_statevector_of_tables():
 
 
 def test_step_identity_at_zero_dt():
-    config = _config(n=4, dt=0.0, trotter_steps=1, potential=PotentialSpec.single_step(1.0))
+    config = _config(n=4, dt=0.0, trotter_steps=1, potential=PotentialSpec(1.0, (0,)))
     unitary = extract_unitary(trotter_step_circuit(config))
     assert np.max(np.abs(unitary - np.eye(16))) < 1e-10
 
@@ -232,7 +232,7 @@ def test_kinetic_substeps_commute():
 
 
 def test_step_gate_count_composition():
-    config = _config(n=5, potential=PotentialSpec.single_step(1.0))
+    config = _config(n=5, potential=PotentialSpec(1.0, (0,)))
     metrics = count_gates(trotter_step_circuit(config))
     kinetic = kinetic_phase_profile(config.grid, config.dt / config.trotter_steps)
     encoder = count_gates(build_qate_circuit(kinetic))
@@ -253,7 +253,7 @@ def test_oracle_momentum_distribution_invariant_without_potential():
 
 
 def test_oracle_preserves_norm():
-    config = _config(n=5, total_steps=4, potential=PotentialSpec.single_step(2.0))
+    config = _config(n=5, total_steps=4, potential=PotentialSpec(2.0, (0,)))
     for state in evolve_classical_oracle(config):
         assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
@@ -270,7 +270,7 @@ def test_oracle_state_bytes_golden():
     # elision starts to evaluate `held * temporary` as `temporary * held`.
     # SIMD complex multiply is not bit-commutative, so hoisting `ramp.conj()`
     # out of the substep, or writing `x *= held`, moves the bytes
-    config = EvolutionConfig(Grid(10.0, 14), potential=PotentialSpec.single_step(1.0),
+    config = EvolutionConfig(Grid(10.0, 14), potential=PotentialSpec(1.0, (0,)),
                              total_steps=1, trotter_steps=2)
     final = list(evolve_classical_oracle(config))[-1]
     assert hashlib.sha256(final.tobytes()).hexdigest() == (
@@ -295,8 +295,8 @@ def _dense_oracle(config):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_oracle_matches_dense_kernel(n):
-    for d, potential in ((10.0, PotentialSpec.none()), (20.0, PotentialSpec.single_step(1.5)),
-                         (0.5, PotentialSpec.multi_step(2.0, (0, 1)))):
+    for d, potential in ((10.0, PotentialSpec()), (20.0, PotentialSpec(1.5, (0,))),
+                         (0.5, PotentialSpec(2.0, (0, 1)))):
         config = _config(n=n, grid=Grid(d, n), potential=potential, packet=PacketSpec(1.3),
                          total_steps=2, trotter_steps=3, mass=0.7)
         for fast, dense in zip(evolve_classical_oracle(config), _dense_oracle(config), strict=True):
@@ -314,8 +314,8 @@ def test_zero_steps_returns_initial_only():
 
 
 def test_centered_mode_matches_oracle_for_any_config():
-    potentials = (PotentialSpec.none(), PotentialSpec.single_step(1.0),
-                  PotentialSpec.double_step(0.7), PotentialSpec.multi_step(0.5, (0, 2)))
+    potentials = (PotentialSpec(), PotentialSpec(1.0, (0,)),
+                  PotentialSpec(0.7, (1,)), PotentialSpec(0.5, (0, 2)))
     for n, potential in zip((4, 5, 6, 7), potentials):
         config = _config(n=n, potential=potential, total_steps=2, trotter_steps=4)
         for record in evolve_quantum(config):
@@ -329,7 +329,7 @@ def test_kinetic_only_high_fidelity_many_substeps():
 
 
 def test_norm_conserved_every_step():
-    config = _config(n=4, potential=PotentialSpec.single_step(1.0), total_steps=3)
+    config = _config(n=4, potential=PotentialSpec(1.0, (0,)), total_steps=3)
     for record in evolve_quantum(config):
         assert abs(record.state.norm() - 1.0) < 1e-9
 
@@ -369,7 +369,7 @@ def test_oracle_stream_keeps_no_earlier_step():
 def test_kept_reported_states_differ_and_equal_fresh_run_loops():
     # the substeps update one buffer in place; every reported state is a copy
     # of it, so states kept from one stream are not changed by later steps
-    config = _config(n=5, total_steps=2, trotter_steps=3, potential=PotentialSpec.single_step(1.0))
+    config = _config(n=5, total_steps=2, trotter_steps=3, potential=PotentialSpec(1.0, (0,)))
     kept = list(_circuit_states(config))
     step = trotter_step_circuit(config)
     state = gaussian_packet(config.grid, config.packet)
@@ -384,7 +384,7 @@ def test_kept_reported_states_differ_and_equal_fresh_run_loops():
 
 
 def test_evolution_deterministic():
-    config = _config(n=4, total_steps=2, potential=PotentialSpec.single_step(1.0), shots=500)
+    config = _config(n=4, total_steps=2, potential=PotentialSpec(1.0, (0,)), shots=500)
     first = list(evolve_quantum(config))
     second = list(evolve_quantum(config))
     for a, b in zip(first, second, strict=True):
@@ -396,7 +396,7 @@ def test_evolution_deterministic():
 
 
 def test_splitting_error_second_order():
-    base = _config(n=4, dt=0.1, total_steps=4, potential=PotentialSpec.single_step(1.0), trotter_steps=8)
+    base = _config(n=4, dt=0.1, total_steps=4, potential=PotentialSpec(1.0, (0,)), trotter_steps=8)
     coarse = splitting_infidelity(base)
     fine = splitting_infidelity(replace(base, trotter_steps=16))
     assert 3.0 <= coarse / fine <= 5.0
@@ -430,8 +430,8 @@ def test_fidelity_sweep_deterministic_and_sized():
 
 
 def test_potential_without_positions_is_no_potential():
-    config = _config(n=4, total_steps=2, potential=PotentialSpec.multi_step(1.0, ()))
-    free = replace(config, potential=PotentialSpec.none())
+    config = _config(n=4, total_steps=2, potential=PotentialSpec(1.0, ()))
+    free = replace(config, potential=PotentialSpec())
     assert trotter_step_circuit(config).gates == trotter_step_circuit(free).gates
     np.testing.assert_array_equal(sweep_reference_state(config).amplitudes,
                                   sweep_reference_state(free).amplitudes)
@@ -448,7 +448,7 @@ def _old_sweep_exact(config):
     return fidelity_exact(reference, final.state)
 
 
-@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+@pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(1.0, (0,))],
                          ids=["none", "single"])
 def test_fidelity_sweep_exact_matches_full_evolution(potential):
     template = _config(n=3, total_steps=2, shots=256, potential=potential)
@@ -456,7 +456,7 @@ def test_fidelity_sweep_exact_matches_full_evolution(potential):
         assert report.exact == _old_sweep_exact(config)
 
 
-@pytest.mark.parametrize("potential", [PotentialSpec.none(), PotentialSpec.single_step(1.0)],
+@pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(1.0, (0,))],
                          ids=["none", "single"])
 def test_fidelity_sweep_draws_no_per_step_samples(monkeypatch, potential):
     def fail(*args, **kwargs):
@@ -561,9 +561,9 @@ def test_config_validation():
         with pytest.raises(GridError):
             _config(mass=bad)
     with pytest.raises(GridError):
-        _config(n=5, potential=PotentialSpec.single_step(1.0, qubit=7))
+        _config(n=5, potential=PotentialSpec(1.0, (7,)))
     with pytest.raises(GridError):
-        _config(n=3, potential=PotentialSpec.multi_step(1.0, (0, -1)))
+        _config(n=3, potential=PotentialSpec(1.0, (0, -1)))
     with pytest.raises(GridError):
         _config(trotter_steps=0)
     with pytest.raises(GridError):

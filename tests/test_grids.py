@@ -133,32 +133,32 @@ def test_gaussian_packet_magnitude_symmetric():
 
 def test_potential_none_is_zero():
     grid = Grid(10.0, 4)
-    np.testing.assert_allclose(potential_profile(grid, PotentialSpec.none()), 0.0)
+    np.testing.assert_allclose(potential_profile(grid, PotentialSpec()), 0.0)
 
 
-def test_potential_default_single_step_matches_z_pattern():
-    # default realization mirrors the circuit's e^{-i eta Z t}: +eta then -eta
+def test_potential_on_qubit_0_matches_z_pattern():
+    # a step on qubit 0 mirrors the circuit's e^{-i eta Z t}: +eta then -eta
     grid = Grid(10.0, 4)
     eta = 0.8
-    profile = potential_profile(grid, PotentialSpec.single_step(eta))
+    profile = potential_profile(grid, PotentialSpec(eta, (0,)))
     x = position_samples(grid)
     np.testing.assert_allclose(profile[x < 0], eta)
     np.testing.assert_allclose(profile[x >= 0], -eta)
 
 
-def test_potential_default_double_step_pattern():
+def test_potential_on_qubit_1_pattern():
     grid = Grid(10.0, 4)
-    profile = potential_profile(grid, PotentialSpec.double_step(1.0))
+    profile = potential_profile(grid, PotentialSpec(1.0, (1,)))
     # qubit 1 bit flips each quarter of the domain
     np.testing.assert_allclose(profile, np.repeat([1.0, -1.0, 1.0, -1.0], 4))
 
 
 def test_potential_malformed():
     with pytest.raises(GridError):
-        potential_profile(Grid(1.0, 3), PotentialSpec.single_step(1.0, qubit=7))
+        potential_profile(Grid(1.0, 3), PotentialSpec(1.0, (7,)))
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(GridError):
-            PotentialSpec.single_step(bad)
+            PotentialSpec(bad, (0,))
 
 
 def test_potential_positions_must_be_integers():

@@ -998,6 +998,12 @@ def test_histogram_invariant():
         Histogram(5, [4, 0])
 
 
+def test_histogram_keeps_int64_counts_as_given():
+    # as a StateVector keeps its amplitudes: a sampled step holds one counts array
+    counts = np.array([7, 0, 0, 3], dtype=np.int64)
+    assert np.shares_memory(Histogram(10, counts).counts, counts)
+
+
 def test_from_amplitudes_rejects_a_count_that_is_not_a_power_of_two():
     for raw in ([], [1.0, 0.0, 0.0]):
         with pytest.raises(InvalidWidth, match=f"amplitude count {len(raw)} is not a power of two"):

@@ -259,6 +259,13 @@ MUTANTS = [
     Mutant("memory-guard-ignores-cgroup", CLI,
            "    if cgroup < limit:\n",
            "    if cgroup < 0:\n"),
+    # one table states how many positions each --potential kind takes
+    Mutant("single-takes-many-positions", CLI,
+           '"single": ((0,), 1)',
+           '"single": ((0,), None)'),
+    Mutant("none-takes-positions", CLI,
+           '"none": ((), 0)',
+           '"none": ((), None)'),
     # one check holds a potential's positions inside the width
     Mutant("potential-position-allows-width", GRIDS,
            "if not 0 <= q < n:",
